@@ -60,6 +60,7 @@ from .polytopes import (
 )
 from .render import render_svg
 from .web import (
+    CertificateVerificationError,
     ConnectCertificate,
     NoMoriFiberStructureError,
     bfs_connect,

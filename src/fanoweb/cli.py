@@ -19,6 +19,7 @@ from .obstruction import run_suite
 from .polytopes import classify, lattice_points, interior_lattice_points, mavlyutov_dual, polar_dual, primitive_points
 from .render import render_svg
 from .web import (
+    CertificateVerificationError,
     ClassViolationError,
     NoMoriFiberStructureError,
     bfs_connect,
@@ -136,7 +137,7 @@ def cmd_links(args):
     p = _load_polytope(args)
     a = from_polytope(p)
     if args.fiber:
-        fiber = [tuple(int(x) for x in v) for v in json.loads(args.fiber)]
+        fiber = [tuple(jsonio.strict_int(x) for x in v) for v in json.loads(args.fiber)]
         fs = fiber_structure_for(a, fiber)
     else:
         mori = [f for f in fiber_structures(a) if f.mori]
@@ -168,10 +169,6 @@ def cmd_connect(args):
     p = _load_polytope(args, "first")
     q = _load_polytope(args, "second")
     cert = connect(p, q, args.cls)
-    rep = verify_certificate(cert)
-    if not rep.ok:
-        _emit_json(args, {"error": {"type": "verification", "failures": list(rep.failures)}})
-        return 3
     _emit_json(args, jsonio.certificate_to_json(cert))
     return 0
 
@@ -183,10 +180,6 @@ def cmd_bfs(args):
     if cert is None:
         _emit_json(args, {"found": False, "box": args.box})
         return 2
-    rep = verify_certificate(cert)
-    if not rep.ok:
-        _emit_json(args, {"error": {"type": "verification", "failures": list(rep.failures)}})
-        return 3
     _emit_json(args, jsonio.certificate_to_json(cert))
     return 0
 
@@ -331,6 +324,10 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
+    except CertificateVerificationError as e:
+        failures = [[i, msg] for i, msg in e.failures]
+        sys.stdout.write(jsonio.dumps({"error": {"type": "verification", "failures": failures}}) + "\n")
+        return 3
     except (ClassViolationError, NoMoriFiberStructureError, ValueError, KeyError) as e:
         sys.stdout.write(
             jsonio.dumps({"error": {"type": type(e).__name__, "message": str(e)}}) + "\n"

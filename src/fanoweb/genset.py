@@ -174,13 +174,14 @@ def fiber_structure_for(parent, fiber_points):
     key = (parent, fiber)
     got = _FS_CACHE.get(key)
     if got is not None:
-        if isinstance(got, InvalidFiberStructure):
-            raise got
+        if isinstance(got, str):
+            # a fresh exception: a re-raised one grows its traceback each time
+            raise InvalidFiberStructure(got)
         return got
     try:
         fs = _build_fiber_structure(parent, fiber)
     except InvalidFiberStructure as e:
-        _FS_CACHE[key] = e
+        _FS_CACHE[key] = str(e)
         raise
     _FS_CACHE[key] = fs
     return fs

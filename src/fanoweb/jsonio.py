@@ -16,6 +16,13 @@ from .polytopes import hull
 from .web import ConnectCertificate, Relation
 
 
+def strict_int(x):
+    """An integer from JSON as is; bool, float and the rest raise ValueError."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
 def dumps(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -25,7 +32,7 @@ def polytope_to_json(p):
 
 
 def polytope_from_json(data):
-    points = [tuple(int(x) for x in pt) for pt in data["points"]]
+    points = [tuple(strict_int(x) for x in pt) for pt in data["points"]]
     p = hull(points)
     if "dim" in data and p.dim != data["dim"]:
         raise ValueError("declared dimension does not match the points")
@@ -44,7 +51,7 @@ def pgs_to_json(a):
 
 
 def pgs_from_json(data):
-    points = [tuple(int(x) for x in pt) for pt in data["points"]]
+    points = [tuple(strict_int(x) for x in pt) for pt in data["points"]]
     return PrimGenSet(data["dim"], points)
 
 
@@ -61,7 +68,7 @@ def fiber_structure_to_json(fs):
 
 def fiber_structure_from_json(data):
     parent = pgs_from_json(data["parent"])
-    fiber = [tuple(int(x) for x in v) for v in data["fiber"]]
+    fiber = [tuple(strict_int(x) for x in v) for v in data["fiber"]]
     fs = fiber_structure_for(parent, fiber)
     if [list(r) for r in fs.projection.matrix] != data["projection"]:
         raise ValueError("projection matrix does not match the fiber")
@@ -77,8 +84,8 @@ def _constituent_to_json(c):
 
 
 def _constituent_from_json(data):
-    pts = [tuple(int(x) for x in v) for v in data["points"]]
-    fiber = [tuple(int(x) for x in v) for v in data["fiber"]]
+    pts = [tuple(strict_int(x) for x in v) for v in data["points"]]
+    fiber = [tuple(strict_int(x) for x in v) for v in data["fiber"]]
     return Constituent(PrimGenSet(data["dim"], pts), fiber)
 
 
@@ -124,10 +131,10 @@ def relation_to_json(r):
 
 
 def relation_from_json(data):
-    witness = None if data["witness"] is None else tuple(int(x) for x in data["witness"])
+    witness = None if data["witness"] is None else tuple(strict_int(x) for x in data["witness"])
     origin = tuple(data["origin"])
     if origin and origin[0] == "link":
-        origin = ("link", int(origin[1]))
+        origin = ("link", strict_int(origin[1]))
     return Relation(data["rel"], witness, origin)
 
 

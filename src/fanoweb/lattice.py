@@ -36,20 +36,8 @@ def is_primitive(v):
     return vec_gcd(v) == 1
 
 
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_neg(v):
-    return tuple(-a for a in v)
-
-
-def vec_scale(k, v):
-    return tuple(k * a for a in v)
 
 
 def dot(u, v):
@@ -75,10 +63,6 @@ def mat_vec(m, v):
 def mat_mul(a, b):
     cols = tuple(zip(*b))
     return tuple(tuple(dot(row, col) for col in cols) for row in a)
-
-
-def mat_transpose(m):
-    return tuple(zip(*m))
 
 
 def mat_identity(d):

@@ -21,6 +21,7 @@ from .genset import (
     PrimGenSet,
     fiber_structure_for,
     fiber_structures,
+    from_polytope,
     intrinsic_pgs,
     intrinsic_points,
     mori_fiber_structures,
@@ -376,12 +377,6 @@ def ruled_polygon(m):
     return hull([E1, E2, (-1, 0), (-m, -1)])
 
 
-def _pgs_of(p):
-    from .genset import from_polytope
-
-    return from_polytope(p)
-
-
 def elementary_transform(m, sign=1):
     """The II_ni link between the m-th and (m+1)-st ruled polygons.
 
@@ -389,9 +384,9 @@ def elementary_transform(m, sign=1):
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    low = _pgs_of(ruled_polygon(m))
-    high = _pgs_of(ruled_polygon(m + 1))
-    mid = _pgs_of(hull(low.points + high.points))
+    low = from_polytope(ruled_polygon(m))
+    high = from_polytope(ruled_polygon(m + 1))
+    mid = from_polytope(hull(low.points + high.points))
     fiber = ((-1, 0), (1, 0))
     link = ElementaryLink(
         kind="II_ni",
@@ -408,8 +403,8 @@ def blowdown_link(sign=1):
 
     Its inverse (sign -1) is the I_m link contracting back to the triangle.
     """
-    tri = _pgs_of(plane_polygon())
-    quad = _pgs_of(ruled_polygon(1))
+    tri = from_polytope(plane_polygon())
+    quad = from_polytope(ruled_polygon(1))
     link = ElementaryLink(
         kind="III_m",
         left=Constituent(tri, tri.points),
@@ -422,7 +417,7 @@ def blowdown_link(sign=1):
 
 def ruling_swap(sign=1):
     """The IV_m link exchanging the two rulings of conv(+-e1, +-e2)."""
-    sq = _pgs_of(ruled_polygon(0))
+    sq = from_polytope(ruled_polygon(0))
     link = ElementaryLink(
         kind="IV_m",
         left=Constituent(sq, ((-1, 0), (1, 0))),
@@ -458,13 +453,6 @@ def reverse_sequence(seq):
     return sequence_from_steps(
         tuple(inverse(s) for s in reversed(seq.steps)), seq.class_constraint
     )
-
-
-def concat_sequences(parts, class_constraint="none"):
-    steps = []
-    for part in parts:
-        steps.extend(part.steps)
-    return sequence_from_steps(steps, class_constraint)
 
 
 def conjugate_sequence(g, seq):

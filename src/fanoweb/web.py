@@ -81,6 +81,14 @@ class NotInStandardOrbitError(ValueError):
     pass
 
 
+class CertificateVerificationError(Exception):
+    """A freshly built certificate failed verification; failures says why."""
+
+    def __init__(self, failures):
+        super().__init__(f"certificate failed verification: {failures}")
+        self.failures = failures
+
+
 def standard_pairs():
     """The four standard Mori fiber polygons with their standard fibers."""
     tri = plane_polygon()
@@ -412,10 +420,22 @@ def to_standard_form(p, fiber, class_constraint="canonical"):
 
 
 def _concat(parts, class_constraint):
-    steps = []
-    for part in parts:
-        steps.extend(part.steps)
-    return sequence_from_steps(steps, class_constraint)
+    """Join link sequences, cutting each loop back to the first visit of its
+    (points, fiber) state, the pair validate_sequence compares at a joint: the
+    joints still chain verbatim, the endpoints stay and no link is new."""
+    steps = [s for part in parts for s in part.steps]
+    out = []
+    seen = {_pair_key(steps[0].left): 0} if steps else {}  # state -> len(out) there
+    for step in steps:
+        at = seen.get(_pair_key(step.right))
+        if at is None:
+            out.append(step)
+            seen[_pair_key(step.right)] = len(out)
+        else:
+            for cut in out[at:]:
+                del seen[_pair_key(cut.right)]
+            del out[at:]
+    return sequence_from_steps(out, class_constraint)
 
 
 def _check_connection(seq, start, end, class_constraint):
@@ -509,7 +529,7 @@ def connect(p, q, class_constraint="canonical"):
     cert = _assemble(p, q, rp, rq, seq, class_constraint)
     rep = verify_certificate(cert)
     if not rep.ok:
-        raise AssertionError(f"internal: certificate failed verification: {rep.failures}")
+        raise CertificateVerificationError(rep.failures)
     return cert
 
 
@@ -753,7 +773,7 @@ def bfs_connect(p, q, class_constraint="canonical", box=4):
     cert = _assemble(p, q, rp, rq, seq, class_constraint)
     rep = verify_certificate(cert)
     if not rep.ok:
-        raise AssertionError(f"internal: BFS certificate failed verification: {rep.failures}")
+        raise CertificateVerificationError(rep.failures)
     return cert
 
 

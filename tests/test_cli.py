@@ -86,6 +86,30 @@ def test_verify_flags_tampering(tmp_path, capsys):
     assert out["ok"] is False and out["failures"]
 
 
+def test_connect_verification_failure_exit_3(tmp_path, capsys, monkeypatch):
+    from fanoweb import web
+
+    planted = web.VerifyReport(False, ((2, "planted failure"),))
+    monkeypatch.setattr(web, "verify_certificate", lambda cert: planted)
+    a = _write(tmp_path, "a.json", {"dim": 2, "points": [[1, 0], [0, 1], [-1, -1]]})
+    b = _write(tmp_path, "b.json", {"dim": 2, "points": [[0, 1], [-1, 0], [1, -1]]})
+    for argv in (["connect", a, b], ["bfs", a, b, "--box", "2"]):
+        assert main(argv + ["--class", "terminal"]) == 3
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"error": {"type": "verification", "failures": [[2, "planted failure"]]}}
+
+
+def test_non_integer_coordinates_exit_1(tmp_path, capsys):
+    for points in ([[1.5, 0], [0, 1], [-1, -1]], [[True, 0], [0, 1], [-1, -1]]):
+        path = _write(tmp_path, "p.json", {"dim": 2, "points": points})
+        assert main(["classify", path]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"]["type"] == "ValueError"
+    quad = _write(tmp_path, "q.json", _quad2_json())
+    assert main(["links", quad, "--fiber", "[[1.5, 0], [-1, 0]]"]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "ValueError"
+
+
 def test_bfs_subcommand(tmp_path, capsys):
     square = _write(tmp_path, "sq.json", {"dim": 2, "points": [[1, 0], [0, 1], [-1, 0], [0, -1]]})
     quad = _write(tmp_path, "q.json", {"dim": 2, "points": [[1, 0], [0, 1], [-1, 0], [-1, -1]]})

@@ -156,6 +156,21 @@ def test_fiber_structure_rejects_partial_intersection():
         fiber_structure_for(a, [V[1], V[2]])  # not the full plane intersection
 
 
+def test_cached_invalid_fiber_raises_fresh_exception():
+    import traceback
+
+    fiber = [(1, 0), (0, 1)]
+    for _ in range(2000):
+        with pytest.raises(InvalidFiberStructure):
+            fiber_structure_for(SQUARE, fiber)
+    try:
+        fiber_structure_for(SQUARE, fiber)
+    except InvalidFiberStructure as e:
+        frames = traceback.extract_tb(e.__traceback__)
+        assert "whole space" in str(e)
+    assert len(frames) <= 3
+
+
 def test_counting_invariant_and_base_is_pgs():
     for a in (TRIANGLE, SQUARE, QUAD1, QUAD2):
         for fs in fiber_structures(a):

@@ -82,3 +82,23 @@ def test_rational_vertices_encoding():
     for vert in data["vertices"]:
         for num, den in vert:
             assert isinstance(num, int) and isinstance(den, int) and den >= 1
+
+
+@pytest.mark.parametrize(
+    "points",
+    [[[1.5, 0], [0, 1], [-1, -1]], [[True, 0], [0, 1], [-1, -1]]],
+)
+def test_non_integer_coordinates_rejected(points):
+    with pytest.raises(ValueError):
+        polytope_from_json({"dim": 2, "points": points})
+    with pytest.raises(ValueError):
+        pgs_from_json({"dim": 2, "points": points})
+
+
+def test_certificate_with_non_integer_witness_rejected():
+    tri = plane_polygon()
+    data = certificate_to_json(connect(tri, hull(GEN_S.apply_all(tri.vertices)), "terminal"))
+    rel = next(r for r in data["relations"] if r["witness"] is not None)
+    rel["witness"] = [float(x) for x in rel["witness"]]
+    with pytest.raises(ValueError):
+        certificate_from_json(data)

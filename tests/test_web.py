@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanoweb.genset import from_polytope, mori_fiber_structures
 from fanoweb.lattice import UnimodularMap
@@ -320,3 +322,83 @@ def test_verify_survives_non_fano_tampering():
     rep = verify_certificate(tampered)
     assert not rep.ok
     assert rep.failures
+
+
+def test_concat_cancels_link_and_inverse():
+    from fanoweb.links import inverse
+    from fanoweb.web import _concat
+
+    link = elementary_transform(0, 1)
+    seq = _concat([sequence_from_steps([link]), sequence_from_steps([inverse(link)])], "canonical")
+    assert seq.steps == ()
+    assert seq.class_constraint == "canonical"
+
+
+def test_concat_cuts_loop_and_keeps_surrounding_steps():
+    from fanoweb.links import ElementaryLink, constituent, ruling_swap
+    from fanoweb.web import _concat
+
+    # three II_ni links from (square, horizontal ruling) back to it, each
+    # trading one lower point for another; set mode, because in polytope mode
+    # the middle set of the b-to-c link misses (0, -1) on its hull
+    fiber = ((-1, 0), (1, 0))
+    top = [(-1, 0), (1, 0), (0, 1)]
+    a, b, c = (0, -1), (-1, -1), (1, -1)
+
+    def pair(*lower):
+        return constituent(top + list(lower), fiber)
+
+    def swap(x, y):
+        return ElementaryLink("II_ni", pair(x), pair(x, y), pair(y))
+
+    loop = [swap(a, b), swap(b, c), swap(c, a)]
+    before, after = ruling_swap(-1), elementary_transform(0, 1)
+    word = [before] + loop + [after]
+    assert validate_sequence(sequence_from_steps(word)).ok
+    assert loop[-1].right == before.right
+    # after lands on the loop's first state, which the cut has forgotten
+    assert after.right == loop[0].right
+    seq = _concat([sequence_from_steps(word[:2]), sequence_from_steps(word[2:])], "none")
+    assert seq.steps == (before, after)
+    assert validate_sequence(seq).ok
+
+
+_GL_WORDS = st.lists(st.sampled_from(sorted(TOKENS)), max_size=4)
+
+
+def _gl_image(p, word):
+    g = UnimodularMap.identity(2)
+    for t in word:
+        g = g.compose(TOKENS[t])
+    return hull(g.apply_all(p.vertices))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    cls=st.sampled_from(["canonical", "terminal"]),
+    i=st.integers(min_value=0),
+    j=st.integers(min_value=0),
+    g=_GL_WORDS,
+    h=_GL_WORDS,
+)
+def test_connect_words_never_revisit_a_state(cls, i, j, g, h):
+    from fanoweb.web import ConnectCertificate, Relation
+
+    polys = enumerate_class_polygons(2, cls)
+    p = _gl_image(polys[i % len(polys)], g)
+    q = _gl_image(polys[j % len(polys)], h)
+    cert = connect(p, q, cls)
+    steps = cert.sequence.steps
+    states = [(c.points, c.fiber) for c in [s.left for s in steps[:1]] + [s.right for s in steps]]
+    assert len(states) == len(set(states))
+    assert verify_certificate(cert).ok
+    assert cert.chain[0] == p and cert.chain[0].vertices == p.vertices
+    assert cert.chain[-1] == q and cert.chain[-1].vertices == q.vertices
+    if p == q:
+        return
+    k = next(k for k, r in enumerate(cert.relations) if r.witness is not None)
+    r = cert.relations[k]
+    relations = list(cert.relations)
+    relations[k] = Relation(r.rel, (r.witness[0] + 1, r.witness[1]), r.origin)
+    tampered = ConnectCertificate(cert.chain, tuple(relations), cert.sequence, cls)
+    assert not verify_certificate(tampered).ok
