@@ -31,12 +31,24 @@ def polytope_to_json(p):
     return {"dim": p.dim, "points": [list(v) for v in p.vertices]}
 
 
+def _points_from_json(data):
+    """The integer points of data["points"], each of length data["dim"] when
+    that is given; a malformed list raises ValueError."""
+    if not isinstance(data, dict) or not isinstance(data.get("points"), list):
+        raise ValueError("expected an object with a list of points")
+    dim = data.get("dim")
+    out = []
+    for pt in data["points"]:
+        if not isinstance(pt, list):
+            raise ValueError(f"expected a point as a list of integers, got {pt!r}")
+        if dim is not None and len(pt) != dim:
+            raise ValueError(f"point {pt!r} does not have the declared dimension {dim!r}")
+        out.append(tuple(strict_int(x) for x in pt))
+    return out
+
+
 def polytope_from_json(data):
-    points = [tuple(strict_int(x) for x in pt) for pt in data["points"]]
-    p = hull(points)
-    if "dim" in data and p.dim != data["dim"]:
-        raise ValueError("declared dimension does not match the points")
-    return p
+    return hull(_points_from_json(data))
 
 
 def rational_polytope_to_json(q):
@@ -51,7 +63,7 @@ def pgs_to_json(a):
 
 
 def pgs_from_json(data):
-    points = [tuple(strict_int(x) for x in pt) for pt in data["points"]]
+    points = _points_from_json(data)
     return PrimGenSet(data["dim"], points)
 
 

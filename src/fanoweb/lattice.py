@@ -410,24 +410,24 @@ def right_inverse(mat):
 
 
 def _rank_fraction(rows):
-    work = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    cols = len(work[0]) if work else 0
-    for col in range(cols):
-        piv = None
-        for i in range(rank, len(work)):
-            if work[i][col] != 0:
-                piv = i
-                break
+    """Rank over Q, by fraction-free (Bareiss) elimination on Python ints.
+
+    After each pivot every remaining entry is a minor of the input, so the
+    division by the previous pivot is exact (Sylvester's identity).
+    """
+    work = [list(r) for r in rows]
+    rank, prev = 0, 1
+    for col in range(len(work[0]) if work else 0):
+        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
         if piv is None:
             continue
         work[rank], work[piv] = work[piv], work[rank]
-        pv = work[rank][col]
-        work[rank] = [x / pv for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
+        top = work[rank]
+        pv = top[col]
+        for i in range(rank + 1, len(work)):
+            f = work[i][col]
+            work[i] = [(pv * a - f * b) // prev for a, b in zip(work[i], top)]
+        prev = pv
         rank += 1
     return rank
 
@@ -441,23 +441,17 @@ def in_span(v, basis):
     return _rank_fraction(list(basis)) == _rank_fraction(list(basis) + [v])
 
 
-def coordinates_in_basis(v, basis):
-    """Integer coordinates of v with respect to lattice basis rows.
-
-    Returns None when v is not an integer combination of the basis.
-    """
+def solve_rational(v, basis):
+    """Rational c with sum_i c_i * basis[i] == v, by Gauss-Jordan elimination
+    over Q, or None when v is not in the span; a basis vector that depends on
+    the earlier ones gets coefficient 0."""
     k = len(basis)
     d = len(v)
-    # solve c * basis = v by Gaussian elimination over Q
     aug = [[Fraction(basis[i][j]) for i in range(k)] + [Fraction(v[j])] for j in range(d)]
     rank = 0
     pivots = []
     for col in range(k):
-        piv = None
-        for i in range(rank, d):
-            if aug[i][col] != 0:
-                piv = i
-                break
+        piv = next((i for i in range(rank, d) if aug[i][col] != 0), None)
         if piv is None:
             continue
         aug[rank], aug[piv] = aug[piv], aug[rank]
@@ -475,6 +469,15 @@ def coordinates_in_basis(v, basis):
     coords = [Fraction(0)] * k
     for r, col in enumerate(pivots):
         coords[col] = aug[r][k]
-    if any(c.denominator != 1 for c in coords):
+    return coords
+
+
+def coordinates_in_basis(v, basis):
+    """Integer coordinates of v with respect to lattice basis rows.
+
+    Returns None when v is not an integer combination of the basis.
+    """
+    coords = solve_rational(v, basis)
+    if coords is None or any(c.denominator != 1 for c in coords):
         return None
     return tuple(int(c) for c in coords)

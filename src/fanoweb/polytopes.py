@@ -6,21 +6,26 @@ normal is primitive, and the interior satisfies normal . x > -level.  With
 the origin strictly inside, every level is a positive integer, and the polar
 dual has vertex normal/level for each facet.
 
-Hulls are computed with integer-only predicates: monotone chain in 2D and
-exhaustive supporting-plane enumeration in 3D (inputs here are tiny, so the
-cubic scan is simpler and safer than an incremental hull).
+Everything is exact integer arithmetic.  Hulls use a monotone chain with
+inlined cross products in 2D and exhaustive supporting-plane enumeration in
+3D (inputs here are tiny, so the cubic scan is simpler and safer than an
+incremental hull).  lattice_points walks every prefix of all coordinates but
+the last and takes the exact interval of the last coordinate from the
+facets, so it never tests a cell of the bounding box.  In 2D the
+canonical and terminal predicates come from Pick's theorem, 2I = 2A - B + 2,
+evaluated on the vertices alone (_pick_counts); in 3D they count lattice
+points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 from math import ceil, floor, gcd
 
 from .lattice import (
     _rank_fraction,
-    cross2,
     cross3,
     dot,
     is_primitive,
@@ -28,6 +33,7 @@ from .lattice import (
     mat_vec,
     primitivize,
     row_hermite,
+    solve_rational,
     vec_gcd,
     vec_sub,
 )
@@ -101,15 +107,18 @@ def hull(points):
     """Convex hull of lattice points, canonical vertex order, exact facets.
 
     Raises DegenerateHullError when the points do not span the ambient
-    dimension (which must be 2 or 3).
+    dimension (which must be 2 or 3), and ValueError when the points do not
+    all have the same length.
     """
-    pts = tuple(sorted(dict.fromkeys(tuple(int(x) for x in p) for p in points)))
+    pts = tuple(sorted(dict.fromkeys(tuple(map(int, p)) for p in points)))
     if not pts:
         raise ValueError("hull of no points")
     cached = _HULL_CACHE.get(pts)
     if cached is not None:
         return cached
     d = len(pts[0])
+    if any(len(q) != d for q in pts):
+        raise ValueError(f"points of different lengths: {sorted({len(q) for q in pts})}")
     if d == 2:
         poly = _hull2d(pts)
     elif d == 3:
@@ -127,10 +136,11 @@ def _hull2d(pts):
     def half(points):
         chain = []
         for p in points:
-            while (
-                len(chain) >= 2
-                and cross2(vec_sub(chain[-1], chain[-2]), vec_sub(p, chain[-2])) <= 0
-            ):
+            px, py = p
+            while len(chain) >= 2:
+                (ax, ay), (bx, by) = chain[-2], chain[-1]
+                if (bx - ax) * (py - ay) - (by - ay) * (px - ax) > 0:
+                    break
                 chain.pop()
             chain.append(p)
         return chain
@@ -143,13 +153,10 @@ def _hull2d(pts):
     # monotone chain starts at the lexicographic minimum and runs CCW
     vertices = tuple(verts)
     facets = []
-    n = len(vertices)
-    for i in range(n):
-        a = vertices[i]
-        b = vertices[(i + 1) % n]
-        e = vec_sub(b, a)
-        normal = primitivize((-e[1], e[0]))[0]
-        facets.append((normal, -dot(normal, a)))
+    for (ax, ay), (bx, by) in zip(vertices, vertices[1:] + vertices[:1]):
+        g = gcd(bx - ax, by - ay)
+        nx, ny = (ay - by) // g, (bx - ax) // g
+        facets.append(((nx, ny), -(nx * ax + ny * ay)))
     return _intern(2, vertices, tuple(sorted(facets)))
 
 
@@ -193,34 +200,43 @@ def lattice_points(p):
     got = _LATTICE_CACHE.get(p)
     if got is not None:
         return got
-    lo = [min(v[i] for v in p.vertices) for i in range(p.dim)]
-    hi = [max(v[i] for v in p.vertices) for i in range(p.dim)]
-    out = []
-    if p.dim == 2:
-        for x in range(lo[0], hi[0] + 1):
-            for y in range(lo[1], hi[1] + 1):
-                if p.contains((x, y)):
-                    out.append((x, y))
-    else:
-        for x in range(lo[0], hi[0] + 1):
-            for y in range(lo[1], hi[1] + 1):
-                for z in range(lo[2], hi[2] + 1):
-                    if p.contains((x, y, z)):
-                        out.append((x, y, z))
-    res = tuple(out)
+    lo = [min(axis) for axis in zip(*p.vertices)]
+    hi = [max(axis) for axis in zip(*p.vertices)]
+    res = _scan(p.facets, lo, hi)
     _LATTICE_CACHE[p] = res
     return res
 
 
-_INTERIOR_CACHE = {}
+def _scan(facets, lo, hi):
+    """Integer points x with lo <= x <= hi and n . x >= -level on every facet
+    (integer normals, integer or Fraction levels), in lexicographic order.
+
+    Each prefix of all coordinates but the last meets the polytope in an
+    exact interval of the last coordinate, read off the facets with integer
+    floor and ceiling and emitted whole.
+    """
+    rows = [(n[:-1], n[-1], -lv) for n, lv in facets]
+    out = []
+    for prefix in product(*(range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1]))):
+        zlo, zhi = lo[-1], hi[-1]
+        for head, c, r in rows:
+            for a, x in zip(head, prefix):
+                r -= a * x
+            # c * z >= r
+            if c > 0:
+                zlo = max(zlo, -(-r // c))
+            elif c < 0:
+                zhi = min(zhi, r // c)
+            elif r > 0:
+                zhi = zlo - 1
+            if zlo > zhi:
+                break
+        out.extend(prefix + (z,) for z in range(zlo, zhi + 1))
+    return tuple(out)
 
 
 def interior_lattice_points(p):
-    got = _INTERIOR_CACHE.get(p)
-    if got is None:
-        got = tuple(q for q in lattice_points(p) if p.strictly_contains(q))
-        _INTERIOR_CACHE[p] = got
-    return got
+    return tuple(q for q in lattice_points(p) if p.strictly_contains(q))
 
 
 def in_hull(point, points):
@@ -244,45 +260,11 @@ def in_hull(point, points):
         rows = [vec_sub(p, b0) for p in subset[1:]]
         if _rank_fraction(rows) != adim:
             continue
-        coeff = _barycentric(point, subset)
+        # barycentric weights: sum c_i * (v_i, 1) == (point, 1)
+        coeff = solve_rational(point + (1,), [v + (1,) for v in subset])
         if coeff is not None and all(c >= 0 for c in coeff):
             return True
     return False
-
-
-def _barycentric(point, simplex):
-    # solve sum c_i * v_i = point, sum c_i = 1 over Q
-    k = len(simplex)
-    d = len(point)
-    aug = [[Fraction(simplex[i][j]) for i in range(k)] + [Fraction(point[j])] for j in range(d)]
-    aug.append([Fraction(1)] * k + [Fraction(1)])
-    rank = 0
-    pivots = []
-    rows = len(aug)
-    for col in range(k):
-        piv = None
-        for i in range(rank, rows):
-            if aug[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        pv = aug[rank][col]
-        aug[rank] = [x / pv for x in aug[rank]]
-        for i in range(rows):
-            if i != rank and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, rows):
-        if aug[i][k] != 0:
-            return None
-    coeff = [Fraction(0)] * k
-    for r, col in enumerate(pivots):
-        coeff[col] = aug[r][k]
-    return coeff
 
 
 class RationalPolytope:
@@ -366,18 +348,9 @@ class MavlyutovDual:
 
 def mavlyutov_dual(p):
     q = polar_dual(p)
-    lo = [min(v[i] for v in q.vertices) for i in range(q.dim)]
-    hi = [max(v[i] for v in q.vertices) for i in range(q.dim)]
-    pts = []
-    rng = [range(ceil(lo[i]), floor(hi[i]) + 1) for i in range(q.dim)]
-    if q.dim == 2:
-        candidates = ((x, y) for x in rng[0] for y in rng[1])
-    else:
-        candidates = ((x, y, z) for x in rng[0] for y in rng[1] for z in rng[2])
-    for c in candidates:
-        if all(dot(n, c) >= -lv for n, lv in q.facets):
-            pts.append(c)
-    pts = tuple(sorted(pts))
+    lo = [ceil(min(axis)) for axis in zip(*q.vertices)]
+    hi = [floor(max(axis)) for axis in zip(*q.vertices)]
+    pts = _scan(q.facets, lo, hi)
     adim = affine_dimension(pts)
     if adim == p.dim:
         return MavlyutovDual(adim, pts, hull(pts))
@@ -414,11 +387,8 @@ def classify(p):
     if not p.origin_interior():
         _CLASSIFY_CACHE[p] = _ALL_FALSE
         return _ALL_FALSE
-    origin = (0,) * p.dim
     fano = all(is_primitive(v) for v in p.vertices)
-    interior = interior_lattice_points(p)
-    canonical = interior == (origin,)
-    terminal = set(lattice_points(p)) == set(p.vertices) | {origin}
+    canonical, terminal = _canonical_terminal(p)
     reflexive = all(lv == 1 for _, lv in p.facets)
     md = mavlyutov_dual(p)
     apr = md.polytope is not None and md.polytope.origin_interior()
@@ -429,6 +399,33 @@ def classify(p):
     flags = ClassFlags(fano, canonical, terminal, reflexive, pr, apr)
     _CLASSIFY_CACHE[p] = flags
     return flags
+
+
+def _pick_counts(vertices):
+    """(2A, B) of a lattice polygon from its counter-clockwise vertices: twice
+    the area (shoelace) and the number of boundary lattice points.  By Pick's
+    theorem the polygon has I = (2A - B + 2) / 2 interior lattice points."""
+    twice_area = boundary = 0
+    x0, y0 = vertices[-1]
+    for x1, y1 in vertices:
+        twice_area += x0 * y1 - x1 * y0
+        boundary += gcd(x1 - x0, y1 - y0)
+        x0, y0 = x1, y1
+    return twice_area, boundary
+
+
+def _canonical_terminal(p):
+    """(canonical, terminal): the origin is the only interior lattice point;
+    terminal also has no lattice point but the vertices on the boundary."""
+    if not p.origin_interior():
+        return False, False
+    if p.dim == 2:
+        twice_area, boundary = _pick_counts(p.vertices)
+        canonical = twice_area == boundary  # I == 1
+        return canonical, canonical and boundary == len(p.vertices)
+    canonical = interior_lattice_points(p) == ((0,) * p.dim,)
+    # the origin and the vertices are lattice points of p
+    return canonical, len(lattice_points(p)) == len(p.vertices) + 1
 
 
 def is_fano(p):
@@ -456,9 +453,9 @@ def in_class(p, name):
 
 def _in_class_raw(p, name):
     if name == "canonical":
-        return p.origin_interior() and interior_lattice_points(p) == ((0,) * p.dim,)
+        return _canonical_terminal(p)[0]
     if name == "terminal":
-        return p.origin_interior() and set(lattice_points(p)) == set(p.vertices) | {(0,) * p.dim}
+        return _canonical_terminal(p)[1]
     if name == "reflexive":
         return all(lv == 1 for _, lv in p.facets)
     if name == "fano":
@@ -480,22 +477,8 @@ def primitive_points_in_hull(points):
     d = len(pts[0])
     if adim == d:
         return primitive_points(hull(pts))
-    lo = [min(p[i] for p in pts) for i in range(d)]
-    hi = [max(p[i] for p in pts) for i in range(d)]
-    out = []
-    if d == 2:
-        candidates = ((x, y) for x in range(lo[0], hi[0] + 1) for y in range(lo[1], hi[1] + 1))
-    else:
-        candidates = (
-            (x, y, z)
-            for x in range(lo[0], hi[0] + 1)
-            for y in range(lo[1], hi[1] + 1)
-            for z in range(lo[2], hi[2] + 1)
-        )
-    for c in candidates:
-        if vec_gcd(c) == 1 and in_hull(c, pts):
-            out.append(c)
-    return tuple(sorted(out))
+    box = product(*(range(min(axis), max(axis) + 1) for axis in zip(*pts)))
+    return tuple(c for c in box if vec_gcd(c) == 1 and in_hull(c, pts))
 
 
 _NF_CACHE = {}
@@ -516,19 +499,7 @@ def normal_form(p):
     best = None
     best_poly = None
     verts = p.vertices
-    idx = range(len(verts))
-    if d == 2:
-        subsets = ((i, j) for i in idx for j in idx if i != j)
-    else:
-        subsets = (
-            (i, j, k)
-            for i in idx
-            for j in idx
-            for k in idx
-            if i != j and j != k and i != k
-        )
-    for sub in subsets:
-        cols = [verts[i] for i in sub]
+    for cols in permutations(verts, d):
         m = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
         if mat_det(m) == 0:
             continue

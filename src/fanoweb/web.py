@@ -534,9 +534,18 @@ def connect(p, q, class_constraint="canonical"):
 
 
 def _assemble(p, q, rp, rq, seq, class_constraint):
+    """Chain p's reduction, the panels of seq and q's reduction reversed.
+
+    With no link steps the two reductions end at the same polygon, and they
+    are joined at their first common member instead.
+    """
     chain = [p]
     relations = []
+    below_q = [q] + [poly for _, poly in rq.chain]
+    at = {} if seq.steps else {poly: k for k, poly in enumerate(below_q)}
     for removed, poly in rp.chain:
+        if chain[-1] in at:
+            break
         chain.append(poly)
         relations.append(Relation("supset_dot", removed, ("reduction",)))
     if seq.steps:
@@ -547,14 +556,15 @@ def _assemble(p, q, rp, rq, seq, class_constraint):
         for panel, (rel, witness, idx) in zip(panels[1:], rels):
             chain.append(_hull_of(panel.points))
             relations.append(Relation(rel, witness, ("link", idx)))
+        join = len(rq.chain)
+    elif chain[-1] in at:
+        join = at[chain[-1]]
     else:
-        if rp.polytope != rq.polytope:
-            raise AssertionError("empty sequence between distinct reductions")
-    if chain[-1] != rq.polytope:
+        raise AssertionError("empty sequence between distinct reductions")
+    if chain[-1] != below_q[join]:
         raise AssertionError("sequence does not end at the target reduction")
-    aboves = [q] + [poly for _, poly in rq.chain[:-1]]
-    for k in range(len(rq.chain) - 1, -1, -1):
-        chain.append(aboves[k])
+    for k in range(join - 1, -1, -1):
+        chain.append(below_q[k])
         relations.append(Relation("subset_dot", rq.chain[k][0], ("reduction",)))
     return ConnectCertificate(tuple(chain), tuple(relations), seq, class_constraint)
 

@@ -110,6 +110,14 @@ def test_non_integer_coordinates_exit_1(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "ValueError"
 
 
+def test_malformed_point_lists_exit_1(tmp_path, capsys):
+    for points in ([[1, 0, 0], [0, 1], [-1, -1]], 5, [5, [0, 1], [-1, -1]]):
+        path = _write(tmp_path, "p.json", {"dim": 2, "points": points})
+        assert main(["classify", path]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"]["type"] == "ValueError"
+
+
 def test_bfs_subcommand(tmp_path, capsys):
     square = _write(tmp_path, "sq.json", {"dim": 2, "points": [[1, 0], [0, 1], [-1, 0], [0, -1]]})
     quad = _write(tmp_path, "q.json", {"dim": 2, "points": [[1, 0], [0, 1], [-1, 0], [-1, -1]]})

@@ -95,6 +95,24 @@ def test_non_integer_coordinates_rejected(points):
         pgs_from_json({"dim": 2, "points": points})
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"dim": 2, "points": 5},
+        {"dim": 2, "points": [5, [0, 1], [-1, -1]]},
+        {"dim": 2, "points": [[1, 0, 0], [0, 1], [-1, -1]]},
+        {"points": [[1, 0, 0], [0, 1], [-1, -1]]},
+        [[1, 0], [0, 1], [-1, -1]],
+    ],
+)
+def test_malformed_point_lists_rejected(data):
+    with pytest.raises(ValueError):
+        polytope_from_json(data)
+    if isinstance(data, dict) and "dim" in data:
+        with pytest.raises(ValueError):
+            pgs_from_json(data)
+
+
 def test_certificate_with_non_integer_witness_rejected():
     tri = plane_polygon()
     data = certificate_to_json(connect(tri, hull(GEN_S.apply_all(tri.vertices)), "terminal"))

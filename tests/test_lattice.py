@@ -1,9 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fanoweb.lattice import (
     UnimodularMap,
+    _rank_fraction,
     coordinates_in_basis,
     in_span,
     mat_det,
@@ -173,3 +177,47 @@ def test_projection_from_saturated_span_output():
     assert basis == ((1, 1),)
     pi = quotient_projection(basis, 2)
     assert all(all(x == 0 for x in pi.apply(b)) for b in basis)
+
+
+def _reference_rank(rows):
+    # Gauss-Jordan elimination over Fraction
+    work = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(work[0])):
+        piv = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        work[rank] = [x / work[rank][col] for x in work[rank]]
+        for i in range(len(work)):
+            if i != rank and work[i][col] != 0:
+                f = work[i][col]
+                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def _deficient_matrices(draw):
+    """Integer matrices of 2 to 4 rows and columns whose later rows are
+    often integer combinations of earlier ones."""
+    n = draw(st.integers(2, 4))
+    m = draw(st.integers(2, 4))
+    entry = st.one_of(st.just(0), st.integers(-9, 9))
+    rows = []
+    for _ in range(n):
+        if rows and draw(st.booleans()):
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(m)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=m, max_size=m)))
+    return rows
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(rows=_deficient_matrices())
+# the second row has a zero below the first pivot and must still be scaled
+# by it, or the later exact divisions floor and the rank comes out 4
+@example(rows=[[-4, -2, 0, 0], [0, 7, 9, -1], [-9, 7, 0, 8], [-15, 27, 0, 24]])
+def test_rank_matches_fraction_reference(rows):
+    assert _rank_fraction(rows) == _reference_rank(rows)

@@ -1,13 +1,18 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fanoweb.polytopes import (
     DegenerateHullError,
+    _pick_counts,
     affine_dimension,
     as_rational,
     classify,
     hull,
+    in_class,
     in_hull,
     interior_lattice_points,
     lattice_points,
@@ -61,6 +66,11 @@ def test_hull_degenerate_input():
     assert e.value.affine_dim == 1
 
 
+def test_hull_refuses_mixed_lengths():
+    with pytest.raises(ValueError, match="different lengths"):
+        hull([(1, 0, 0), (0, 1), (-1, -1)])
+
+
 def test_hull_3d_with_nonvertex_member():
     pts = [V[1], V[2], V[3], V[5], V[7]]
     p = hull(pts)
@@ -88,6 +98,105 @@ def test_lattice_points_big_square():
     p = hull([(1, 1), (1, -1), (-1, 1), (-1, -1)])
     assert len(lattice_points(p)) == 9
     assert interior_lattice_points(p) == ((0, 0),)
+
+
+def test_lattice_points_big_diamond_count():
+    # |x| + |y| <= n holds 2n^2 + 2n + 1 lattice points
+    p = hull([(600, 0), (0, 600), (-600, 0), (0, -600)])
+    assert len(lattice_points(p)) == 721_201
+
+
+# Brute-force references: every cell of the bounding box, tested against the
+# counter-clockwise vertices (2D) or the facets (3D), independent of the
+# interval scan and of Pick's theorem.
+
+
+def _side(a, b, x):
+    return (b[0] - a[0]) * (x[1] - a[1]) - (b[1] - a[1]) * (x[0] - a[0])
+
+
+def _cells_2d(p):
+    vs = p.vertices
+    edges = list(zip(vs, vs[1:] + vs[:1]))
+    box = [range(min(a), max(a) + 1) for a in zip(*vs)]
+    inside, interior = [], []
+    for x in product(*box):
+        sides = [_side(a, b, x) for a, b in edges]
+        if min(sides) >= 0:
+            inside.append(x)
+            if min(sides) > 0:
+                interior.append(x)
+    return inside, interior
+
+
+def _cells_3d(p):
+    box = [range(min(a), max(a) + 1) for a in zip(*p.vertices)]
+    return [x for x in product(*box) if all(sum(a * b for a, b in zip(n, x)) >= -lv for n, lv in p.facets)]
+
+
+def _hull_or_reject(pts):
+    try:
+        return hull(pts)
+    except DegenerateHullError:
+        assume(False)
+
+
+def _points(bounds, max_size):
+    coords = [st.integers(-b, b) for b in bounds]
+    return st.lists(st.tuples(*coords), min_size=len(bounds) + 1, max_size=max_size)
+
+
+def _moved(pts, word, extra):
+    for a, b, c, d in word:
+        pts = [(a * x + b * y, c * x + d * y) for x, y in pts]
+    return pts + extra
+
+
+# Subsets of the 3x3 box around the origin are canonical whenever the origin
+# is interior, and terminal when no edge holds a further lattice point.
+# Unimodular images keep both flags and reach larger coordinates; an extra
+# point may break them.  Plain random points give the wide and negative cases.
+_NEAR_CANONICAL = st.builds(
+    _moved,
+    st.lists(st.sampled_from([q for q in product((-1, 0, 1), repeat=2) if q != (0, 0)]),
+             min_size=3, max_size=8, unique=True),
+    st.lists(st.sampled_from([(1, 1, 0, 1), (1, 0, 1, 1), (0, -1, 1, 0), (1, -1, 0, 1)]), max_size=5),
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=1),
+)
+_POINTS_2D = st.one_of(_NEAR_CANONICAL, st.sampled_from([(3, 3), (40, 40)]).flatmap(lambda b: _points(b, 7)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pts=_POINTS_2D)
+def test_pick_predicates_match_cell_scan(pts):
+    p = _hull_or_reject(pts)
+    inside, interior = _cells_2d(p)
+    canonical = interior == [(0, 0)]
+    terminal = canonical and sorted(inside) == sorted(set(p.vertices) | {(0, 0)})
+    assert in_class(p, "canonical") == canonical
+    assert in_class(p, "terminal") == terminal
+    flags = classify(p)
+    assert (flags.canonical, flags.terminal) == (canonical, terminal)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pts=_POINTS_2D)
+def test_lattice_points_2d_match_cell_scan_and_pick(pts):
+    p = _hull_or_reject(pts)
+    inside, interior = _cells_2d(p)
+    assert lattice_points(p) == tuple(inside)
+    assert interior_lattice_points(p) == tuple(interior)
+    twice_area, boundary = _pick_counts(p.vertices)
+    assert (twice_area - boundary) % 2 == 0
+    assert len(lattice_points(p)) == (twice_area - boundary + 2) // 2 + boundary
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+# one long axis keeps the brute-force box small at coordinates up to 40
+@given(pts=st.sampled_from([(2, 2, 2), (4, 4, 4), (40, 3, 3)]).flatmap(lambda b: _points(b, 8)))
+def test_lattice_points_3d_match_cell_scan(pts):
+    p = _hull_or_reject(pts)
+    assert lattice_points(p) == tuple(_cells_3d(p))
 
 
 def _halfplane_vertex_oracle(vertices):

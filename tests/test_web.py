@@ -167,6 +167,15 @@ def test_connect_same_polytope_trivial():
     assert verify_certificate(cert).ok
 
 
+def test_connect_to_own_reduction_step_joins_at_common_member():
+    hexagon = hull([(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)])
+    pentagon = mmp_reduce(hexagon, "canonical").chain[0][1]
+    for p, q in ((hexagon, pentagon), (pentagon, hexagon)):
+        cert = connect(p, q)
+        assert cert.chain == (p, q)
+        assert verify_certificate(cert).ok
+
+
 def test_connect_square_to_f2():
     cert = connect(ruled_polygon(0), hull([(1, 0), (0, 1), (-2, -1)]), "canonical")
     assert verify_certificate(cert).ok
