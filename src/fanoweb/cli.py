@@ -210,7 +210,7 @@ def cmd_enumerate(args):
 
 def cmd_render(args):
     data = _read_json(args.input)
-    if "chain" in data:
+    if isinstance(data, dict) and "chain" in data:
         obj = jsonio.certificate_from_json(data)
     else:
         obj = jsonio.sequence_from_json(data)

@@ -10,6 +10,7 @@ projections of the remaining points, which is again a PGS of the quotient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .lattice import (
@@ -23,7 +24,7 @@ from .lattice import (
     quotient_projection,
     saturate_span,
 )
-from .polytopes import DegenerateHullError, hull, primitive_points
+from .polytopes import MEMO_SIZE, DegenerateHullError, hull, primitive_points
 
 
 class InvalidFiberStructure(ValueError):
@@ -161,30 +162,26 @@ class FiberStructure:
         return self.fiber_dim == self.parent.dim
 
 
-_FS_CACHE = {}
-
-
 def fiber_structure_for(parent, fiber_points):
     """Validate and build the fiber structure with the given fiber set.
 
     Raises InvalidFiberStructure when the set is not the full intersection
     with its span or does not generate the span as a cone.
     """
-    fiber = tuple(sorted(tuple(p) for p in fiber_points))
-    key = (parent, fiber)
-    got = _FS_CACHE.get(key)
-    if got is not None:
-        if isinstance(got, str):
-            # a fresh exception: a re-raised one grows its traceback each time
-            raise InvalidFiberStructure(got)
-        return got
+    got = _fiber_structure(parent, tuple(sorted(tuple(p) for p in fiber_points)))
+    if isinstance(got, str):
+        # a fresh exception: a re-raised one grows its traceback each time
+        raise InvalidFiberStructure(got)
+    return got
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _fiber_structure(parent, fiber):
+    """The fiber structure, or the reason string when the fiber is invalid."""
     try:
-        fs = _build_fiber_structure(parent, fiber)
+        return _build_fiber_structure(parent, fiber)
     except InvalidFiberStructure as e:
-        _FS_CACHE[key] = str(e)
-        raise
-    _FS_CACHE[key] = fs
-    return fs
+        return str(e)
 
 
 def _build_fiber_structure(parent, fiber):
@@ -253,9 +250,7 @@ def intrinsic_pgs(points):
     return PrimGenSet(len(basis), intr), basis
 
 
-_ENUM_CACHE = {}
-
-
+@lru_cache(maxsize=MEMO_SIZE)
 def fiber_structures(parent):
     """All fiber structures, one per linear span, deterministic order.
 
@@ -263,9 +258,6 @@ def fiber_structures(parent):
     pairs in 3D) plus the whole space; they are deduplicated by their
     saturated HNF basis.
     """
-    got = _ENUM_CACHE.get(parent)
-    if got is not None:
-        return got
     d = parent.dim
     span_keys = {}
     for p in parent.points:
@@ -286,9 +278,7 @@ def fiber_structures(parent):
         out.append(fs)
     out.append(fiber_structure_for(parent, parent.points))
     out.sort(key=lambda fs: (fs.fiber_dim, fs.fiber))
-    res = tuple(out)
-    _ENUM_CACHE[parent] = res
-    return res
+    return tuple(out)
 
 
 def mori_fiber_structures(parent):

@@ -9,11 +9,14 @@ pairs.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 from .genset import EMPTY_PGS, PrimGenSet, fiber_structure_for
 from .links import Constituent, ElementaryLink, sequence_from_steps
-from .polytopes import hull
+from .polytopes import ClassFlags, hull
 from .web import ConnectCertificate, Relation
+
+_CLASSES = ("none",) + tuple(f.name for f in fields(ClassFlags))
 
 
 def strict_int(x):
@@ -31,20 +34,43 @@ def polytope_to_json(p):
     return {"dim": p.dim, "points": [list(v) for v in p.vertices]}
 
 
-def _points_from_json(data):
-    """The integer points of data["points"], each of length data["dim"] when
-    that is given; a malformed list raises ValueError."""
-    if not isinstance(data, dict) or not isinstance(data.get("points"), list):
-        raise ValueError("expected an object with a list of points")
-    dim = data.get("dim")
+def _fields(data, what, *keys):
+    """data[key] for each key; ValueError unless data is an object with them all."""
+    if not isinstance(data, dict) or any(k not in data for k in keys):
+        raise ValueError(f"expected a {what} object with the keys {', '.join(keys)}")
+    return [data[k] for k in keys]
+
+
+def _list(x, what):
+    if not isinstance(x, list):
+        raise ValueError(f"expected {what} as a list, got {x!r}")
+    return x
+
+
+def _class(x):
+    if not isinstance(x, str) or x not in _CLASSES:
+        raise ValueError(f"unknown class {x!r}")
+    return x
+
+
+def _points(points, dim=None):
+    """Integer points from a JSON list, each of length dim when that is given;
+    a malformed list raises ValueError."""
     out = []
-    for pt in data["points"]:
+    for pt in _list(points, "points"):
         if not isinstance(pt, list):
             raise ValueError(f"expected a point as a list of integers, got {pt!r}")
         if dim is not None and len(pt) != dim:
             raise ValueError(f"point {pt!r} does not have the declared dimension {dim!r}")
         out.append(tuple(strict_int(x) for x in pt))
     return out
+
+
+def _points_from_json(data):
+    """The points of data["points"], checked against data["dim"] when given."""
+    if not isinstance(data, dict):
+        raise ValueError("expected an object with a list of points")
+    return _points(data.get("points"), data.get("dim"))
 
 
 def polytope_from_json(data):
@@ -63,8 +89,8 @@ def pgs_to_json(a):
 
 
 def pgs_from_json(data):
-    points = _points_from_json(data)
-    return PrimGenSet(data["dim"], points)
+    dim, _ = _fields(data, "generating set", "dim", "points")
+    return PrimGenSet(strict_int(dim), _points_from_json(data))
 
 
 def fiber_structure_to_json(fs):
@@ -79,10 +105,9 @@ def fiber_structure_to_json(fs):
 
 
 def fiber_structure_from_json(data):
-    parent = pgs_from_json(data["parent"])
-    fiber = [tuple(strict_int(x) for x in v) for v in data["fiber"]]
-    fs = fiber_structure_for(parent, fiber)
-    if [list(r) for r in fs.projection.matrix] != data["projection"]:
+    parent, fiber, projection = _fields(data, "fiber structure", "parent", "fiber", "projection")
+    fs = fiber_structure_for(pgs_from_json(parent), _points(fiber))
+    if [list(r) for r in fs.projection.matrix] != projection:
         raise ValueError("projection matrix does not match the fiber")
     return fs
 
@@ -96,9 +121,11 @@ def _constituent_to_json(c):
 
 
 def _constituent_from_json(data):
-    pts = [tuple(strict_int(x) for x in v) for v in data["points"]]
-    fiber = [tuple(strict_int(x) for x in v) for v in data["fiber"]]
-    return Constituent(PrimGenSet(data["dim"], pts), fiber)
+    dim, points, fiber = _fields(data, "link column", "dim", "points", "fiber")
+    pts = _points(points, strict_int(dim))
+    if not pts:
+        raise ValueError("a link column needs at least one point")
+    return Constituent(PrimGenSet(dim, pts), _points(fiber, dim))
 
 
 def link_to_json(link):
@@ -112,12 +139,13 @@ def link_to_json(link):
 
 
 def link_from_json(data):
+    kind, mode, left, middle, right = _fields(data, "link", "kind", "mode", "left", "middle", "right")
     return ElementaryLink(
-        kind=data["kind"],
-        left=_constituent_from_json(data["left"]),
-        middle=None if data["middle"] is None else _constituent_from_json(data["middle"]),
-        right=_constituent_from_json(data["right"]),
-        mode=data["mode"],
+        kind=kind,
+        left=_constituent_from_json(left),
+        middle=None if middle is None else _constituent_from_json(middle),
+        right=_constituent_from_json(right),
+        mode=mode,
     )
 
 
@@ -130,8 +158,9 @@ def sequence_to_json(seq):
 
 
 def sequence_from_json(data):
-    steps = [link_from_json(s) for s in data["steps"]]
-    return sequence_from_steps(steps, data.get("class", "none"))
+    (steps,) = _fields(data, "sequence", "steps")
+    steps = [link_from_json(s) for s in _list(steps, "steps")]
+    return sequence_from_steps(steps, _class(data.get("class", "none")))
 
 
 def relation_to_json(r):
@@ -143,11 +172,16 @@ def relation_to_json(r):
 
 
 def relation_from_json(data):
-    witness = None if data["witness"] is None else tuple(strict_int(x) for x in data["witness"])
-    origin = tuple(data["origin"])
-    if origin and origin[0] == "link":
-        origin = ("link", strict_int(origin[1]))
-    return Relation(data["rel"], witness, origin)
+    rel, witness, origin = _fields(data, "relation", "rel", "witness", "origin")
+    if not isinstance(rel, str):
+        raise ValueError(f"expected a relation name, got {rel!r}")
+    if witness is not None:
+        witness = tuple(strict_int(x) for x in _list(witness, "witness"))
+    if origin == ["reduction"]:
+        return Relation(rel, witness, ("reduction",))
+    if isinstance(origin, list) and len(origin) == 2 and origin[0] == "link":
+        return Relation(rel, witness, ("link", strict_int(origin[1])))
+    raise ValueError(f"expected the origin [\"reduction\"] or [\"link\", step], got {origin!r}")
 
 
 def certificate_to_json(cert):
@@ -160,9 +194,10 @@ def certificate_to_json(cert):
 
 
 def certificate_from_json(data):
+    cls, chain, relations, sequence = _fields(data, "certificate", "class", "chain", "relations", "sequence")
     return ConnectCertificate(
-        chain=tuple(polytope_from_json(p) for p in data["chain"]),
-        relations=tuple(relation_from_json(r) for r in data["relations"]),
-        sequence=sequence_from_json(data["sequence"]),
-        class_constraint=data["class"],
+        chain=tuple(polytope_from_json(p) for p in _list(chain, "chain")),
+        relations=tuple(relation_from_json(r) for r in _list(relations, "relations")),
+        sequence=sequence_from_json(sequence),
+        class_constraint=_class(cls),
     )

@@ -15,6 +15,7 @@ primitive-point set of its own hull.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .genset import (
     InvalidFiberStructure,
@@ -28,7 +29,7 @@ from .genset import (
     positively_spans,
 )
 from .lattice import is_primitive, saturate_span
-from .polytopes import hull, in_class, primitive_points_in_hull
+from .polytopes import MEMO_SIZE, hull, in_class, primitive_points_in_hull
 
 KINDS = ("I_d", "I_m", "II_irr", "II_ni", "III_d", "III_m", "IV_m", "IV_s")
 
@@ -171,15 +172,25 @@ def _intrinsic_reduction(big_fiber, small_fiber):
     return positively_spans(intr, len(big_basis))
 
 
-_VALIDATE_CACHE = {}
-
-
 def validate_link(link):
     """Validate a link diagram condition by condition."""
-    key = link.key()
-    got = _VALIDATE_CACHE.get(key)
-    if got is not None:
-        return got
+    return _validate_link(link.key())
+
+
+def _link_of(key):
+    """A link with the given key(); the key holds all that validation and
+    the panels read."""
+    kind, mode, *cols = key
+    left, middle, right = (
+        None if c is None else Constituent(PrimGenSet(len(c[0][0]), c[0], _checked=True), c[1])
+        for c in cols
+    )
+    return ElementaryLink(kind, left, middle, right, mode)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _validate_link(key):
+    link = _link_of(key)
     checks = []
 
     def add(name, ok, detail=""):
@@ -189,9 +200,7 @@ def validate_link(link):
     if kind in ("III_d", "III_m"):
         mirror = validate_link(inverse(link))
         checks = [(f"mirror of {_MIRROR[kind]}: {n}", ok, d) for n, ok, d in mirror.checks]
-        rep = LinkReport(all(ok for _, ok, _ in checks), tuple(checks))
-        _VALIDATE_CACHE[key] = rep
-        return rep
+        return LinkReport(all(ok for _, ok, _ in checks), tuple(checks))
 
     L, M, R = link.left, link.middle, link.right
     fs_l, err_l = _fs_or_none(L)
@@ -262,9 +271,7 @@ def validate_link(link):
     if link.mode == "polytope":
         _purity_checks(link, add)
 
-    rep = LinkReport(all(ok for _, ok, _ in checks), tuple(checks))
-    _VALIDATE_CACHE[key] = rep
-    return rep
+    return LinkReport(all(ok for _, ok, _ in checks), tuple(checks))
 
 
 def _purity_checks(link, add):
@@ -467,34 +474,20 @@ class SequenceReport:
     failures: tuple
 
 
-_CLASS_OK_CACHE = {}
-
-
+@lru_cache(maxsize=MEMO_SIZE)
 def _class_ok(points, class_constraint):
-    if class_constraint == "none":
-        return True
-    key = (points, class_constraint)
-    got = _CLASS_OK_CACHE.get(key)
-    if got is None:
-        got = in_class(hull(points), class_constraint)
-        _CLASS_OK_CACHE[key] = got
-    return got
+    return class_constraint == "none" or in_class(hull(points), class_constraint)
 
 
-_STEP_CLASS_CACHE = {}
-
-
-def _step_class_failures(step, class_constraint):
-    key = (step.key(), class_constraint)
-    got = _STEP_CLASS_CACHE.get(key)
-    if got is None:
-        bad = []
-        for label, c in (("left", step.left), ("middle", step.middle), ("right", step.right)):
-            if c is not None and not _class_ok(c.points, class_constraint):
-                bad.append(label)
-        got = tuple(bad)
-        _STEP_CLASS_CACHE[key] = got
-    return got
+@lru_cache(maxsize=MEMO_SIZE)
+def _step_class_failures(key, class_constraint):
+    """The columns of the link with this key() whose sets leave the class."""
+    _, _, *cols = key
+    return tuple(
+        label
+        for label, c in zip(("left", "middle", "right"), cols)
+        if c is not None and not _class_ok(c[0], class_constraint)
+    )
 
 
 def validate_sequence(seq):
@@ -505,16 +498,13 @@ def validate_sequence(seq):
         rep = validate_link(step)
         if not rep.ok:
             failures.append((i, "link invalid: " + "; ".join(n for n, _, _ in rep.failed())))
-        for label in _step_class_failures(step, seq.class_constraint):
+        for label in _step_class_failures(step.key(), seq.class_constraint):
             failures.append((i, f"{label} constituent leaves class {seq.class_constraint}"))
     for i in range(len(seq.steps) - 1):
         a, b = seq.steps[i].right, seq.steps[i + 1].left
         if a.points != b.points or a.fiber != b.fiber:
             failures.append((i, "joint mismatch between consecutive steps"))
     return SequenceReport(not failures, tuple(failures))
-
-
-_PANEL_CACHE = {}
 
 
 def link_panels(link):
@@ -524,16 +514,12 @@ def link_panels(link):
     I_m and IV_m shapes), so a flattened chain never repeats a set at a
     purely notational equality column.
     """
-    key = link.key()
-    got = _PANEL_CACHE.get(key)
-    if got is not None:
-        return got
-    res = _link_panels_raw(link)
-    _PANEL_CACHE[key] = res
-    return res
+    return _link_panels(link.key())
 
 
-def _link_panels_raw(link):
+@lru_cache(maxsize=MEMO_SIZE)
+def _link_panels(key):
+    link = _link_of(key)
     L, M, R = link.left, link.middle, link.right
     if M is None:
         if link.kind == "IV_s":

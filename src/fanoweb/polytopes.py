@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import ceil, floor, gcd
 
@@ -37,6 +38,14 @@ from .lattice import (
     vec_gcd,
     vec_sub,
 )
+
+
+# The one bound on every memo (functools.lru_cache) in fanoweb, so that no
+# memo grows with the number of distinct inputs a process sees.  The largest
+# memo of the `sweep`, `bfs` and `cli` benchmark workloads (fiber structures
+# on `bfs`) holds about 2,000 entries: at 1,024 that workload thrashes, at
+# 4,096 all three keep every hit.
+MEMO_SIZE = 4096
 
 
 class DegenerateHullError(ValueError):
@@ -90,19 +99,6 @@ def affine_dimension(points):
     return _rank_fraction(rows)
 
 
-_HULL_CACHE = {}
-_INTERN = {}
-
-
-def _intern(dim, vertices, facets):
-    key = (dim, vertices)
-    p = _INTERN.get(key)
-    if p is None:
-        p = Polytope(dim, vertices, facets)
-        _INTERN[key] = p
-    return p
-
-
 def hull(points):
     """Convex hull of lattice points, canonical vertex order, exact facets.
 
@@ -113,20 +109,19 @@ def hull(points):
     pts = tuple(sorted(dict.fromkeys(tuple(map(int, p)) for p in points)))
     if not pts:
         raise ValueError("hull of no points")
-    cached = _HULL_CACHE.get(pts)
-    if cached is not None:
-        return cached
+    return _hull(pts)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _hull(pts):
     d = len(pts[0])
     if any(len(q) != d for q in pts):
         raise ValueError(f"points of different lengths: {sorted({len(q) for q in pts})}")
     if d == 2:
-        poly = _hull2d(pts)
-    elif d == 3:
-        poly = _hull3d(pts)
-    else:
-        raise ValueError(f"ambient dimension {d} is not supported")
-    _HULL_CACHE[pts] = poly
-    return poly
+        return _hull2d(pts)
+    if d == 3:
+        return _hull3d(pts)
+    raise ValueError(f"ambient dimension {d} is not supported")
 
 
 def _hull2d(pts):
@@ -157,7 +152,7 @@ def _hull2d(pts):
         g = gcd(bx - ax, by - ay)
         nx, ny = (ay - by) // g, (bx - ax) // g
         facets.append(((nx, ny), -(nx * ax + ny * ay)))
-    return _intern(2, vertices, tuple(sorted(facets)))
+    return Polytope(2, vertices, tuple(sorted(facets)))
 
 
 def _hull3d(pts):
@@ -189,22 +184,15 @@ def _hull3d(pts):
         normals = [nv for nv, c in planes if dot(nv, p) == c]
         if len(normals) >= 3 and _rank_fraction(normals) == 3:
             vertices.append(p)
-    return _intern(3, tuple(sorted(vertices)), facets)
+    return Polytope(3, tuple(sorted(vertices)), facets)
 
 
-_LATTICE_CACHE = {}
-
-
+@lru_cache(maxsize=MEMO_SIZE)
 def lattice_points(p):
     """All lattice points of the polytope, sorted lexicographically."""
-    got = _LATTICE_CACHE.get(p)
-    if got is not None:
-        return got
     lo = [min(axis) for axis in zip(*p.vertices)]
     hi = [max(axis) for axis in zip(*p.vertices)]
-    res = _scan(p.facets, lo, hi)
-    _LATTICE_CACHE[p] = res
-    return res
+    return _scan(p.facets, lo, hi)
 
 
 def _scan(facets, lo, hi):
@@ -370,23 +358,14 @@ class ClassFlags:
         return getattr(self, name)
 
 
-_CLASSIFY_CACHE = {}
-
-_ALL_FALSE = ClassFlags(False, False, False, False, False, False)
-
-
 def classify(p):
     """The six classification predicates.
 
     With the origin not strictly interior every flag is false (the polytope
     is in particular not Fano).
     """
-    got = _CLASSIFY_CACHE.get(p)
-    if got is not None:
-        return got
     if not p.origin_interior():
-        _CLASSIFY_CACHE[p] = _ALL_FALSE
-        return _ALL_FALSE
+        return ClassFlags(False, False, False, False, False, False)
     fano = all(is_primitive(v) for v in p.vertices)
     canonical, terminal = _canonical_terminal(p)
     reflexive = all(lv == 1 for _, lv in p.facets)
@@ -396,9 +375,7 @@ def classify(p):
     if apr:
         md2 = mavlyutov_dual(md.polytope)
         pr = md2.polytope is not None and md2.polytope == p
-    flags = ClassFlags(fano, canonical, terminal, reflexive, pr, apr)
-    _CLASSIFY_CACHE[p] = flags
-    return flags
+    return ClassFlags(fano, canonical, terminal, reflexive, pr, apr)
 
 
 def _pick_counts(vertices):
@@ -432,9 +409,7 @@ def is_fano(p):
     return p.origin_interior() and all(is_primitive(v) for v in p.vertices)
 
 
-_IN_CLASS_CACHE = {}
-
-
+@lru_cache(maxsize=MEMO_SIZE)
 def in_class(p, name):
     """Fast membership test for one named class.
 
@@ -443,15 +418,6 @@ def in_class(p, name):
     """
     if name == "none":
         return True
-    key = (p, name)
-    got = _IN_CLASS_CACHE.get(key)
-    if got is None:
-        got = _in_class_raw(p, name)
-        _IN_CLASS_CACHE[key] = got
-    return got
-
-
-def _in_class_raw(p, name):
     if name == "canonical":
         return _canonical_terminal(p)[0]
     if name == "terminal":
@@ -481,9 +447,6 @@ def primitive_points_in_hull(points):
     return tuple(c for c in box if vec_gcd(c) == 1 and in_hull(c, pts))
 
 
-_NF_CACHE = {}
-
-
 def normal_form(p):
     """Canonical representative of the GL(d,Z)-orbit of p.
 
@@ -492,9 +455,6 @@ def normal_form(p):
     keep the lexicographically smallest canonically ordered image.  The
     result is constant on unimodular orbits.
     """
-    got = _NF_CACHE.get(p)
-    if got is not None:
-        return got
     d = p.dim
     best = None
     best_poly = None
@@ -511,5 +471,4 @@ def normal_form(p):
             best_poly = cand
     if best_poly is None:
         raise ValueError("polytope has no spanning vertex subset")
-    _NF_CACHE[p] = best_poly
     return best_poly

@@ -10,8 +10,6 @@ byte-identical SVG.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .genset import InvalidFiberStructure
 from .lattice import _rank_fraction
 from .links import LinkSequence, sequence_panels
@@ -19,15 +17,6 @@ from .polytopes import hull, lattice_points
 from .web import ConnectCertificate
 
 _REL_GLYPH = {"subset_dot": "⊂·", "supset_dot": "⊃·", "equal": "="}
-
-
-@dataclass(frozen=True)
-class RenderSpec:
-    sequence: object  # LinkSequence or ConnectCertificate
-    cell_size: int = 24
-
-    def panels(self):
-        return _panel_data(self.sequence)
 
 
 def _panel_data(obj):
@@ -71,8 +60,7 @@ def _is_mori(c):
 
 def render_svg(obj, cell_size=24):
     """Render to an SVG 1.1 string (two-dimensional data only)."""
-    spec = RenderSpec(obj, cell_size)
-    panels = spec.panels()
+    panels = _panel_data(obj)
     if not panels:
         raise ValueError("nothing to render")
     if any(p.dim != 2 for p, _, _, _ in panels):

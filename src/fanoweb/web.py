@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .genset import (
@@ -43,6 +44,8 @@ from .links import (
     validate_sequence,
 )
 from .polytopes import (
+    MEMO_SIZE,
+    _canonical_terminal,
     hull,
     in_class,
     is_fano,
@@ -107,17 +110,12 @@ STANDARD_KEYS = ("P2", "F0", "F1", "F2")
 # GL(2,Z) factorization into the three generators
 # ---------------------------------------------------------------------------
 
-_FACTOR_CACHE = {}
-
-
+@lru_cache(maxsize=MEMO_SIZE)
 def factor_unimodular(g):
     """A word in S, T, U (and inverses) whose product is g.
 
     Euclidean reduction on the first column; words are not minimized.
     """
-    got = _FACTOR_CACHE.get(g.matrix)
-    if got is not None:
-        return got
     m = [list(r) for r in g.matrix]
     tokens = []
 
@@ -154,7 +152,6 @@ def factor_unimodular(g):
         check = check.compose(TOKENS[t])
     if check.matrix != g.matrix:
         raise AssertionError("factorization product mismatch")
-    _FACTOR_CACHE[g.matrix] = word
     return word
 
 
@@ -200,14 +197,9 @@ def _forward_builtin(token, key):
     return None
 
 
-_FORWARD_CACHE = {}
-
-
+@lru_cache(maxsize=MEMO_SIZE)
 def forward_sequence(token, key):
     """Verified sequence from (std, fiber) to (token.std, token.fiber)."""
-    got = _FORWARD_CACHE.get((token, key))
-    if got is not None:
-        return got
     if token in ("S^-1", "T^-1"):
         base = forward_sequence(_INVERSE_TOKEN[token], key)
         seq = conjugate_sequence(TOKENS[token], reverse_sequence(base))
@@ -218,7 +210,6 @@ def forward_sequence(token, key):
 
             seq = derived_forward_sequence(token, key)
     _check_forward(seq, token, key)
-    _FORWARD_CACHE[(token, key)] = seq
     return seq
 
 
@@ -251,9 +242,6 @@ def base_sequence(token, key):
 # ---------------------------------------------------------------------------
 # matching a Mori fiber polygon to its standard form
 # ---------------------------------------------------------------------------
-
-_MATCH_CACHE = {}
-
 
 def _orbit_maps(src, dst):
     """All unimodular maps sending the point set src onto dst."""
@@ -294,15 +282,13 @@ def _orbit_maps(src, dst):
     return list(out.values())
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def match_standard(p):
     """The standard form key and a map u with u(p) equal to it on the nose.
 
     Among all matching maps the one with the shortest factorization word for
     its inverse is chosen, with deterministic tie-breaks.
     """
-    got = _MATCH_CACHE.get(p)
-    if got is not None:
-        return got
     a = primitive_points(p)
     for key in STANDARD_KEYS:
         std, _ = standard_pairs()[key]
@@ -319,9 +305,7 @@ def match_standard(p):
             word = factor_unimodular(u.inverse())
             return (len(word), word, u.matrix)
 
-        best = min(cands, key=rank)
-        _MATCH_CACHE[p] = (key, best)
-        return key, best
+        return key, min(cands, key=rank)
     raise NotInStandardOrbitError(
         "polygon is not unimodular-equivalent to a standard Mori fiber polygon"
     )
@@ -339,9 +323,7 @@ class MmpReduction:
     chain: tuple  # ((removed vertex, polytope after removal), ...)
 
 
-_MMP_CACHE = {}
-
-
+@lru_cache(maxsize=MEMO_SIZE)
 def mmp_reduce(p, class_constraint="canonical"):
     """Class-preserving vertex removals until a Mori fiber structure exists.
 
@@ -349,9 +331,6 @@ def mmp_reduce(p, class_constraint="canonical"):
     dimensions the walk may dead-end; that raises NoMoriFiberStructureError
     since no Mori fiber structure is guaranteed to exist there.
     """
-    got = _MMP_CACHE.get((p, class_constraint))
-    if got is not None:
-        return got
     if not is_fano(p):
         raise ValueError("reduction starts from a Fano polytope")
     cur = p
@@ -359,10 +338,7 @@ def mmp_reduce(p, class_constraint="canonical"):
     while True:
         mori = mori_fiber_structures(from_polytope(cur))
         if mori:
-            fiber = min(fs.fiber for fs in mori)
-            res = MmpReduction(cur, fiber, tuple(chain))
-            _MMP_CACHE[(p, class_constraint)] = res
-            return res
+            return MmpReduction(cur, min(fs.fiber for fs in mori), tuple(chain))
         step = None
         for v in sorted(cur.vertices):
             res = polytope_reduction(cur, v)
@@ -383,9 +359,6 @@ def mmp_reduce(p, class_constraint="canonical"):
 # ---------------------------------------------------------------------------
 
 
-_TSF_CACHE = {}
-
-
 def to_standard_form(p, fiber, class_constraint="canonical"):
     """Connect a Mori fiber polygon to its standard form.
 
@@ -393,15 +366,15 @@ def to_standard_form(p, fiber, class_constraint="canonical"):
     and seq is a verified link sequence from (p, fiber) to the standard
     pair, staying inside the class.
     """
-    cache_key = (p, tuple(sorted(tuple(x) for x in fiber)), class_constraint)
-    got = _TSF_CACHE.get(cache_key)
-    if got is not None:
-        return got
+    return _to_standard_form(p, tuple(sorted(tuple(q) for q in fiber)), class_constraint)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _to_standard_form(p, fiber, class_constraint):
     key, u = match_standard(p)
     g = u.inverse()
     std, f_std = standard_pairs()[key]
     word = factor_unimodular(g)
-    fiber = tuple(sorted(tuple(q) for q in fiber))
     parts = []
     expected = tuple(sorted(g.apply_all(f_std)))
     if fiber != expected:
@@ -415,7 +388,6 @@ def to_standard_form(p, fiber, class_constraint="canonical"):
         parts.append(conjugate_sequence(prefixes[i - 1], base_sequence(word[i - 1], key)))
     seq = _concat(parts, class_constraint)
     _check_connection(seq, (p, fiber), (std, f_std), class_constraint)
-    _TSF_CACHE[cache_key] = (key, u, seq)
     return key, u, seq
 
 
@@ -569,31 +541,13 @@ def _assemble(p, q, rp, rq, seq, class_constraint):
     return ConnectCertificate(tuple(chain), tuple(relations), seq, class_constraint)
 
 
-_PANEL_HULL_CACHE = {}
-
-
+@lru_cache(maxsize=MEMO_SIZE)
 def _hull_of(points):
-    got = _PANEL_HULL_CACHE.get(points)
-    if got is None:
-        got = hull(points)
-        _PANEL_HULL_CACHE[points] = got
-    return got
+    return hull(points)
 
 
-_REL_CHECK_CACHE = {}
-
-
+@lru_cache(maxsize=MEMO_SIZE)
 def _relation_holds(a, b, rel, witness):
-    key = (a, b, rel, witness)
-    got = _REL_CHECK_CACHE.get(key)
-    if got is not None:
-        return got
-    ok = _relation_holds_raw(a, b, rel, witness)
-    _REL_CHECK_CACHE[key] = ok
-    return ok
-
-
-def _relation_holds_raw(a, b, rel, witness):
     if rel == "equal":
         return a == b
     if rel == "supset_dot":
@@ -681,9 +635,6 @@ def fano_purity_report(seq):
 # enumeration of class polygons in a coordinate box
 # ---------------------------------------------------------------------------
 
-_ENUM_CACHE = {}
-
-
 def enumerate_class_polygons(box, class_constraint):
     """Every polygon of the class with vertices in the box, bit-exact.
 
@@ -700,10 +651,8 @@ def enumerate_class_polygons(box, class_constraint):
     return tuple(p for p in canon if in_class(p, class_constraint))
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def _canonical_polygons(box):
-    got = _ENUM_CACHE.get(box)
-    if got is not None:
-        return got
     prims = box_primitives(box, 2)
     seen = {}
     queue = deque()
@@ -713,12 +662,14 @@ def _canonical_polygons(box):
             seen[p.vertices] = p
             queue.append(p)
 
+    # Pick's test costs about what a memo lookup does; through in_class the
+    # tens of thousands of candidate hulls would only churn that memo.
     for size in (3, 4):
         for comb in combinations(prims, size):
             if not positively_spans(comb, 2):
                 continue
             p = hull(comb)
-            if in_class(p, "canonical"):
+            if _canonical_terminal(p)[0]:
                 admit(p)
     while queue:
         p = queue.popleft()
@@ -730,11 +681,9 @@ def _canonical_polygons(box):
             bigger = hull(pts + (w,))
             if bigger.vertices in seen:
                 continue
-            if in_class(bigger, "canonical"):
+            if _canonical_terminal(bigger)[0]:
                 admit(bigger)
-    out = tuple(sorted(seen.values(), key=lambda p: p.vertices))
-    _ENUM_CACHE[box] = out
-    return out
+    return tuple(sorted(seen.values(), key=lambda p: p.vertices))
 
 
 def enumerate_fano(box, class_constraint, mfp_only=False):

@@ -174,3 +174,17 @@ def test_bfs_not_found_exit_2(tmp_path, capsys):
     assert out["found"] is False
     assert main(["bfs", square, sheared, "--class", "canonical", "--box", "2"]) == 0
     capsys.readouterr()
+
+
+def test_verify_malformed_certificate_exit_1(tmp_path, capsys):
+    a = _write(tmp_path, "a.json", {"dim": 2, "points": [[1, 0], [0, 1], [-1, -1]]})
+    b = _write(tmp_path, "b.json", {"dim": 2, "points": [[0, 1], [-1, 0], [1, -1]]})
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["connect", a, b, "--class", "terminal", "--out", cert_path]) == 0
+    good = json.loads(open(cert_path).read())
+    bad = [{**good, "chain": 5}, {**good, "class": "bogus"}, {**good, "relations": [{"rel": "equal"}]}, 5]
+    for payload in bad:
+        for command in ("verify", "render"):
+            assert main([command, _write(tmp_path, "bad.json", payload)]) == 1
+            out = json.loads(capsys.readouterr().out)
+            assert out["error"]["type"] == "ValueError"

@@ -51,6 +51,20 @@ def test_fiber_structure_roundtrip():
     assert fiber_structure_from_json(data) == fs
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("fiber", 5), ("fiber", [[-1, 0, 0]]), ("parent", {"points": [[1, 0], [0, 1], [-1, -1]]}), ("projection", None)],
+)
+def test_malformed_fiber_structure_rejected(key, value):
+    data = fiber_structure_to_json(fiber_structure_for(from_polytope(ruled_polygon(1)), [(-1, 0), (1, 0)]))
+    if value is None:
+        del data[key]
+    else:
+        data[key] = value
+    with pytest.raises(ValueError):
+        fiber_structure_from_json(data)
+
+
 def test_link_roundtrip():
     for link in (elementary_transform(0), blowdown_link(1), blowdown_link(-1)):
         data = link_to_json(link)
@@ -118,5 +132,65 @@ def test_certificate_with_non_integer_witness_rejected():
     data = certificate_to_json(connect(tri, hull(GEN_S.apply_all(tri.vertices)), "terminal"))
     rel = next(r for r in data["relations"] if r["witness"] is not None)
     rel["witness"] = [float(x) for x in rel["witness"]]
+    with pytest.raises(ValueError):
+        certificate_from_json(data)
+
+
+def _cremona_certificate_json():
+    tri = plane_polygon()
+    return certificate_to_json(connect(tri, hull(GEN_S.apply_all(tri.vertices)), "terminal"))
+
+
+def _set(*path_and_value):
+    """A mutation of certificate JSON: the value at the end of the path."""
+    *path, key, value = path_and_value
+
+    def mutate(data):
+        for k in path:
+            data = data[k]
+        if value is _DROP:
+            del data[key]
+        else:
+            data[key] = value
+
+    return mutate
+
+
+_DROP = object()
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _set("chain", 5),
+        _set("relations", {"rel": "equal"}),
+        _set("class", ["terminal"]),
+        _set("class", "bogus"),
+        _set("sequence", _DROP),
+        _set("relations", 0, 7),
+        _set("relations", 0, "witness", 5),
+        _set("relations", 0, "origin", []),
+        _set("relations", 0, "origin", ["link", "x"]),
+        _set("relations", 0, "rel", ["equal"]),
+        _set("sequence", "steps", 5),
+        _set("sequence", "class", 3),
+        _set("sequence", "steps", 0, "left", _DROP),
+        _set("sequence", "steps", 0, "left", 5),
+        _set("sequence", "steps", 0, "left", "points", 5),
+        _set("sequence", "steps", 0, "left", "fiber", [[1, 0, 0]]),
+        _set("sequence", "steps", 0, "left", "dim", "2"),
+        _set("sequence", "steps", 0, "middle", []),
+        _set("sequence", "steps", 0, "kind", ["I_m"]),
+    ],
+)
+def test_malformed_certificate_rejected(mutate):
+    data = _cremona_certificate_json()
+    mutate(data)
+    with pytest.raises(ValueError):
+        certificate_from_json(data)
+
+
+@pytest.mark.parametrize("data", [5, [], None, "certificate"])
+def test_certificate_not_an_object_rejected(data):
     with pytest.raises(ValueError):
         certificate_from_json(data)

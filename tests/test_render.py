@@ -33,9 +33,9 @@ def test_render_is_valid_xml_with_panels():
 
 
 def _panels(cert):
-    from fanoweb.render import RenderSpec
+    from fanoweb.render import _panel_data
 
-    return RenderSpec(cert).panels()
+    return _panel_data(cert)
 
 
 def test_render_gray_overlays():

@@ -10,7 +10,9 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+MODULE = ROOT / "src" / "fanoweb" / "standard_moves.py"
+sys.path.insert(0, str(ROOT / "src"))
 
 from fanoweb.genset import from_polytope
 from fanoweb.jsonio import sequence_to_json
@@ -67,7 +69,8 @@ def derive(token, key, cls, box):
     return seq
 
 
-def main():
+def module_text():
+    """The text of src/fanoweb/standard_moves.py, derived afresh."""
     out = {}
     for token, key, cls in NEEDED:
         t0 = time.time()
@@ -79,10 +82,12 @@ def main():
         assert seq is not None, (token, key)
         print(f"{token} on {key}: {len(seq.steps)} links, box {box}, {time.time()-t0:.1f}s")
         out[f"{token}:{key}"] = sequence_to_json(seq)
-    path = Path(__file__).resolve().parent.parent / "src" / "fanoweb" / "standard_moves.py"
-    body = pprint.pformat(out, width=100, sort_dicts=True)
-    path.write_text(HEADER + body + FOOTER)
-    print(f"wrote {path}")
+    return HEADER + pprint.pformat(out, width=100, sort_dicts=True) + FOOTER
+
+
+def main():
+    MODULE.write_text(module_text())
+    print(f"wrote {MODULE}")
 
 
 if __name__ == "__main__":
