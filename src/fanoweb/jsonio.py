@@ -9,14 +9,11 @@ pairs.
 from __future__ import annotations
 
 import json
-from dataclasses import fields
 
 from .genset import EMPTY_PGS, PrimGenSet, fiber_structure_for
 from .links import Constituent, ElementaryLink, sequence_from_steps
-from .polytopes import ClassFlags, hull
+from .polytopes import CLASS_NAMES, hull
 from .web import ConnectCertificate, Relation
-
-_CLASSES = ("none",) + tuple(f.name for f in fields(ClassFlags))
 
 
 def strict_int(x):
@@ -48,7 +45,7 @@ def _list(x, what):
 
 
 def _class(x):
-    if not isinstance(x, str) or x not in _CLASSES:
+    if not isinstance(x, str) or x not in CLASS_NAMES:
         raise ValueError(f"unknown class {x!r}")
     return x
 

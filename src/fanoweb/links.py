@@ -372,6 +372,7 @@ def conjugate(g, link):
 
 E1 = (1, 0)
 E2 = (0, 1)
+HORIZONTAL_FIBER = ((-1, 0), (1, 0))
 
 
 def plane_polygon():
@@ -384,24 +385,36 @@ def ruled_polygon(m):
     return hull([E1, E2, (-1, 0), (-m, -1)])
 
 
+def slide_link(start, end):
+    """The II_ni link moving one point of a ruled set by one step.
+
+    A state (a, b) stands for the set {-e1, e1, (a, 1), (b, -1)} with the
+    horizontal fiber; start and end differ by one in the top point a or in
+    the bottom point b, and the middle column is the union of the two sets.
+    """
+    if abs(start[0] - end[0]) + abs(start[1] - end[1]) != 1:
+        raise ValueError("a slide moves one point by one step")
+    left = from_polytope(hull([(-1, 0), E1, (start[0], 1), (start[1], -1)]))
+    right = from_polytope(hull([(-1, 0), E1, (end[0], 1), (end[1], -1)]))
+    mid = from_polytope(hull(left.points + right.points))
+    return ElementaryLink(
+        kind="II_ni",
+        left=Constituent(left, HORIZONTAL_FIBER),
+        middle=Constituent(mid, HORIZONTAL_FIBER),
+        right=Constituent(right, HORIZONTAL_FIBER),
+        mode="polytope",
+    )
+
+
 def elementary_transform(m, sign=1):
-    """The II_ni link between the m-th and (m+1)-st ruled polygons.
+    """The II_ni link between the m-th and (m+1)-st ruled polygons, the slide
+    of the bottom point from -m to -m-1.
 
     sign +1 goes upward (m to m+1), -1 is the inverse.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    low = from_polytope(ruled_polygon(m))
-    high = from_polytope(ruled_polygon(m + 1))
-    mid = from_polytope(hull(low.points + high.points))
-    fiber = ((-1, 0), (1, 0))
-    link = ElementaryLink(
-        kind="II_ni",
-        left=Constituent(low, fiber),
-        middle=Constituent(mid, fiber),
-        right=Constituent(high, fiber),
-        mode="polytope",
-    )
+    link = slide_link((0, -m), (0, -m - 1))
     return link if sign > 0 else inverse(link)
 
 
@@ -416,7 +429,7 @@ def blowdown_link(sign=1):
         kind="III_m",
         left=Constituent(tri, tri.points),
         middle=Constituent(quad, quad.points),
-        right=Constituent(quad, ((-1, 0), (1, 0))),
+        right=Constituent(quad, HORIZONTAL_FIBER),
         mode="polytope",
     )
     return link if sign > 0 else inverse(link)
@@ -427,7 +440,7 @@ def ruling_swap(sign=1):
     sq = from_polytope(ruled_polygon(0))
     link = ElementaryLink(
         kind="IV_m",
-        left=Constituent(sq, ((-1, 0), (1, 0))),
+        left=Constituent(sq, HORIZONTAL_FIBER),
         middle=Constituent(sq, sq.points),
         right=Constituent(sq, ((0, -1), (0, 1))),
         mode="polytope",

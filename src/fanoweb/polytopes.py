@@ -19,10 +19,10 @@ points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product
 from math import ceil, floor, gcd
 
 from .lattice import (
@@ -104,12 +104,16 @@ def hull(points):
 
     Raises DegenerateHullError when the points do not span the ambient
     dimension (which must be 2 or 3), and ValueError when the points do not
-    all have the same length.
+    all have the same length or a coordinate is not an int (a float or a
+    bool included).
     """
-    pts = tuple(sorted(dict.fromkeys(tuple(map(int, p)) for p in points)))
+    pts = [tuple(p) for p in points]
+    # before the memo and the dedup: 1.0 == 1 == True hash alike there
+    if not {int}.issuperset(map(type, chain.from_iterable(pts))):
+        raise ValueError(f"hull needs integer coordinates, got {pts!r}")
     if not pts:
         raise ValueError("hull of no points")
-    return _hull(pts)
+    return _hull(tuple(sorted(dict.fromkeys(pts))))
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -358,6 +362,9 @@ class ClassFlags:
         return getattr(self, name)
 
 
+CLASS_NAMES = ("none",) + tuple(f.name for f in fields(ClassFlags))
+
+
 def classify(p):
     """The six classification predicates.
 
@@ -426,6 +433,8 @@ def in_class(p, name):
         return all(lv == 1 for _, lv in p.facets)
     if name == "fano":
         return is_fano(p)
+    if name not in CLASS_NAMES:
+        raise ValueError(f"unknown class {name!r}")
     return classify(p).get(name)
 
 

@@ -27,6 +27,7 @@ from .genset import (
 )
 from .lattice import UnimodularMap, mat_mul
 from .links import (
+    HORIZONTAL_FIBER,
     Constituent,
     LinkSequence,
     blowdown_link,
@@ -41,6 +42,7 @@ from .links import (
     ruling_swap,
     sequence_from_steps,
     sequence_panels,
+    slide_link,
     validate_sequence,
 )
 from .polytopes import (
@@ -68,8 +70,6 @@ TOKENS = {
 }
 
 _INVERSE_TOKEN = {"S": "S^-1", "S^-1": "S", "T": "T^-1", "T^-1": "T", "U": "U"}
-
-HORIZONTAL_FIBER = ((-1, 0), (1, 0))
 
 
 class NoMoriFiberStructureError(ValueError):
@@ -183,18 +183,46 @@ def _s_on_ruled_word(m):
     return sequence_from_steps(steps)
 
 
+def _slide_word(states):
+    """Slides through the ruled-set states (a, b) in order."""
+    return sequence_from_steps([slide_link(s, e) for s, e in zip(states, states[1:])])
+
+
+# The frame maps the triangle onto itself and frame.turn maps it onto
+# T(triangle), so the word from the triangle through the first ruled polygon
+# to turn(triangle), moved by the frame, ends at T(triangle).
+_T_ON_P2_FRAME = UnimodularMap(((-1, 0), (-1, 1)))
+_T_ON_P2_TURN = UnimodularMap(((-1, 2), (0, 1)))
+
+
+def _t_on_plane_word():
+    steps = [
+        blowdown_link(1),
+        slide_link((0, -1), (1, -1)),
+        slide_link((1, -1), (2, -1)),
+        conjugate(_T_ON_P2_TURN, blowdown_link(-1)),
+    ]
+    return sequence_from_steps([conjugate(_T_ON_P2_FRAME, s) for s in steps])
+
+
 def _forward_builtin(token, key):
+    if key == "P2":
+        if token == "T":
+            return _t_on_plane_word()
+        # S, and U: the mirror image of the triangle equals its quarter turn
+        return _cremona_word()
+    m = int(key[1])
     if token == "S":
-        if key == "P2":
-            return _cremona_word()
-        return _s_on_ruled_word(int(key[1]))
-    if token == "U":
-        if key == "P2":
-            # the mirror image of the triangle equals its quarter turn
-            return _cremona_word()
-        if key == "F0":
-            return sequence_from_steps([])
-    return None
+        return _s_on_ruled_word(m)
+    if token == "T":
+        # T sends the state (0, -m) to (1, -m-1).  For m > 0 the top point
+        # must move first: the bottom point first would pass through the
+        # (m+1)-st ruled polygon, and F2 is not terminal, F3 not canonical.
+        if m == 0:
+            return _slide_word([(0, 0), (0, -1), (1, -1)])
+        return _slide_word([(0, -m), (1, -m), (1, -m - 1)])
+    # U sends the state (0, -m) to (0, m)
+    return _slide_word([(0, b) for b in range(-m, m + 1)])
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -205,33 +233,10 @@ def forward_sequence(token, key):
         seq = conjugate_sequence(TOKENS[token], reverse_sequence(base))
     else:
         seq = _forward_builtin(token, key)
-        if seq is None:
-            from .standard_moves import derived_forward_sequence
-
-            seq = derived_forward_sequence(token, key)
-    _check_forward(seq, token, key)
-    return seq
-
-
-def _check_forward(seq, token, key):
     std, fiber = standard_pairs()[key]
     g = TOKENS[token]
-    start = (from_polytope(std).points, tuple(sorted(fiber)))
-    end = (
-        tuple(sorted(g.apply_all(from_polytope(std).points))),
-        tuple(sorted(g.apply_all(fiber))),
-    )
-    if not seq.steps:
-        if start != end:
-            raise AssertionError(f"empty base sequence for {token} on {key}")
-        return
-    first = seq.steps[0].left
-    last = seq.steps[-1].right
-    if (first.points, first.fiber) != start or (last.points, last.fiber) != end:
-        raise AssertionError(f"base sequence endpoints wrong for {token} on {key}")
-    rep = validate_sequence(seq)
-    if not rep.ok:
-        raise AssertionError(f"base sequence invalid for {token} on {key}: {rep.failures}")
+    _check_connection(seq, (std, fiber), (hull(g.apply_all(std.vertices)), g.apply_all(fiber)))
+    return seq
 
 
 def base_sequence(token, key):
@@ -387,7 +392,7 @@ def _to_standard_form(p, fiber, class_constraint):
     for i in range(len(word), 0, -1):
         parts.append(conjugate_sequence(prefixes[i - 1], base_sequence(word[i - 1], key)))
     seq = _concat(parts, class_constraint)
-    _check_connection(seq, (p, fiber), (std, f_std), class_constraint)
+    _check_connection(seq, (p, fiber), (std, f_std))
     return key, u, seq
 
 
@@ -410,7 +415,7 @@ def _concat(parts, class_constraint):
     return sequence_from_steps(out, class_constraint)
 
 
-def _check_connection(seq, start, end, class_constraint):
+def _check_connection(seq, start, end):
     sp, sf = start
     ep, ef = end
     sf = tuple(sorted(sf))
@@ -485,19 +490,30 @@ def _require_class(p, class_constraint):
 
 def connect(p, q, class_constraint="canonical"):
     """A verified certificate joining two polygons of the same class."""
+
+    def join(rp, rq):
+        key_p, _, seq_p = to_standard_form(rp.polytope, rp.fiber, class_constraint)
+        key_q, _, seq_q = to_standard_form(rq.polytope, rq.fiber, class_constraint)
+        ladder = join_standard(key_p, key_q, class_constraint)
+        return _concat([seq_p, ladder, reverse_sequence(seq_q)], class_constraint)
+
+    return _certify(p, q, class_constraint, join)
+
+
+def _certify(p, q, class_constraint, join):
+    """The verified certificate from p to q through the link sequence that
+    join(rp, rq) gives between their reductions, or None when it gives None."""
     _require_class(p, class_constraint)
     _require_class(q, class_constraint)
     if p == q:
-        cert = ConnectCertificate(
+        return ConnectCertificate(
             (p,), (), sequence_from_steps([], class_constraint), class_constraint
         )
-        return cert
     rp = mmp_reduce(p, class_constraint)
     rq = mmp_reduce(q, class_constraint)
-    key_p, _, seq_p = to_standard_form(rp.polytope, rp.fiber, class_constraint)
-    key_q, _, seq_q = to_standard_form(rq.polytope, rq.fiber, class_constraint)
-    ladder = join_standard(key_p, key_q, class_constraint)
-    seq = _concat([seq_p, ladder, reverse_sequence(seq_q)], class_constraint)
+    seq = join(rp, rq)
+    if seq is None:
+        return None
     cert = _assemble(p, q, rp, rq, seq, class_constraint)
     rep = verify_certificate(cert)
     if not rep.ok:
@@ -712,28 +728,14 @@ def bfs_connect(p, q, class_constraint="canonical", box=4):
     walks link moves between fibered pairs, any Mori fiber structure of the
     reduced endpoints being a valid source or target.
     """
-    _require_class(p, class_constraint)
-    _require_class(q, class_constraint)
-    if p == q:
-        return ConnectCertificate(
-            (p,), (), sequence_from_steps([], class_constraint), class_constraint
+
+    def join(rp, rq):
+        steps = _bfs_pairs(
+            _mori_pairs(rp.polytope), _mori_pairs(rq.polytope), class_constraint, box
         )
-    rp = mmp_reduce(p, class_constraint)
-    rq = mmp_reduce(q, class_constraint)
-    steps = _bfs_pairs(
-        _mori_pairs(rp.polytope),
-        _mori_pairs(rq.polytope),
-        class_constraint,
-        box,
-    )
-    if steps is None:
-        return None
-    seq = sequence_from_steps(steps, class_constraint)
-    cert = _assemble(p, q, rp, rq, seq, class_constraint)
-    rep = verify_certificate(cert)
-    if not rep.ok:
-        raise CertificateVerificationError(rep.failures)
-    return cert
+        return None if steps is None else sequence_from_steps(steps, class_constraint)
+
+    return _certify(p, q, class_constraint, join)
 
 
 def _mori_pairs(p):

@@ -19,6 +19,7 @@ from fanoweb.links import (
     ruling_swap,
     sequence_from_steps,
     sequence_panels,
+    slide_link,
     validate_link,
     validate_sequence,
 )
@@ -56,6 +57,21 @@ def test_elementary_transform_family_validates():
             rep = validate_link(link)
             assert rep.ok, (m, sign, rep.failed())
             assert link.kind == "II_ni"
+
+
+def test_elementary_transform_is_the_bottom_slide():
+    fiber = ((-1, 0), (1, 0))
+    for m in range(4):
+        low = from_polytope(ruled_polygon(m))
+        high = from_polytope(ruled_polygon(m + 1))
+        mid = from_polytope(hull(low.points + high.points))
+        up = ElementaryLink(
+            "II_ni", Constituent(low, fiber), Constituent(mid, fiber), Constituent(high, fiber), "polytope"
+        )
+        assert elementary_transform(m, 1).key() == up.key()
+        assert elementary_transform(m, -1).key() == inverse(up).key()
+    with pytest.raises(ValueError, match="one step"):
+        slide_link((0, 0), (1, -1))
 
 
 def test_blowdown_link_shape():

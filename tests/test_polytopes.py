@@ -71,6 +71,19 @@ def test_hull_refuses_mixed_lengths():
         hull([(1, 0, 0), (0, 1), (-1, -1)])
 
 
+def test_hull_refuses_non_integer_coordinates():
+    tri = hull([(1, 0), (0, 1), (-1, -1)])  # the memo now holds the triangle
+    for pts in (
+        [(1.5, 0), (0, 1), (-1, -1)],
+        [(1.0, 0), (0, 1), (-1, -1)],
+        [(True, 0), (0, 1), (-1, -1)],
+        [(1, 0), (1.0, 0), (0, 1), (-1, -1)],
+    ):
+        with pytest.raises(ValueError, match="integer coordinates"):
+            hull(pts)
+    assert hull([[1, 0], [0, 1], [-1, -1]]) == tri
+
+
 def test_hull_3d_with_nonvertex_member():
     pts = [V[1], V[2], V[3], V[5], V[7]]
     p = hull(pts)

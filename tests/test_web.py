@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from fanoweb.genset import from_polytope, mori_fiber_structures
 from fanoweb.lattice import UnimodularMap
 from fanoweb.links import (
+    Constituent,
     blowdown_link,
     elementary_transform,
     plane_polygon,
@@ -12,7 +13,7 @@ from fanoweb.links import (
     sequence_from_steps,
     validate_sequence,
 )
-from fanoweb.polytopes import hull, normal_form
+from fanoweb.polytopes import hull, in_class, normal_form
 from fanoweb.web import (
     GEN_S,
     GEN_T,
@@ -20,6 +21,7 @@ from fanoweb.web import (
     TOKENS,
     ClassViolationError,
     NoMoriFiberStructureError,
+    _bfs_pairs,
     bfs_connect,
     connect,
     enumerate_class_polygons,
@@ -150,6 +152,33 @@ def test_forward_sequences_all_tokens_all_keys():
             assert rep.ok, (tok, key, rep.failures)
 
 
+def test_generator_moves_no_longer_than_bfs():
+    """The closed-form generator moves against the breadth-first oracle's
+    shortest words, searched in growing boxes."""
+    moves = {
+        ("T", "P2", "terminal"): ["III_m", "II_ni", "II_ni", "I_m"],
+        ("T", "F0", "terminal"): ["II_ni"] * 2,
+        ("T", "F1", "terminal"): ["II_ni"] * 2,
+        ("T", "F2", "canonical"): ["II_ni"] * 2,
+        ("U", "F1", "terminal"): ["II_ni"] * 2,
+        ("U", "F2", "canonical"): ["II_ni"] * 4,
+    }
+    for (tok, key, cls), kinds in moves.items():
+        seq = forward_sequence(tok, key)
+        assert [s.kind for s in seq.steps] == kinds, (tok, key)
+        std, fiber = standard_pairs()[key]
+        g = TOKENS[tok]
+        source = Constituent(from_polytope(std), fiber)
+        target = Constituent(from_polytope(hull(g.apply_all(std.vertices))), g.apply_all(fiber))
+        shortest = None
+        for box in (2, 3, 4):
+            shortest = _bfs_pairs([source], [target], cls, box)
+            if shortest is not None:
+                break
+        assert shortest is not None, (tok, key)
+        assert len(seq.steps) <= len(shortest), (tok, key)
+
+
 def test_join_standard_words():
     seq = join_standard("F0", "F2", "canonical")
     assert [s.kind for s in seq.steps] == ["II_ni", "II_ni"]
@@ -192,6 +221,18 @@ def test_connect_rejects_class_violation():
         connect(not_canonical, plane_polygon(), "canonical")
     with pytest.raises(ClassViolationError):
         connect(ruled_polygon(2), plane_polygon(), "terminal")
+
+
+def test_unknown_class_name_raises_value_error():
+    tri = plane_polygon()
+    calls = (
+        lambda: in_class(tri, "bogus"),
+        lambda: connect(tri, ruled_polygon(1), "bogus"),
+        lambda: validate_sequence(sequence_from_steps([blowdown_link(1)], "bogus")),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="unknown class 'bogus'"):
+            call()
 
 
 def test_connect_endpoints_bit_exact():
