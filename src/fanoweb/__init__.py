@@ -1,7 +1,7 @@
 """fanoweb: exact combinatorics of Fano lattice polytopes and their link webs.
 
 Everything is integer- or rational-exact.  The package covers lattice
-linear algebra (Hermite/Smith forms, saturated spans, quotient
+linear algebra (Hermite forms, saturated spans, quotient
 projections), convex hulls with facet data in dimensions two and three,
 polar and lattice-point duals with the classification predicates,
 primitive generating sets with reductions and fiber structures, the

@@ -9,6 +9,7 @@ error, 2 certificate not found within the box, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -61,20 +62,7 @@ def _load_polytope(args, attr="polytope"):
 def cmd_classify(args):
     p = _load_polytope(args)
     flags = classify(p)
-    _emit_json(
-        args,
-        {
-            "polytope": jsonio.polytope_to_json(p),
-            "flags": {
-                "fano": flags.fano,
-                "canonical": flags.canonical,
-                "terminal": flags.terminal,
-                "reflexive": flags.reflexive,
-                "pseudoreflexive": flags.pseudoreflexive,
-                "almost_pseudoreflexive": flags.almost_pseudoreflexive,
-            },
-        },
-    )
+    _emit_json(args, {"polytope": jsonio.polytope_to_json(p), "flags": dataclasses.asdict(flags)})
     return 0
 
 
@@ -137,8 +125,7 @@ def cmd_links(args):
     p = _load_polytope(args)
     a = from_polytope(p)
     if args.fiber:
-        fiber = [tuple(jsonio.strict_int(x) for x in v) for v in json.loads(args.fiber)]
-        fs = fiber_structure_for(a, fiber)
+        fs = fiber_structure_for(a, jsonio._points(json.loads(args.fiber), p.dim))
     else:
         mori = [f for f in fiber_structures(a) if f.mori]
         if not mori:
@@ -232,6 +219,10 @@ def _add_io(sub, *, polytope=True):
     sub.add_argument("--seed", type=int, default=None, help="seed echoed into the output")
 
 
+# the classes a certificate or an enumeration can be constrained to
+_CLASSES = ["terminal", "canonical", "reflexive"]
+
+
 def build_parser():
     ap = argparse.ArgumentParser(prog="fanoweb", description=__doc__)
     sp = ap.add_subparsers(dest="command", required=True)
@@ -258,62 +249,51 @@ def build_parser():
 
     s = sp.add_parser("links", help="enumerate links from a Mori fiber structure")
     _add_io(s)
-    s.add_argument("--class", dest="cls", default="none",
-                   choices=["none", "terminal", "canonical", "reflexive"])
+    s.add_argument("--class", dest="cls", default="none", choices=["none"] + _CLASSES)
     s.add_argument("--box", type=int, default=4)
     s.add_argument("--fiber", help="fiber points as JSON, e.g. [[1,0],[-1,0]]")
     s.set_defaults(func=cmd_links)
 
     s = sp.add_parser("mmp", help="reduce to a Mori fiber polytope")
     _add_io(s)
-    s.add_argument("--class", dest="cls", default="canonical",
-                   choices=["terminal", "canonical", "reflexive"])
+    s.add_argument("--class", dest="cls", default="canonical", choices=_CLASSES)
     s.set_defaults(func=cmd_mmp)
 
     s = sp.add_parser("connect", help="certificate joining two polygons")
     s.add_argument("first")
     s.add_argument("second")
-    s.add_argument("--class", dest="cls", default="canonical",
-                   choices=["terminal", "canonical", "reflexive"])
-    s.add_argument("--out")
-    s.add_argument("--seed", type=int, default=None)
+    s.add_argument("--class", dest="cls", default="canonical", choices=_CLASSES)
+    _add_io(s, polytope=False)
     s.set_defaults(func=cmd_connect)
 
     s = sp.add_parser("bfs", help="shortest certificate within a box")
     s.add_argument("first")
     s.add_argument("second")
-    s.add_argument("--class", dest="cls", default="canonical",
-                   choices=["terminal", "canonical", "reflexive"])
+    s.add_argument("--class", dest="cls", default="canonical", choices=_CLASSES)
     s.add_argument("--box", type=int, default=4)
-    s.add_argument("--out")
-    s.add_argument("--seed", type=int, default=None)
+    _add_io(s, polytope=False)
     s.set_defaults(func=cmd_bfs)
 
     s = sp.add_parser("verify", help="re-check a certificate from scratch")
     s.add_argument("certificate")
-    s.add_argument("--out")
-    s.add_argument("--seed", type=int, default=None)
+    _add_io(s, polytope=False)
     s.set_defaults(func=cmd_verify)
 
     s = sp.add_parser("enumerate", help="class polygons in a box, up to unimodular maps")
-    s.add_argument("--class", dest="cls", default="reflexive",
-                   choices=["terminal", "canonical", "reflexive"])
+    s.add_argument("--class", dest="cls", default="reflexive", choices=_CLASSES)
     s.add_argument("--box", type=int, default=3)
     s.add_argument("--mfp", action="store_true", help="keep Mori fiber polygons only")
-    s.add_argument("--out")
-    s.add_argument("--seed", type=int, default=None)
+    _add_io(s, polytope=False)
     s.set_defaults(func=cmd_enumerate)
 
     s = sp.add_parser("render", help="SVG diagram of a sequence or certificate")
     s.add_argument("input", help="certificate or sequence JSON file, or - for stdin")
     s.add_argument("--cell-size", type=int, default=24)
-    s.add_argument("--out")
-    s.add_argument("--seed", type=int, default=None)
+    _add_io(s, polytope=False)
     s.set_defaults(func=cmd_render)
 
     s = sp.add_parser("example37", help="run the three-dimensional fixture suite")
-    s.add_argument("--out")
-    s.add_argument("--seed", type=int, default=None)
+    _add_io(s, polytope=False)
     s.set_defaults(func=cmd_example37)
 
     return ap

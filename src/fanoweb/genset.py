@@ -16,15 +16,19 @@ from itertools import combinations
 from .lattice import (
     QuotientProjection,
     coordinates_in_basis,
-    cross2,
     in_span,
     is_primitive,
     pibar,
-    primitivize,
     quotient_projection,
     saturate_span,
 )
-from .polytopes import MEMO_SIZE, DegenerateHullError, hull, primitive_points
+from .polytopes import (
+    MEMO_SIZE,
+    DegenerateHullError,
+    hull,
+    primitive_points,
+    primitive_points_in_hull,
+)
 
 
 class InvalidFiberStructure(ValueError):
@@ -34,9 +38,8 @@ class InvalidFiberStructure(ValueError):
 def positively_spans(points, dim):
     """Does the nonnegative span of the points fill R^dim?
 
-    Exact: in 2D the distinct ray directions, sorted by angle, must have
-    every consecutive gap strictly below pi; in 3D the origin must be
-    strictly inside the hull.
+    Exact: in 1D the points must have both signs; in 2D and 3D the origin
+    must be strictly inside their hull.
     """
     pts = [tuple(p) for p in points if any(x != 0 for x in p)]
     if dim == 0:
@@ -45,40 +48,10 @@ def positively_spans(points, dim):
         return False
     if dim == 1:
         return any(p[0] > 0 for p in pts) and any(p[0] < 0 for p in pts)
-    if dim == 2:
-        dirs = sorted({primitivize(p)[0] for p in pts}, key=_angular_key2)
-        if len(dirs) < 3:
-            return False
-        for a, b in zip(dirs, dirs[1:] + dirs[:1]):
-            if cross2(a, b) <= 0:
-                return False
-        return True
     try:
-        p = hull(pts)
+        return hull(pts).origin_interior()
     except (DegenerateHullError, ValueError):
         return False
-    return p.origin_interior()
-
-
-def _angular_key2(v):
-    x, y = v
-    upper = y > 0 or (y == 0 and x > 0)
-    return (0 if upper else 1, _slope_key(v))
-
-
-class _slope_key:
-    """Exact comparator for angles within a half-plane."""
-
-    __slots__ = ("v",)
-
-    def __init__(self, v):
-        self.v = v
-
-    def __lt__(self, other):
-        return cross2(self.v, other.v) > 0
-
-    def __eq__(self, other):
-        return cross2(self.v, other.v) == 0
 
 
 def is_pgs(points, dim=None):
@@ -288,8 +261,6 @@ def mori_fiber_structures(parent):
 def fiber_hull_is_terminal_simplex(fs):
     """Polytope-side sanity for a Mori fiber: a simplex whose only lattice
     points in its span are the fiber points and the origin."""
-    from .polytopes import primitive_points_in_hull
-
     if not fs.mori:
         return False
     if len(fs.fiber) != fs.fiber_dim + 1:

@@ -2,9 +2,11 @@
 
 Vectors are tuples of Python ints, matrices are tuples of row tuples.
 Everything runs on arbitrary-precision integers, so no overflow is possible
-anywhere downstream.  The workhorses are the Hermite and Smith normal forms,
-which give saturated spans, quotient projections with free cokernel, and
-deterministic (HNF-normalized) bases.
+anywhere downstream.  The workhorse is the row Hermite normal form: on the
+matrix whose columns are some vectors, its transform spans the integer
+vectors orthogonal to them, which gives saturated spans, quotient
+projections with free cokernel, integer right inverses and deterministic
+(HNF-normalized) bases.
 """
 
 from __future__ import annotations
@@ -42,10 +44,6 @@ def vec_sub(u, v):
 
 def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
-
-
-def cross2(u, v):
-    return u[0] * v[1] - u[1] * v[0]
 
 
 def cross3(u, v):
@@ -99,18 +97,8 @@ def mat_inverse_unimodular(m):
             (e * det, -b * det),
             (-c * det, a * det),
         )
-    # 3x3 adjugate
-    cof = [[0] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            sub = [
-                [m[r][c] for c in range(3) if c != j]
-                for r in range(3)
-                if r != i
-            ]
-            minor = sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
-            cof[i][j] = (-1) ** (i + j) * minor
-    return tuple(tuple(cof[j][i] * det for j in range(3)) for i in range(3))
+    # u * m is the Hermite form of a unimodular matrix, the identity
+    return row_hermite(m)[0]
 
 
 def row_hermite(mat):
@@ -173,111 +161,12 @@ def row_hermite(mat):
     return tuple(tuple(r) for r in u), tuple(tuple(r) for r in rows)
 
 
-def smith_normal_form(mat):
-    """Smith normal form: returns (u, s, v) with s == u * mat * v.
-
-    u and v are unimodular; s is diagonal with nonnegative entries and each
-    diagonal entry divides the next.
-    """
-    s = [list(r) for r in mat]
-    n = len(s)
-    m = len(s[0]) if n else 0
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    v = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-    def row_add(i, j, q):
-        s[i] = [a - q * b for a, b in zip(s[i], s[j])]
-        u[i] = [a - q * b for a, b in zip(u[i], u[j])]
-
-    def col_add(i, j, q):
-        for r in range(n):
-            s[r][i] -= q * s[r][j]
-        for r in range(m):
-            v[r][i] -= q * v[r][j]
-
-    def row_swap(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for r in range(n):
-            s[r][i], s[r][j] = s[r][j], s[r][i]
-        for r in range(m):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    def row_neg(i):
-        s[i] = [-a for a in s[i]]
-        u[i] = [-a for a in u[i]]
-
-    t = 0
-    while t < min(n, m):
-        # locate a nonzero entry in the remaining block
-        pos = None
-        bestval = None
-        for i in range(t, n):
-            for j in range(t, m):
-                if s[i][j] != 0 and (bestval is None or abs(s[i][j]) < bestval):
-                    pos = (i, j)
-                    bestval = abs(s[i][j])
-        if pos is None:
-            break
-        i0, j0 = pos
-        if i0 != t:
-            row_swap(t, i0)
-        if j0 != t:
-            col_swap(t, j0)
-        while True:
-            changed = False
-            for i in range(t + 1, n):
-                if s[i][t] != 0:
-                    q = s[i][t] // s[t][t]
-                    row_add(i, t, q)
-                    if s[i][t] != 0:
-                        row_swap(t, i)
-                        changed = True
-            for j in range(t + 1, m):
-                if s[t][j] != 0:
-                    q = s[t][j] // s[t][t]
-                    col_add(j, t, q)
-                    if s[t][j] != 0:
-                        col_swap(t, j)
-                        changed = True
-            if not changed:
-                break
-        if s[t][t] < 0:
-            row_neg(t)
-        t += 1
-    # enforce the divisibility chain
-    t = min(n, m)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(t - 1):
-            a, b = s[i][i], s[i + 1][i + 1]
-            if a and b and b % a != 0:
-                # classic 2x2 fix: gcd goes up, lcm goes down
-                col_add(i, i + 1, -1)
-                q = s[i + 1][i] // s[i][i] if s[i][i] else 0
-                while s[i + 1][i] != 0:
-                    q = s[i + 1][i] // s[i][i]
-                    row_add(i + 1, i, q)
-                    if s[i + 1][i] != 0:
-                        row_swap(i, i + 1)
-                while s[i][i + 1] != 0:
-                    q = s[i][i + 1] // s[i][i]
-                    col_add(i + 1, i, q)
-                    if s[i][i + 1] != 0:
-                        col_swap(i, i + 1)
-                if s[i][i] < 0:
-                    row_neg(i)
-                if s[i + 1][i + 1] < 0:
-                    row_neg(i + 1)
-                changed = True
-    return (
-        tuple(tuple(r) for r in u),
-        tuple(tuple(r) for r in s),
-        tuple(tuple(r) for r in v),
-    )
+def _hermite_of_columns(vectors, d):
+    """(u, h, rank) for the row Hermite form h == u * a of the d x k matrix a
+    whose columns are the vectors.  Rows rank.. of u are a basis of the
+    integer vectors orthogonal to every input vector."""
+    u, h = row_hermite(tuple(tuple(v[i] for v in vectors) for i in range(d)))
+    return u, h, sum(1 for row in h if any(row))
 
 
 def saturate_span(vectors):
@@ -290,15 +179,12 @@ def saturate_span(vectors):
     if not vecs:
         raise ValueError("saturate_span needs at least one vector")
     d = len(vecs[0])
-    cols = tuple(tuple(v[i] for v in vecs) for i in range(d))
-    u, s, _ = smith_normal_form(cols)
-    rank = sum(1 for i in range(min(len(s), len(s[0]) if s else 0)) if s[i][i] != 0)
+    u, _, rank = _hermite_of_columns(vecs, d)
     if rank == 0:
         raise ValueError("cannot saturate the span of zero vectors")
-    uinv = mat_inverse_unimodular(u)
-    basis = tuple(tuple(uinv[r][i] for r in range(d)) for i in range(rank))
-    _, h = row_hermite(basis)
-    return tuple(h[i] for i in range(rank))
+    # the saturated span is the lattice orthogonal to the orthogonal lattice
+    w, _, _ = _hermite_of_columns(u[rank:], d)
+    return row_hermite(w[d - rank:])[1]
 
 
 @dataclass(frozen=True)
@@ -365,19 +251,14 @@ def quotient_projection(fiber_basis, dim):
         raise ValueError("empty fiber basis")
     if any(len(b) != dim for b in basis):
         raise ValueError("fiber basis vectors must have length dim")
-    cols = tuple(tuple(b[i] for b in basis) for i in range(dim))
-    u, s, _ = smith_normal_form(cols)
-    rank = sum(1 for i in range(min(dim, k)) if s[i][i] != 0)
+    u, h, rank = _hermite_of_columns(basis, dim)
     if rank != k:
         raise ValueError("fiber basis is not linearly independent")
-    if any(s[i][i] != 1 for i in range(k)):
+    if h[:k] != mat_identity(k):
         raise ValueError("fiber basis does not span a saturated sublattice")
     if k == dim:
         return QuotientProjection(dim, basis, ())
-    proj = tuple(u[i] for i in range(k, dim))
-    _, h = row_hermite(proj)
-    matrix = tuple(h[i] for i in range(dim - k))
-    pi = QuotientProjection(dim, basis, matrix)
+    pi = QuotientProjection(dim, basis, row_hermite(u[k:])[1])
     for b in basis:
         if any(x != 0 for x in pi.apply(b)):
             raise AssertionError("projection does not kill the fiber basis")
@@ -398,12 +279,11 @@ def pibar(pi, v):
 def right_inverse(mat):
     """Integer right inverse of a surjective matrix (unit invariant factors)."""
     r = len(mat)
-    d = len(mat[0])
-    u, s, v = smith_normal_form(mat)
-    if any(s[i][i] != 1 for i in range(r)):
+    u, h, _ = _hermite_of_columns(mat, len(mat[0]))
+    if h[:r] != mat_identity(r):
         raise ValueError("matrix has no integer right inverse")
-    embed = tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(d))
-    x = mat_mul(mat_mul(v, embed), u)
+    # u[:r] * transpose(mat) == I, so its transpose is a right inverse
+    x = tuple(zip(*u[:r]))
     if mat_mul(mat, x) != mat_identity(r):
         raise AssertionError("right inverse construction failed")
     return x

@@ -28,7 +28,15 @@ from .genset import (
     mori_fiber_structures,
     positively_spans,
 )
-from .lattice import is_primitive, saturate_span
+from .lattice import (
+    in_span,
+    is_primitive,
+    mat_mul,
+    mat_vec,
+    primitivize,
+    right_inverse,
+    saturate_span,
+)
 from .polytopes import MEMO_SIZE, hull, in_class, primitive_points_in_hull
 
 KINDS = ("I_d", "I_m", "II_irr", "II_ni", "III_d", "III_m", "IV_m", "IV_s")
@@ -326,8 +334,6 @@ def _base_projects(fs_small, fs_big):
     induced surjection onto the larger quotient must send its base rays onto
     the base of fs_big exactly.
     """
-    from .lattice import mat_mul, primitivize, right_inverse
-
     pi_small = fs_small.projection.matrix
     pi_big = fs_big.projection.matrix
     if not pi_big:
@@ -340,7 +346,7 @@ def _base_projects(fs_small, fs_big):
         return False
     image = set()
     for w in fs_small.base.points:
-        y = tuple(sum(r[i] * w[i] for i in range(len(w))) for r in rho)
+        y = mat_vec(rho, w)
         if any(c != 0 for c in y):
             image.add(primitivize(y)[0])
     return image == set(fs_big.base.points)
@@ -639,10 +645,7 @@ def enumerate_links(start, class_constraint="none", box=4, mode="polytope"):
     prims = box_primitives(box, d)
     fiber_set = set(fiber)
     basis = saturate_span(fiber)
-
-    from .lattice import in_span as _in_span
-
-    in_fiber_span = {p: _in_span(p, basis) for p in prims}
+    in_fiber_span = {p: in_span(p, basis) for p in prims}
 
     # I_d: drop a point away from the fiber
     for v in A.points:

@@ -110,6 +110,15 @@ def test_non_integer_coordinates_exit_1(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "ValueError"
 
 
+def test_links_malformed_fiber_exit_1(tmp_path, capsys):
+    quad = _write(tmp_path, "q.json", _quad2_json())
+    for fiber in ("5", "[5]", "null", '{"a":1}'):
+        assert main(["links", quad, "--fiber", fiber]) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ValueError"
+        assert "list" in err["message"]
+
+
 def test_malformed_point_lists_exit_1(tmp_path, capsys):
     for points in ([[1, 0, 0], [0, 1], [-1, -1]], 5, [5, [0, 1], [-1, -1]]):
         path = _write(tmp_path, "p.json", {"dim": 2, "points": points})

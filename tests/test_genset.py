@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanoweb.genset import (
     EMPTY_PGS,
@@ -55,6 +57,23 @@ def test_positively_spans_edge_cases():
     assert positively_spans([(1, 0), (-1, 0), (0, 1), (0, -1)], 2)
     assert positively_spans([v for v in V.values()], 3)
     assert not positively_spans([V[1], V[2], V[5]], 3)
+
+
+def _spans_plane_reference(points):
+    """The cone of the points misses some direction exactly when a closed
+    half-plane holds them all; its boundary line can be taken through one
+    of the points, so its inner normal is +-rot90(p) for an input point p."""
+    pts = [p for p in points if p != (0, 0)]
+    normals = [n for x, y in pts for n in ((-y, x), (y, -x))]
+    return bool(pts) and not any(
+        all(n[0] * q[0] + n[1] * q[1] >= 0 for q in pts) for n in normals
+    )
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(points=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=6))
+def test_positively_spans_2d_matches_half_plane_reference(points):
+    assert positively_spans(points, 2) == _spans_plane_reference(points)
 
 
 def test_reductions_quad1_exactly_one():

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations, product
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,13 +14,14 @@ from fanoweb.lattice import (
     in_span,
     mat_det,
     mat_identity,
+    mat_inverse_unimodular,
     mat_mul,
     pibar,
     primitivize,
     quotient_projection,
+    right_inverse,
     row_hermite,
     saturate_span,
-    smith_normal_form,
 )
 
 
@@ -50,17 +53,6 @@ def test_row_hermite_reconstructs_input():
     # unique echelon shape: positive pivots, reduced above
     assert h[0][0] > 0 and h[1][0] == 0 and h[1][1] > 0
     assert 0 <= h[0][1] < h[1][1] or h[0][1] == 0 or h[1][1] == 1
-
-
-def test_smith_normal_form_diagonal_divisibility():
-    m = ((2, 4, 4), (-6, 6, 12), (10, 4, 16))
-    u, s, v = smith_normal_form(m)
-    assert mat_mul(mat_mul(u, m), v) == s
-    diag = [s[i][i] for i in range(3)]
-    assert all(x >= 0 for x in diag)
-    for a, b in zip(diag, diag[1:]):
-        if a and b:
-            assert b % a == 0
 
 
 def test_saturate_span_examples():
@@ -110,8 +102,8 @@ def test_quotient_projection_kernel_is_fiber():
     assert pi.apply((1, 2, 0)) == (0,)
     assert pi.apply((2, 4, 5)) == (0,)
     assert pi.apply((0, 1, 0)) != (0,)
-    _, s, _ = smith_normal_form(pi.matrix)
-    assert s[0][0] == 1
+    # the projection is onto Z^1: it has an integer right inverse
+    assert mat_mul(pi.matrix, right_inverse(pi.matrix)) == mat_identity(1)
 
 
 def test_pibar_examples():
@@ -221,3 +213,81 @@ def _deficient_matrices(draw):
 @example(rows=[[-4, -2, 0, 0], [0, 7, 9, -1], [-9, 7, 0, 8], [-15, 27, 0, 24]])
 def test_rank_matches_fraction_reference(rows):
     assert _rank_fraction(rows) == _reference_rank(rows)
+
+
+@st.composite
+def _vector_lists(draw):
+    """(d, vectors): one to three vectors in Z^2 or Z^3 with small entries,
+    later ones often integer combinations or multiples of earlier ones."""
+    d = draw(st.sampled_from((2, 3)))
+    entry = st.integers(-3, 3)
+    vecs = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("free", "combination", "multiple"))) if vecs else "free"
+        if kind == "free":
+            v = draw(st.lists(entry, min_size=d, max_size=d))
+        elif kind == "combination":
+            coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(vecs), max_size=len(vecs)))
+            v = [sum(c * w[i] for c, w in zip(coeffs, vecs)) for i in range(d)]
+        else:
+            k = draw(st.integers(-3, 3))
+            v = [k * x for x in draw(st.sampled_from(vecs))]
+        vecs.append(tuple(v))
+    return d, vecs
+
+
+def _box(d):
+    return list(product(range(-2, 3), repeat=d))
+
+
+def _is_saturated(basis):
+    """Independent rows span a saturated lattice exactly when their maximal
+    minors have gcd 1."""
+    k, d = len(basis), len(basis[0])
+    g = 0
+    for cols in combinations(range(d), k):
+        g = gcd(g, mat_det(tuple(tuple(b[c] for c in cols) for b in basis)))
+    return g == 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_vector_lists())
+def test_saturate_span_is_the_hermite_basis_of_the_saturation(case):
+    d, vecs = case
+    if not any(any(v) for v in vecs):
+        with pytest.raises(ValueError):
+            saturate_span(vecs)
+        return
+    basis = saturate_span(vecs)
+    assert len(basis) == _reference_rank(vecs)
+    assert row_hermite(basis)[1] == basis
+    for p in _box(d):
+        assert (coordinates_in_basis(p, basis) is not None) == in_span(p, vecs)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_vector_lists())
+def test_quotient_projection_matches_its_definition(case):
+    d, basis = case
+    k = len(basis)
+    if _reference_rank(basis) != k or not _is_saturated(basis):
+        with pytest.raises(ValueError):
+            quotient_projection(basis, d)
+        return
+    pi = quotient_projection(basis, d)
+    for p in _box(d):
+        assert (not any(pi.apply(p))) == in_span(p, basis)
+    if k < d:
+        assert mat_mul(pi.matrix, right_inverse(pi.matrix)) == mat_identity(d - k)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(d=st.sampled_from((1, 2, 3)), seed=st.integers(0, 2**32))
+def test_mat_inverse_unimodular_inverts(d, seed):
+    m = _random_unimodular(random.Random(seed), d)
+    inv = mat_inverse_unimodular(m)
+    assert mat_mul(m, inv) == mat_identity(d)
+    assert mat_mul(inv, m) == mat_identity(d)
+    doubled = (tuple(2 * x for x in m[0]),) + m[1:]
+    with pytest.raises(ValueError):
+        mat_inverse_unimodular(doubled)
