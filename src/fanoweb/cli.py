@@ -2,8 +2,8 @@
 
 Subcommands read polytope JSON ({"dim": d, "points": [[...], ...]}, hull
 taken on load) from a file argument or stdin ("-"), and write JSON (SVG for
-render) to stdout or --out.  Exit codes: 0 success, 1 malformed input or
-error, 2 certificate not found within the box, 3 verification failure.
+render) to stdout or --out.  Exit codes: 0 success, 1 malformed input, bad
+usage or error, 2 certificate not found within the box, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -223,8 +223,13 @@ def _add_io(sub, *, polytope=True):
 _CLASSES = ["terminal", "canonical", "reflexive"]
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # not argparse's exit 2, the code of "not found"
+        raise argparse.ArgumentError(None, f"{self.prog}: {message}")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(prog="fanoweb", description=__doc__)
+    ap = _Parser(prog="fanoweb", description=__doc__)
     sp = ap.add_subparsers(dest="command", required=True)
 
     s = sp.add_parser("classify", help="classification flags of a polytope")
@@ -299,25 +304,23 @@ def build_parser():
     return ap
 
 
+def _error(payload, code=1):
+    sys.stdout.write(jsonio.dumps({"error": payload}) + "\n")
+    return code
+
+
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except argparse.ArgumentError as e:
+        return _error({"type": "usage", "message": str(e)})
     except CertificateVerificationError as e:
-        failures = [[i, msg] for i, msg in e.failures]
-        sys.stdout.write(jsonio.dumps({"error": {"type": "verification", "failures": failures}}) + "\n")
-        return 3
+        return _error({"type": "verification", "failures": [[i, msg] for i, msg in e.failures]}, 3)
     except (ClassViolationError, NoMoriFiberStructureError, ValueError, KeyError) as e:
-        sys.stdout.write(
-            jsonio.dumps({"error": {"type": type(e).__name__, "message": str(e)}}) + "\n"
-        )
-        return 1
+        return _error({"type": type(e).__name__, "message": str(e)})
     except OSError as e:
-        sys.stdout.write(
-            jsonio.dumps({"error": {"type": "io", "message": str(e)}}) + "\n"
-        )
-        return 1
+        return _error({"type": "io", "message": str(e)})
 
 
 if __name__ == "__main__":

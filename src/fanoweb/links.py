@@ -598,6 +598,8 @@ def sequence_panels(seq):
 
 
 def box_primitives(box, dim):
+    if box < 0:
+        raise ValueError(f"box must be nonnegative, got {box}")
     out = []
     rng = range(-box, box + 1)
     if dim == 2:

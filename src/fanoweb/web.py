@@ -14,18 +14,12 @@ class polygons up to unimodular equivalence.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from math import gcd
 
-from .genset import (
-    from_polytope,
-    mori_fiber_structures,
-    polytope_reduction,
-    positively_spans,
-)
-from .lattice import UnimodularMap, mat_mul
+from .genset import from_polytope, mori_fiber_structures, polytope_reduction
+from .lattice import UnimodularMap, mat_inverse_unimodular, mat_mul, mat_vec, row_hermite
 from .links import (
     HORIZONTAL_FIBER,
     Constituent,
@@ -654,66 +648,112 @@ def fano_purity_report(seq):
 def enumerate_class_polygons(box, class_constraint):
     """Every polygon of the class with vertices in the box, bit-exact.
 
-    Canonical polygons are generated by seeding with hulls of all 3- and
-    4-subsets of primitive box points and then growing one primitive point
-    at a time (a canonical polygon with five or more vertices always admits
-    a vertex removal staying canonical, so the closure is exhaustive).
+    Orbit-first: each canonical class (_classes) is placed in the box by
+    every unimodular map that keeps it there (_placements).
     """
-    if class_constraint not in ("canonical", "reflexive", "terminal"):
-        raise ValueError("enumeration supports canonical, reflexive, terminal")
-    canon = _canonical_polygons(box)
-    if class_constraint == "canonical":
-        return canon
-    return tuple(p for p in canon if in_class(p, class_constraint))
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _canonical_polygons(box):
-    prims = box_primitives(box, 2)
-    seen = {}
-    queue = deque()
-
-    def admit(p):
-        if p.vertices not in seen:
-            seen[p.vertices] = p
-            queue.append(p)
-
-    # Pick's test costs about what a memo lookup does; through in_class the
-    # tens of thousands of candidate hulls would only churn that memo.
-    for size in (3, 4):
-        for comb in combinations(prims, size):
-            if not positively_spans(comb, 2):
-                continue
-            p = hull(comb)
-            if _canonical_terminal(p)[0]:
-                admit(p)
-    while queue:
-        p = queue.popleft()
-        pts = primitive_points(p)
-        have = set(pts)
-        for w in prims:
-            if w in have:
-                continue
-            bigger = hull(pts + (w,))
-            if bigger.vertices in seen:
-                continue
-            if _canonical_terminal(bigger)[0]:
-                admit(bigger)
-    return tuple(sorted(seen.values(), key=lambda p: p.vertices))
+    polys = (p for _, ps in _class_placements(box, class_constraint) for p in ps)
+    return tuple(sorted(polys, key=lambda p: p.vertices))
 
 
 def enumerate_fano(box, class_constraint, mfp_only=False):
-    """Normal-form classes with concrete-representative counts."""
-    polys = enumerate_class_polygons(box, class_constraint)
-    if mfp_only:
-        polys = tuple(
-            p for p in polys if mori_fiber_structures(from_polytope(p))
-        )
-    groups = {}
-    for p in polys:
-        nf = normal_form(p)
-        groups.setdefault(nf, []).append(p)
-    return tuple(sorted(((nf, len(g)) for nf, g in groups.items()), key=lambda t: t[0].vertices))
+    """Normal-form classes with concrete-representative counts, each the
+    number of placements of its class; the filters run once per class."""
+    return tuple(
+        (nf, len(polys))
+        for nf, polys in _class_placements(box, class_constraint)
+        if polys and (not mfp_only or mori_fiber_structures(from_polytope(nf)))
+    )
+
+
+def _class_placements(box, class_constraint):
+    if class_constraint not in ("canonical", "reflexive", "terminal"):
+        raise ValueError("enumeration supports canonical, reflexive, terminal")
+    return [(nf, polys) for nf, polys in _placements(box) if in_class(nf, class_constraint)]
+
+
+def _minimal_classes():
+    """Normal forms of the minimal canonical polygons: the triangles and the
+    parallelograms {+-u, +-v} (the planar case of Kasprzyk, Toric Fano
+    3-folds with terminal singularities, 2006).  A canonical polygon is
+    reflexive, so its boundary is a cycle of counter-clockwise level-one
+    edges u -> v, det(u, v) = gcd(v - u); these are the 3-cycles and the
+    4-cycles u, v, -u, -v in box 2, where all 16 classes have a member
+    (Poonen and Rodriguez-Villegas, 2000)."""
+    prims = box_primitives(2, 2)
+    succ = {
+        u: {v for v in prims if u[0] * v[1] - u[1] * v[0] == gcd(v[0] - u[0], v[1] - u[1]) > 0}
+        for u in prims
+    }
+    cycles = {frozenset((u, v, w)) for u in prims for v in succ[u] for w in succ[v] if u in succ[w]}
+    cycles |= {
+        frozenset((u, v, (-u[0], -u[1]), (-v[0], -v[1])))
+        for u in prims for v in succ[u] if (-u[0], -u[1]) in succ[v]
+    }
+    return {normal_form(hull(c)) for c in cycles}
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _classes():
+    """Normal forms of all canonical polygons, grown from the minimal ones.
+
+    A canonical Q that is not minimal loses a vertex w to a canonical R, and
+    the edges of Q at w have independent normals n1, n2 in the dual of R (the
+    hull of its facet normals, R being reflexive) with <n1, w> = <n2, w> = -1.
+    The step commutes with GL(2,Z), so it runs on normal forms.
+    """
+    found = list(_minimal_classes())
+    for r in found:  # a worklist: the loop also visits what it appends
+        normals = [n for n in lattice_points(hull([n for n, _ in r.facets])) if n != (0, 0)]
+        for w in {
+            ((b - d) // det, (c - a) // det)
+            for a, b in normals
+            for c, d in normals
+            if (det := a * d - b * c) > 0 and (b - d) % det == (c - a) % det == 0
+        }:
+            q = hull(r.vertices + (w,))
+            if q != r and _canonical_terminal(q)[0]:
+                nf = normal_form(q)
+                if nf not in found:
+                    found.append(nf)
+    return tuple(sorted(found, key=lambda p: p.vertices))
+
+
+def _basis_partners(a, box):
+    """The points b of the box with det(a, b) = +-1: +-b0 + t a, with b0 from
+    the Hermite transform u of the column a (u a = e1, extended Euclid) and t
+    in the interval that keeps the larger coordinate of a in the box."""
+    (p, q), _ = row_hermite(((a[0],), (a[1],)))[0]
+    i = 0 if abs(a[0]) >= abs(a[1]) else 1
+    for b0 in ((-q, p), (q, -p)):
+        c, z = (a[i], b0[i]) if a[i] > 0 else (-a[i], -b0[i])
+        for t in range(-((box + z) // c), (box - z) // c + 1):
+            b = (b0[0] + t * a[0], b0[1] + t * a[1])
+            if abs(b[1 - i]) <= box:
+                yield b
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _placements(box):
+    """((class normal form, its distinct images in the box), ...).
+
+    Consecutive boundary points u, v of a reflexive polygon form a lattice
+    basis, so the maps [a b] [u v]^-1 over the pairs a, b of box primitives
+    with det(a, b) = +-1 are all unimodular maps that can keep it in the box.
+    """
+    pairs = [(a, b) for a in box_primitives(box, 2) for b in _basis_partners(a, box)]
+    out = []
+    for nf in _classes():
+        (x0, y0), (x1, y1) = nf.vertices[:2]
+        k = gcd(x1 - x0, y1 - y0)
+        inv = mat_inverse_unimodular(((x0, x0 + (x1 - x0) // k), (y0, y0 + (y1 - y0) // k)))
+        coords = [mat_vec(inv, x) for x in nf.vertices]
+        images = set()
+        for (a0, a1), (b0, b1) in pairs:
+            image = [(s * a0 + t * b0, s * a1 + t * b1) for s, t in coords]
+            if all(abs(x) <= box and abs(y) <= box for x, y in image):
+                images.add(tuple(sorted(image)))
+        out.append((nf, tuple(hull(image) for image in images)))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -728,6 +768,8 @@ def bfs_connect(p, q, class_constraint="canonical", box=4):
     walks link moves between fibered pairs, any Mori fiber structure of the
     reduced endpoints being a valid source or target.
     """
+    if box < 0:
+        raise ValueError(f"box must be nonnegative, got {box}")
 
     def join(rp, rq):
         steps = _bfs_pairs(

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from fanoweb.cli import main
 
 
@@ -197,3 +199,36 @@ def test_verify_malformed_certificate_exit_1(tmp_path, capsys):
             assert main([command, _write(tmp_path, "bad.json", payload)]) == 1
             out = json.loads(capsys.readouterr().out)
             assert out["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["enumerate", "--class", "fano"], ["enumerate", "--box", "x"], ["bfs", "only-one.json"], []],
+)
+def test_usage_errors_exit_1_with_json(argv, capsys):
+    # argparse alone exits 2, the code reserved for "not found within the box"
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["error"]["type"] == "usage"
+    assert captured.err == ""
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--help"])
+    assert exc.value.code == 0
+    assert "--mfp" in capsys.readouterr().out
+
+
+def test_negative_box_exit_1(tmp_path, capsys):
+    tri = _write(tmp_path, "tri.json", {"dim": 2, "points": [[1, 0], [0, 1], [-1, -1]]})
+    tri90 = _write(tmp_path, "tri90.json", {"dim": 2, "points": [[0, 1], [-1, 0], [1, -1]]})
+    for argv in (
+        ["enumerate", "--box", "-1"],
+        ["links", tri, "--box", "-3"],
+        ["bfs", tri, tri90, "--class", "terminal", "--box", "-1"],
+        ["bfs", tri, tri, "--box", "-1"],
+    ):
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ValueError" and "nonnegative" in err["message"]

@@ -240,6 +240,9 @@ def test_enumerate_deterministic():
 def test_box_primitives():
     pts = box_primitives(1, 2)
     assert set(pts) == {(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)}
+    assert box_primitives(0, 2) == ()
+    with pytest.raises(ValueError, match="nonnegative"):
+        box_primitives(-3, 2)
 
 
 def test_base_relations_of_named_families():

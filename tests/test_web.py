@@ -1,19 +1,24 @@
+from collections import Counter
+from functools import lru_cache
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanoweb.genset import from_polytope, mori_fiber_structures
+from fanoweb.genset import from_polytope, mori_fiber_structures, positively_spans
 from fanoweb.lattice import UnimodularMap
 from fanoweb.links import (
     Constituent,
     blowdown_link,
+    box_primitives,
     elementary_transform,
     plane_polygon,
     ruled_polygon,
     sequence_from_steps,
     validate_sequence,
 )
-from fanoweb.polytopes import hull, in_class, normal_form
+from fanoweb.polytopes import hull, in_class, normal_form, primitive_points
 from fanoweb.web import (
     GEN_S,
     GEN_T,
@@ -22,6 +27,8 @@ from fanoweb.web import (
     ClassViolationError,
     NoMoriFiberStructureError,
     _bfs_pairs,
+    _classes,
+    _minimal_classes,
     bfs_connect,
     connect,
     enumerate_class_polygons,
@@ -299,6 +306,57 @@ def test_enumerate_fano_mfp_box2():
     assert len(canon) == 4
 
 
+@lru_cache(maxsize=None)
+def _brute_force_canonical(box):
+    """Reference enumeration: hulls of every 3- and 4-subset of box primitives
+    that positively spans, then growth one primitive point at a time (a
+    canonical polygon with five or more vertices has a vertex whose removal
+    stays canonical, so the closure is exhaustive)."""
+    prims = box_primitives(box, 2)
+    seen = {}
+    queue = []
+    for size in (3, 4):
+        for comb in combinations(prims, size):
+            if positively_spans(comb, 2):
+                p = hull(comb)
+                if in_class(p, "canonical") and p.vertices not in seen:
+                    seen[p.vertices] = p
+                    queue.append(p)
+    while queue:
+        pts = primitive_points(queue.pop())
+        for w in prims:
+            if w not in pts:
+                bigger = hull(pts + (w,))
+                if bigger.vertices not in seen and in_class(bigger, "canonical"):
+                    seen[bigger.vertices] = bigger
+                    queue.append(bigger)
+    return tuple(sorted(seen.values(), key=lambda p: p.vertices))
+
+
+@pytest.mark.parametrize("box", [0, 1, 2, 3])
+def test_enumeration_matches_brute_force(box):
+    canon = _brute_force_canonical(box)
+    nfs = {p: normal_form(p) for p in canon}
+    for cls in ("canonical", "reflexive", "terminal"):
+        polys = tuple(p for p in canon if in_class(p, cls))
+        got = enumerate_class_polygons(box, cls)
+        assert [p.vertices for p in got] == [p.vertices for p in polys]
+        for mfp in (False, True):
+            kept = [p for p in polys if not mfp or mori_fiber_structures(from_polytope(p))]
+            counts = Counter(nfs[p] for p in kept)
+            want = sorted((nf.vertices, n) for nf, n in counts.items())
+            assert [(nf.vertices, n) for nf, n in enumerate_fano(box, cls, mfp)] == want
+
+
+def test_orbit_counts():
+    # 5 triangles and 2 parallelograms are minimal; 5 of the 16 are terminal
+    assert len(_minimal_classes()) == 7
+    classes = _classes()
+    assert len(classes) == 16
+    assert all(normal_form(c) == c for c in classes)
+    assert len([c for c in classes if in_class(c, "terminal")]) == 5
+
+
 def test_bfs_connect_square_to_quad():
     cert = bfs_connect(ruled_polygon(0), ruled_polygon(1), "terminal", box=2)
     assert cert is not None
@@ -452,3 +510,12 @@ def test_connect_words_never_revisit_a_state(cls, i, j, g, h):
     relations[k] = Relation(r.rel, (r.witness[0] + 1, r.witness[1]), r.origin)
     tampered = ConnectCertificate(cert.chain, tuple(relations), cert.sequence, cls)
     assert not verify_certificate(tampered).ok
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(i=st.integers(min_value=0), g=_GL_WORDS)
+def test_enumeration_is_gl_equivariant(i, g):
+    polys = enumerate_class_polygons(3, "canonical")
+    image = _gl_image(polys[i % len(polys)], g)
+    if max(abs(x) for v in image.vertices for x in v) <= 3:
+        assert image in set(polys)
