@@ -27,7 +27,6 @@ from .polytopes import (
     DegenerateHullError,
     hull,
     primitive_points,
-    primitive_points_in_hull,
 )
 
 
@@ -256,21 +255,6 @@ def fiber_structures(parent):
 
 def mori_fiber_structures(parent):
     return tuple(fs for fs in fiber_structures(parent) if fs.mori)
-
-
-def fiber_hull_is_terminal_simplex(fs):
-    """Polytope-side sanity for a Mori fiber: a simplex whose only lattice
-    points in its span are the fiber points and the origin."""
-    if not fs.mori:
-        return False
-    if len(fs.fiber) != fs.fiber_dim + 1:
-        return False
-    prim = primitive_points_in_hull(fs.fiber)
-    if set(prim) != set(fs.fiber):
-        return False
-    # no non-primitive multiples can occur: every lattice point of the hull
-    # on a ray through a fiber point would make that point non-extremal
-    return True
 
 
 def reductions(parent):

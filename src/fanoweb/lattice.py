@@ -6,13 +6,13 @@ anywhere downstream.  The workhorse is the row Hermite normal form: on the
 matrix whose columns are some vectors, its transform spans the integer
 vectors orthogonal to them, which gives saturated spans, quotient
 projections with free cokernel, integer right inverses and deterministic
-(HNF-normalized) bases.
+(HNF-normalized) bases; back-substitution on the Hermite form of a basis
+gives integer coordinates in it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 
@@ -321,43 +321,22 @@ def in_span(v, basis):
     return _rank_fraction(list(basis)) == _rank_fraction(list(basis) + [v])
 
 
-def solve_rational(v, basis):
-    """Rational c with sum_i c_i * basis[i] == v, by Gauss-Jordan elimination
-    over Q, or None when v is not in the span; a basis vector that depends on
-    the earlier ones gets coefficient 0."""
-    k = len(basis)
-    d = len(v)
-    aug = [[Fraction(basis[i][j]) for i in range(k)] + [Fraction(v[j])] for j in range(d)]
-    rank = 0
-    pivots = []
-    for col in range(k):
-        piv = next((i for i in range(rank, d) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        pv = aug[rank][col]
-        aug[rank] = [x / pv for x in aug[rank]]
-        for i in range(d):
-            if i != rank and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, d):
-        if aug[i][k] != 0:
-            return None
-    coords = [Fraction(0)] * k
-    for r, col in enumerate(pivots):
-        coords[col] = aug[r][k]
-    return coords
-
-
 def coordinates_in_basis(v, basis):
-    """Integer coordinates of v with respect to lattice basis rows.
+    """Integer coordinates c of v with respect to lattice basis rows, so that
+    sum_i c_i * basis[i] == v.
 
-    Returns None when v is not an integer combination of the basis.
+    Back-substitution on the row Hermite form h == u * basis: solve
+    y * h == v over the pivot columns with floor division, check every
+    column (a remainder shows there), then c = y * u.  Returns None when v
+    is not an integer combination of the basis.
     """
-    coords = solve_rational(v, basis)
-    if coords is None or any(c.denominator != 1 for c in coords):
+    u, h = row_hermite(basis)
+    y = []
+    for row in h:
+        col = next((j for j, x in enumerate(row) if x), None)
+        if col is None:  # the zero rows of a dependent basis come last
+            break
+        y.append((v[col] - sum(a * r[col] for a, r in zip(y, h))) // row[col])
+    if any(dot(y, column) != b for column, b in zip(zip(*h), v)):
         return None
-    return tuple(int(c) for c in coords)
+    return tuple(dot(y, column) for column in zip(*u))

@@ -9,9 +9,13 @@ dual has vertex normal/level for each facet.
 Everything is exact integer arithmetic.  Hulls use a monotone chain with
 inlined cross products in 2D and exhaustive supporting-plane enumeration in
 3D (inputs here are tiny, so the cubic scan is simpler and safer than an
-incremental hull).  lattice_points walks every prefix of all coordinates but
-the last and takes the exact interval of the last coordinate from the
-facets, so it never tests a cell of the bounding box.  In 2D the
+incremental hull).  lattice_points scans the widest axis of the bounding box
+last: it walks every prefix of the other coordinates and takes the exact
+interval of that axis from the facets, so it never tests a cell of the box
+and visits the fewest prefixes.  lattice_points_in_hull finds the lattice
+points of a hull of any affine dimension: a lower-dimensional point set is
+counted in integer coordinates of the saturated lattice of its span, where
+its hull is full-dimensional (or an interval), and mapped back.  In 2D the
 canonical and terminal predicates come from Pick's theorem, 2I = 2A - B + 2,
 evaluated on the vertices alone (_pick_counts); in 3D they count lattice
 points.
@@ -27,6 +31,7 @@ from math import ceil, floor, gcd
 
 from .lattice import (
     _rank_fraction,
+    coordinates_in_basis,
     cross3,
     dot,
     is_primitive,
@@ -34,7 +39,7 @@ from .lattice import (
     mat_vec,
     primitivize,
     row_hermite,
-    solve_rational,
+    saturate_span,
     vec_gcd,
     vec_sub,
 )
@@ -203,14 +208,17 @@ def _scan(facets, lo, hi):
     """Integer points x with lo <= x <= hi and n . x >= -level on every facet
     (integer normals, integer or Fraction levels), in lexicographic order.
 
-    Each prefix of all coordinates but the last meets the polytope in an
-    exact interval of the last coordinate, read off the facets with integer
-    floor and ceiling and emitted whole.
+    The widest axis of the box is scanned last, so the fewest prefixes are
+    visited: each prefix of the other coordinates meets the polytope in an
+    exact interval of that axis, read off the facets with integer floor and
+    ceiling and emitted whole.
     """
-    rows = [(n[:-1], n[-1], -lv) for n, lv in facets]
+    last = max(reversed(range(len(lo))), key=lambda i: hi[i] - lo[i])
+    rest = [i for i in range(len(lo)) if i != last]
+    rows = [([n[i] for i in rest], n[last], -lv) for n, lv in facets]
     out = []
-    for prefix in product(*(range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1]))):
-        zlo, zhi = lo[-1], hi[-1]
+    for prefix in product(*(range(lo[i], hi[i] + 1) for i in rest)):
+        zlo, zhi = lo[last], hi[last]
         for head, c, r in rows:
             for a, x in zip(head, prefix):
                 r -= a * x
@@ -223,40 +231,54 @@ def _scan(facets, lo, hi):
                 zhi = zlo - 1
             if zlo > zhi:
                 break
-        out.extend(prefix + (z,) for z in range(zlo, zhi + 1))
-    return tuple(out)
+        before, after = prefix[:last], prefix[last:]
+        out.extend(before + (z,) + after for z in range(zlo, zhi + 1))
+    return tuple(sorted(out))
 
 
 def interior_lattice_points(p):
     return tuple(q for q in lattice_points(p) if p.strictly_contains(q))
 
 
-def in_hull(point, points):
-    """Exact closed-membership test, valid in any affine dimension.
+def lattice_points_in_hull(points):
+    """All lattice points of conv(points), in any affine dimension, sorted
+    lexicographically; () for no points.
 
-    Caratheodory: the point lies in the hull iff some affinely independent
-    subset of size adim+1 contains it with nonnegative barycentric weights.
+    A full-dimensional input is the hull's own lattice_points.  Otherwise the
+    points are written in integer coordinates of the saturated lattice of
+    their span (base: the first point), the points of that full-dimensional
+    hull (or, in intrinsic dimension 1, of the integer interval) are found
+    there and mapped back.
     """
-    pts = [tuple(p) for p in dict.fromkeys(tuple(q) for q in points)]
-    point = tuple(point)
-    if point in pts:
-        return True
-    adim = affine_dimension(pts)
-    if adim == 0:
-        return False
+    pts = list(dict.fromkeys(tuple(p) for p in points))
+    if not pts:
+        return ()
+    try:
+        return lattice_points(hull(pts))
+    except DegenerateHullError as e:
+        if e.affine_dim == 0:
+            return (pts[0],)
     base = pts[0]
-    if _rank_fraction([vec_sub(p, base) for p in pts[1:]] + [vec_sub(point, base)]) != adim:
-        return False
-    for subset in combinations(pts, adim + 1):
-        b0 = subset[0]
-        rows = [vec_sub(p, b0) for p in subset[1:]]
-        if _rank_fraction(rows) != adim:
-            continue
-        # barycentric weights: sum c_i * (v_i, 1) == (point, 1)
-        coeff = solve_rational(point + (1,), [v + (1,) for v in subset])
-        if coeff is not None and all(c >= 0 for c in coeff):
-            return True
-    return False
+    diffs = [vec_sub(p, base) for p in pts[1:]]
+    basis = saturate_span(diffs)
+    coords = [(0,) * len(basis)] + [coordinates_in_basis(v, basis) for v in diffs]
+    if len(basis) == 1:
+        inner = [(c,) for c in range(min(coords)[0], max(coords)[0] + 1)]
+    else:
+        inner = lattice_points(hull(coords))
+    axes = list(zip(*basis))
+    return tuple(sorted(tuple(b + dot(c, axis) for b, axis in zip(base, axes)) for c in inner))
+
+
+def in_hull(point, points):
+    """Whether the lattice point lies in conv(points), any affine dimension.
+
+    Raises ValueError when a coordinate of the point is not an int.
+    """
+    point = tuple(point)
+    if not {int}.issuperset(map(type, point)):
+        raise ValueError(f"in_hull needs an integer point, got {point!r}")
+    return point in lattice_points_in_hull(points)
 
 
 class RationalPolytope:
@@ -447,13 +469,7 @@ def primitive_points(p):
 
 def primitive_points_in_hull(points):
     """Primitive lattice points of conv(points), any affine dimension."""
-    pts = [tuple(p) for p in points]
-    adim = affine_dimension(pts)
-    d = len(pts[0])
-    if adim == d:
-        return primitive_points(hull(pts))
-    box = product(*(range(min(axis), max(axis) + 1) for axis in zip(*pts)))
-    return tuple(c for c in box if vec_gcd(c) == 1 and in_hull(c, pts))
+    return tuple(q for q in lattice_points_in_hull(points) if vec_gcd(q) == 1)
 
 
 def normal_form(p):

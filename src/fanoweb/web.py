@@ -24,6 +24,7 @@ from .links import (
     HORIZONTAL_FIBER,
     Constituent,
     LinkSequence,
+    _set_purity,
     blowdown_link,
     box_primitives,
     conjugate,
@@ -48,7 +49,6 @@ from .polytopes import (
     lattice_points,
     normal_form,
     primitive_points,
-    primitive_points_in_hull,
 )
 
 GEN_S = UnimodularMap(((0, -1), (1, 0)))
@@ -636,7 +636,7 @@ def fano_purity_report(seq):
                 if pts in seen:
                     continue
                 seen.add(pts)
-                if set(pts) != set(primitive_points_in_hull(pts)):
+                if not _set_purity(pts):
                     offenders.append(pts)
     return tuple(offenders)
 

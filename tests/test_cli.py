@@ -88,6 +88,20 @@ def test_verify_flags_tampering(tmp_path, capsys):
     assert out["ok"] is False and out["failures"]
 
 
+def test_verify_empty_fiber_exit_3(tmp_path, capsys):
+    a = _write(tmp_path, "a.json", {"dim": 2, "points": [[1, 0], [0, 1], [-1, -1]]})
+    b = _write(tmp_path, "b.json", {"dim": 2, "points": [[0, 1], [-1, 0], [1, -1]]})
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["connect", a, b, "--class", "terminal", "--out", cert_path]) == 0
+    cert = json.loads(open(cert_path).read())
+    step = next(s for s in cert["sequence"]["steps"] if s["kind"] == "II_ni")
+    step["right"]["fiber"] = []
+    assert main(["verify", _write(tmp_path, "bad.json", cert)]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out["ok"] is False
+    assert "right fiber structure; right Mori; fibers equal" in out["failures"][0][1]
+
+
 def test_connect_verification_failure_exit_3(tmp_path, capsys, monkeypatch):
     from fanoweb import web
 

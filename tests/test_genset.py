@@ -8,7 +8,6 @@ from fanoweb.genset import (
     EMPTY_PGS,
     InvalidFiberStructure,
     PrimGenSet,
-    fiber_hull_is_terminal_simplex,
     fiber_structure_for,
     fiber_structures,
     from_polytope,
@@ -149,7 +148,6 @@ def test_fiber_structures_quad2_unique():
     mori = mori_fiber_structures(QUAD2)
     assert len(mori) == 1
     assert mori[0].fiber == ((-1, 0), (1, 0))
-    assert fiber_hull_is_terminal_simplex(mori[0])
 
 
 def test_fiber_structure_3d_main_example():

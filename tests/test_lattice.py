@@ -162,6 +162,10 @@ def test_in_span_and_coordinates():
     skew = ((1, 1),)
     assert coordinates_in_basis((3, 3), skew) == (3,)
     assert coordinates_in_basis((1, 2), skew) is None
+    # bases that are not in Hermite form, and one of an unsaturated lattice
+    assert coordinates_in_basis((3, 2), ((2, 1), (1, 1))) == (1, 1)
+    assert coordinates_in_basis((1, 4, 3), ((1, 1, 0), (0, 1, 1))) == (1, 3)
+    assert coordinates_in_basis((1, 0), ((2, 0), (0, 1))) is None
 
 
 def test_projection_from_saturated_span_output():
@@ -262,7 +266,10 @@ def test_saturate_span_is_the_hermite_basis_of_the_saturation(case):
     assert len(basis) == _reference_rank(vecs)
     assert row_hermite(basis)[1] == basis
     for p in _box(d):
-        assert (coordinates_in_basis(p, basis) is not None) == in_span(p, vecs)
+        c = coordinates_in_basis(p, basis)
+        assert (c is not None) == in_span(p, vecs)
+        if c is not None:
+            assert tuple(sum(ci * b[j] for ci, b in zip(c, basis)) for j in range(d)) == p
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -1,8 +1,9 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fanoweb.polytopes import (
@@ -16,6 +17,7 @@ from fanoweb.polytopes import (
     in_hull,
     interior_lattice_points,
     lattice_points,
+    lattice_points_in_hull,
     mavlyutov_dual,
     normal_form,
     polar_dual,
@@ -93,6 +95,8 @@ def test_hull_3d_with_nonvertex_member():
     assert V[4] not in p.vertices
     assert in_hull(V[4], pts)
     assert not in_hull(V[6], pts)
+    with pytest.raises(ValueError, match="integer point"):
+        in_hull((0.5, 0, 0), pts)
 
 
 def test_lattice_points_triangle():
@@ -337,6 +341,106 @@ def test_primitive_points_in_hull_lower_dim():
     assert primitive_points_in_hull([(1, 0, 0), (-1, 0, 0)]) == ((-1, 0, 0), (1, 0, 0))
     quad = [V[1], V[2], V[3], V[4]]
     assert set(primitive_points_in_hull(quad)) == set(quad)
+
+
+def test_primitive_points_in_hull_of_no_points():
+    assert primitive_points_in_hull([]) == ()
+
+
+def test_large_coordinates_scan_few_prefixes():
+    n = 10**6
+    assert len(lattice_points(hull([(1, 0), (n, 1), (-1 - n, -1)]))) == 4
+    ends = ((-(10**9), -1), (10**9, 1))
+    assert primitive_points_in_hull(ends) == ends
+
+
+# Brute-force reference for lattice_points_in_hull: every cell of the bounding
+# box, kept when some affinely independent subset of the points holds it with
+# nonnegative barycentric weights (Caratheodory), solved exactly over Q.
+
+
+def _barycentric(columns, target):
+    """The unique rational x with sum_i x_i * columns[i] == target, or None
+    when there is none or the columns are dependent."""
+    k = len(columns)
+    rows = [[Fraction(c[j]) for c in columns] + [Fraction(target[j])] for j in range(len(target))]
+    for col in range(k):
+        piv = next((i for i in range(col, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for i in range(len(rows)):
+            if i != col and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
+    if any(row[k] for row in rows[k:]):
+        return None
+    return [rows[i][k] for i in range(k)]
+
+
+def _reference_in_hull(x, pts):
+    lifted = [p + (1,) for p in pts]
+    for k in range(1, len(x) + 2):
+        for subset in combinations(lifted, k):
+            w = _barycentric(subset, x + (1,))
+            if w is not None and min(w) >= 0:
+                return True
+    return False
+
+
+def _reference_lattice_points(pts):
+    pts = sorted(set(pts))
+    box = product(*(range(min(a), max(a) + 1) for a in zip(*pts)))
+    return tuple(x for x in box if _reference_in_hull(x, pts))
+
+
+@st.composite
+def _affine_sets(draw):
+    """A base point, the base plus each of k generators, and a few integer
+    combinations of them that stay in [-2, 2]^d, in Z^2 or Z^3: affine
+    dimension k for independent generators, k from 0 to d."""
+    d = draw(st.sampled_from((2, 3)))
+    k = draw(st.integers(0, d))
+    small = st.tuples(*[st.integers(-1, 1)] * d)
+    base = draw(small)
+    gens = draw(st.lists(small, min_size=k, max_size=k))
+    combos = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * k), max_size=3))
+    pts = [tuple(b + sum(c * g[i] for c, g in zip(cs, gens)) for i, b in enumerate(base))
+           for cs in [(0,) * k] + [tuple(int(i == j) for i in range(k)) for j in range(k)] + combos]
+    return [p for p in pts if max(map(abs, p)) <= 2]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pts=_affine_sets())
+@example(pts=[(1, -2)])
+@example(pts=[(2, -1, 0), (-2, 1, 0)])
+@example(pts=[(0, 0, 0), (2, 2, 0), (0, 0, 2)])
+@example(pts=[(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (-2, 0, -1)])
+def test_lattice_points_in_hull_match_caratheodory_cells(pts):
+    expected = _reference_lattice_points(pts)
+    assert lattice_points_in_hull(pts) == expected
+    assert primitive_points_in_hull(pts) == tuple(x for x in expected if gcd(*x) == 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    pts=_affine_sets(),
+    word=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1), st.sampled_from((-3, -1, 1, 2))), max_size=6),
+    flip=st.booleans(),
+)
+def test_lattice_points_in_hull_commute_with_unimodular_maps(pts, word, flip):
+    d = len(pts[0])
+
+    def g(x):
+        x = list(x)
+        if flip:
+            x[0] = -x[0]
+        for i, j, q in word:  # a shear: coordinate i gains q times another one
+            x[i % d] += q * x[(i + 1 + j % (d - 1)) % d]
+        return tuple(x)
+
+    assert lattice_points_in_hull([g(x) for x in pts]) == tuple(sorted(map(g, lattice_points_in_hull(pts))))
 
 
 def test_normal_form_orbit_constancy():
