@@ -37,7 +37,7 @@ from .lattice import (
     right_inverse,
     saturate_span,
 )
-from .polytopes import MEMO_SIZE, hull, in_class, primitive_points_in_hull
+from .polytopes import CLASS_NAMES, MEMO_SIZE, hull, in_class, primitive_points_in_hull
 
 KINDS = ("I_d", "I_m", "II_irr", "II_ni", "III_d", "III_m", "IV_m", "IV_s")
 
@@ -493,7 +493,6 @@ class SequenceReport:
     failures: tuple
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def _class_ok(points, class_constraint):
     return class_constraint == "none" or in_class(hull(points), class_constraint)
 
@@ -627,10 +626,18 @@ def enumerate_links(start, class_constraint="none", box=4, mode="polytope"):
 
     start may be a Constituent or a FiberStructure.  Added points (for the
     growing II and III shapes) are drawn from the coordinate box.  The
-    output is deduplicated and sorted, so it is deterministic.
+    output is deduplicated and sorted, so it is deterministic.  It is
+    computed once per (start, class, box, mode) and shared afterwards.
     """
+    if class_constraint not in CLASS_NAMES:
+        raise ValueError(f"unknown class {class_constraint!r}")
     if not isinstance(start, Constituent):
         start = Constituent(start.parent, start.fiber)
+    return _enumerate_links(start, class_constraint, box, mode)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _enumerate_links(start, class_constraint, box, mode):
     A = start.pgs
     fiber = start.fiber
     fs = start.structure()

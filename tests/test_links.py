@@ -1,12 +1,16 @@
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fanoweb.genset import PrimGenSet, from_polytope
+from fanoweb.genset import PrimGenSet, from_polytope, mori_fiber_structures
 from fanoweb.lattice import UnimodularMap, mat_mul
 from fanoweb.links import (
     Constituent,
     ElementaryLink,
+    _enumerate_links,
     blowdown_link,
     box_primitives,
     conjugate,
@@ -24,6 +28,8 @@ from fanoweb.links import (
     validate_sequence,
 )
 from fanoweb.polytopes import classify, hull
+from fanoweb.web import enumerate_class_polygons
+from test_memo import _clear_memos
 
 U_MAT = UnimodularMap(((-1, 0), (0, 1)))
 S_MAT = UnimodularMap(((0, -1), (1, 0)))
@@ -232,9 +238,51 @@ def test_enumerate_no_1dim_fiber_ii_irr():
 def test_enumerate_deterministic():
     quad1 = from_polytope(ruled_polygon(1))
     start = Constituent(quad1, ((-1, 0), (1, 0)))
-    a = enumerate_links(start, "terminal", box=2)
-    b = enumerate_links(start, "terminal", box=2)
-    assert a == b
+    for box in (1, 2):
+        warm = enumerate_links(start, "terminal", box=box)
+        assert enumerate_links(start, "terminal", box=box) is warm
+        _clear_memos()
+        assert enumerate_links(start, "terminal", box=box) == warm
+
+
+def test_enumerate_refuses_unknown_class():
+    tri = from_polytope(plane_polygon())
+    start = Constituent(tri, tri.points)
+    cached = _enumerate_links.cache_info()
+    with pytest.raises(ValueError, match="unknown class"):
+        enumerate_links(start, "bogus", box=0)
+    assert _enumerate_links.cache_info() == cached
+
+
+# the 8 symmetries of the square |x|, |y| <= box, which keep every box fixed
+SQUARE_SYMMETRIES = tuple(
+    UnimodularMap(m)
+    for a in (1, -1)
+    for b in (1, -1)
+    for m in (((a, 0), (0, b)), ((0, a), (b, 0)))
+)
+
+
+@lru_cache(maxsize=None)
+def _box2_mori_states():
+    """Every (Mori pair, class) of the box-2 canonical and terminal polygons."""
+    return tuple(
+        (Constituent(from_polytope(p), fs.fiber), cls)
+        for cls in ("canonical", "terminal")
+        for p in enumerate_class_polygons(2, cls)
+        for fs in mori_fiber_structures(from_polytope(p))
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(i=st.integers(min_value=0), s=st.sampled_from(SQUARE_SYMMETRIES))
+def test_enumerate_links_is_square_equivariant(i, s):
+    states = _box2_mori_states()
+    c, cls = states[i % len(states)]
+    moved = Constituent(PrimGenSet(2, s.apply_all(c.points)), s.apply_all(c.fiber))
+    assert {l.key() for l in enumerate_links(moved, cls, 2)} == {
+        conjugate(s, l).key() for l in enumerate_links(c, cls, 2)
+    }
 
 
 def test_box_primitives():

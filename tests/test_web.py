@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanoweb.genset import from_polytope, mori_fiber_structures, positively_spans
+from fanoweb.jsonio import certificate_to_json
 from fanoweb.lattice import UnimodularMap
 from fanoweb.links import (
     Constituent,
+    _enumerate_links,
     blowdown_link,
     box_primitives,
     elementary_transform,
@@ -43,6 +45,7 @@ from fanoweb.web import (
     to_standard_form,
     verify_certificate,
 )
+from test_memo import _clear_memos
 
 
 def test_factor_generators():
@@ -391,6 +394,35 @@ def test_bfs_and_connect_agree_on_endpoints():
     assert b is not None
     assert a.chain[0] == b.chain[0] and a.chain[-1] == b.chain[-1]
     assert verify_certificate(a).ok and verify_certificate(b).ok
+
+
+def test_bfs_reuses_each_boxed_neighbourhood():
+    tri, square = plane_polygon(), ruled_polygon(0)
+    sheared = hull([(1, 0), (2, 1), (-1, 0), (-2, -1)])
+    queries = [
+        (square, ruled_polygon(1), "terminal", 2),
+        (tri, hull(GEN_S.apply_all(tri.vertices)), "terminal", 2),
+        (ruled_polygon(1), hull(GEN_U.apply_all(ruled_polygon(1).vertices)), "canonical", 2),
+        # not found at box 1, found at box 2: the box is part of the memo key
+        (square, sheared, "canonical", 1),
+        (square, sheared, "canonical", 2),
+    ]
+
+    def answer(query):
+        cert = bfs_connect(*query)
+        return None if cert is None else certificate_to_json(cert)
+
+    first = [answer(q) for q in queries]
+    assert first[3] is None and first[4] is not None
+    before = _enumerate_links.cache_info()
+    assert [answer(q) for q in queries] == first
+    after = _enumerate_links.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
+    cold = []
+    for q in queries:
+        _clear_memos()
+        cold.append(answer(q))
+    assert cold == first
 
 
 def test_minimal_polygons_admit_mori_structures():
