@@ -631,6 +631,8 @@ def enumerate_links(start, class_constraint="none", box=4, mode="polytope"):
     """
     if class_constraint not in CLASS_NAMES:
         raise ValueError(f"unknown class {class_constraint!r}")
+    if mode not in ("set", "polytope"):
+        raise ValueError(f"unknown link mode {mode!r}")
     if not isinstance(start, Constituent):
         start = Constituent(start.parent, start.fiber)
     return _enumerate_links(start, class_constraint, box, mode)

@@ -254,6 +254,17 @@ def test_enumerate_refuses_unknown_class():
     assert _enumerate_links.cache_info() == cached
 
 
+def test_enumerate_refuses_unknown_mode():
+    # at box 0 no link is ever built, so only the check can refuse the mode
+    tri = from_polytope(plane_polygon())
+    start = Constituent(tri, tri.points)
+    cached = _enumerate_links.cache_info()
+    for box in (0, 1):
+        with pytest.raises(ValueError, match="unknown link mode"):
+            enumerate_links(start, "none", box, "bogus")
+    assert _enumerate_links.cache_info() == cached
+
+
 # the 8 symmetries of the square |x|, |y| <= box, which keep every box fixed
 SQUARE_SYMMETRIES = tuple(
     UnimodularMap(m)

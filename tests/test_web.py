@@ -1,4 +1,6 @@
+import json
 from collections import Counter
+from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations
 
@@ -6,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fanoweb import web
+from fanoweb.cli import main
 from fanoweb.genset import from_polytope, mori_fiber_structures, positively_spans
-from fanoweb.jsonio import certificate_to_json
+from fanoweb.jsonio import certificate_from_json, certificate_to_json, dumps
 from fanoweb.lattice import UnimodularMap
 from fanoweb.links import (
     Constituent,
@@ -20,12 +24,13 @@ from fanoweb.links import (
     sequence_from_steps,
     validate_sequence,
 )
-from fanoweb.polytopes import hull, in_class, normal_form, primitive_points
+from fanoweb.polytopes import classify, hull, in_class, normal_form, primitive_points
 from fanoweb.web import (
     GEN_S,
     GEN_T,
     GEN_U,
     TOKENS,
+    CertificateVerificationError,
     ClassViolationError,
     NoMoriFiberStructureError,
     _bfs_pairs,
@@ -45,6 +50,7 @@ from fanoweb.web import (
     to_standard_form,
     verify_certificate,
 )
+from test_links import _box2_mori_states
 from test_memo import _clear_memos
 
 
@@ -155,11 +161,19 @@ def test_to_standard_form_ruling_normalization():
 
 def test_forward_sequences_all_tokens_all_keys():
     for tok in TOKENS:
-        for key in standard_pairs():
+        g = TOKENS[tok]
+        for key, (std, fiber) in standard_pairs().items():
             seq = forward_sequence(tok, key)
             cls = "canonical" if key == "F2" else "terminal"
             rep = validate_sequence(sequence_from_steps(seq.steps, cls))
             assert rep.ok, (tok, key, rep.failures)
+            end = (hull(g.apply_all(std.vertices)), tuple(sorted(g.apply_all(fiber))))
+            if not seq.steps:  # U fixes the square and its ruling
+                assert end == (std, fiber), (tok, key)
+                continue
+            first, last = seq.steps[0].left, seq.steps[-1].right
+            assert (hull(first.points), first.fiber) == (std, fiber), (tok, key)
+            assert (hull(last.points), last.fiber) == end, (tok, key)
 
 
 def test_generator_moves_no_longer_than_bfs():
@@ -506,11 +520,15 @@ def test_concat_cuts_loop_and_keeps_surrounding_steps():
 _GL_WORDS = st.lists(st.sampled_from(sorted(TOKENS)), max_size=4)
 
 
-def _gl_image(p, word):
+def _gl_map(word):
     g = UnimodularMap.identity(2)
     for t in word:
         g = g.compose(TOKENS[t])
-    return hull(g.apply_all(p.vertices))
+    return g
+
+
+def _gl_image(p, word):
+    return hull(_gl_map(word).apply_all(p.vertices))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -534,6 +552,8 @@ def test_connect_words_never_revisit_a_state(cls, i, j, g, h):
     assert verify_certificate(cert).ok
     assert cert.chain[0] == p and cert.chain[0].vertices == p.vertices
     assert cert.chain[-1] == q and cert.chain[-1].vertices == q.vertices
+    s = dumps(certificate_to_json(cert))
+    assert dumps(certificate_to_json(certificate_from_json(json.loads(s)))) == s
     if p == q:
         return
     k = next(k for k, r in enumerate(cert.relations) if r.witness is not None)
@@ -551,3 +571,80 @@ def test_enumeration_is_gl_equivariant(i, g):
     image = _gl_image(polys[i % len(polys)], g)
     if max(abs(x) for v in image.vertices for x in v) <= 3:
         assert image in set(polys)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(i=st.integers(min_value=0), g=_GL_WORDS)
+def test_to_standard_form_joins_gl_images_to_the_standard_pair(i, g):
+    states = _box2_mori_states()
+    c, cls = states[i % len(states)]
+    m = _gl_map(g)
+    p = hull(m.apply_all(c.points))
+    fiber = tuple(sorted(m.apply_all(c.fiber)))
+    key, u, seq = to_standard_form(p, fiber, cls)
+    std, f_std = standard_pairs()[key]
+    assert hull(u.apply_all(p.vertices)).vertices == std.vertices
+    rep = validate_sequence(sequence_from_steps(seq.steps, cls))
+    assert rep.ok, rep.failures
+    if not seq.steps:
+        assert (p, fiber) == (std, f_std)
+        return
+    first, last = seq.steps[0].left, seq.steps[-1].right
+    assert (hull(first.points), first.fiber) == (p, fiber)
+    assert (hull(last.points), last.fiber) == (std, f_std)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(i=st.integers(min_value=0), g=_GL_WORDS)
+def test_classify_is_gl_invariant(i, g):
+    polys = enumerate_class_polygons(2, "canonical")
+    p = polys[i % len(polys)]
+    assert classify(_gl_image(p, g)) == classify(p)
+
+
+@pytest.fixture
+def faulty_cremona_move(monkeypatch):
+    """The S and U moves on the triangle (the Cremona word) with every link
+    relabelled IV_s, a kind none of them has; memos are cleared around it."""
+    builtin = web._forward_builtin
+
+    def faulty(token, key):
+        seq = builtin(token, key)
+        if key != "P2" or token == "T":
+            return seq
+        return sequence_from_steps([replace(s, kind="IV_s") for s in seq.steps])
+
+    _clear_memos()
+    monkeypatch.setattr(web, "_forward_builtin", faulty)
+    yield
+    _clear_memos()
+
+
+def test_verify_certificate_is_the_one_gate(faulty_cremona_move, tmp_path, capsys):
+    # the triangle and its quarter turn are joined by the Cremona word alone
+    tri = standard_pairs()["P2"][0]
+    moved = hull(GEN_S.apply_all(tri.vertices))
+    with pytest.raises(CertificateVerificationError) as err:
+        connect(tri, moved, "terminal")
+    assert any("link invalid" in msg for _, msg in err.value.failures)
+    paths = []
+    for name, p in (("a.json", tri), ("b.json", moved)):
+        path = tmp_path / name
+        path.write_text(json.dumps({"dim": 2, "points": [list(v) for v in p.vertices]}))
+        paths.append(str(path))
+    assert main(["connect", *paths, "--class", "terminal"]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out["error"]["type"] == "verification"
+    assert any("link invalid" in msg for _, msg in out["error"]["failures"])
+
+
+def test_assemble_refuses_a_sequence_that_misses_the_reductions():
+    tri, square = plane_polygon(), ruled_polygon(0)
+    rp, rq = mmp_reduce(tri, "terminal"), mmp_reduce(square, "terminal")
+    for seq, message in (
+        (sequence_from_steps([]), "empty sequence between distinct reductions"),
+        (forward_sequence("T", "F0"), "does not start at the reduced polygon"),
+        (forward_sequence("T", "P2"), "does not end at the target reduction"),
+    ):
+        with pytest.raises(CertificateVerificationError, match=message):
+            web._assemble(tri, square, rp, rq, seq, "terminal")
