@@ -23,6 +23,16 @@ def vec_gcd(v):
     return g
 
 
+def bezout(a, b):
+    """(g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b == g (extended Euclid)."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, y0, x1, y1 = x1, y1, x0 - q * x1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+
 def primitivize(v):
     """Return (w, k) with w primitive and v == k*w, k >= 1.
 

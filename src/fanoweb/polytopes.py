@@ -13,12 +13,13 @@ incremental hull).  lattice_points scans the widest axis of the bounding box
 last: it walks every prefix of the other coordinates and takes the exact
 interval of that axis from the facets, so it never tests a cell of the box
 and visits the fewest prefixes.  lattice_points_in_hull finds the lattice
-points of a hull of any affine dimension: a lower-dimensional point set is
-counted in integer coordinates of the saturated lattice of its span, where
-its hull is full-dimensional (or an interval), and mapped back.  In 2D the
-canonical and terminal predicates come from Pick's theorem, 2I = 2A - B + 2,
-evaluated on the vertices alone (_pick_counts); in 3D they count lattice
-points.
+points of a hull of any affine dimension: a segment steps by its primitive
+direction, and a polygon in space is counted in integer coordinates of the
+saturated lattice of its plane, where its hull is full-dimensional, and
+mapped back.  In 2D the canonical and terminal predicates come from Pick's
+theorem, 2I = 2A - B + 2, evaluated on the vertices alone (_pick_counts); in
+3D they count lattice points.  normal_form names a GL(d,Z)-orbit by Hermite
+maps over ordered vertex subsets, in 2D in closed form (extended Euclid).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from math import ceil, floor, gcd
 
 from .lattice import (
     _rank_fraction,
+    bezout,
     coordinates_in_basis,
     cross3,
     dot,
@@ -113,12 +115,17 @@ def hull(points):
     bool included).
     """
     pts = [tuple(p) for p in points]
-    # before the memo and the dedup: 1.0 == 1 == True hash alike there
-    if not {int}.issuperset(map(type, chain.from_iterable(pts))):
-        raise ValueError(f"hull needs integer coordinates, got {pts!r}")
+    _require_integers("hull", pts)
     if not pts:
         raise ValueError("hull of no points")
     return _hull(tuple(sorted(dict.fromkeys(pts))))
+
+
+def _require_integers(caller, pts):
+    """Raise ValueError unless every coordinate is an int.  Callers check
+    before their memo or dedup, where 1.0 == 1 == True hash alike."""
+    if not {int}.issuperset(map(type, chain.from_iterable(pts))):
+        raise ValueError(f"{caller} needs integer coordinates, got {pts!r}")
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -244,29 +251,45 @@ def lattice_points_in_hull(points):
     """All lattice points of conv(points), in any affine dimension, sorted
     lexicographically; () for no points.
 
-    A full-dimensional input is the hull's own lattice_points.  Otherwise the
-    points are written in integer coordinates of the saturated lattice of
-    their span (base: the first point), the points of that full-dimensional
-    hull (or, in intrinsic dimension 1, of the integer interval) are found
-    there and mapped back.
+    A full-dimensional input is the hull's own lattice_points.  A segment
+    (any collinear set) runs from its least point a to its greatest b in
+    steps of the primitive (b - a) / gcd(b - a), already in order.  A
+    polygon in space is counted in its plane (_lattice_points_in_plane).
+    Raises ValueError as hull does for mixed lengths or a coordinate that is
+    not an int.
     """
-    pts = list(dict.fromkeys(tuple(p) for p in points))
-    if not pts:
-        return ()
-    try:
-        return lattice_points(hull(pts))
-    except DegenerateHullError as e:
-        if e.affine_dim == 0:
-            return (pts[0],)
+    pts = [tuple(p) for p in points]
+    _require_integers("lattice_points_in_hull", pts)
+    pts = list(dict.fromkeys(pts))
+    if len(pts) > 2:
+        try:
+            return lattice_points(hull(pts))
+        except DegenerateHullError as e:
+            if e.affine_dim == 2:
+                return _lattice_points_in_plane(pts)
+    elif len(pts) < 2:
+        return tuple(pts)
+    a, b = min(pts), max(pts)
+    if len(a) != len(b):
+        raise ValueError(f"points of different lengths: {[len(a), len(b)]}")
+    # coordinate i runs from a[i] to b[i] in g equal integer steps
+    g = vec_gcd(vec_sub(b, a))
+    axes = [
+        range(x, y + (y - x) // g, (y - x) // g) if x != y else (x,) * (g + 1)
+        for x, y in zip(a, b)
+    ]
+    return tuple(zip(*axes))
+
+
+def _lattice_points_in_plane(pts):
+    """Lattice points of a polygon in Z^3, counted in integer coordinates of
+    the saturated lattice of its span (base: the first point)."""
     base = pts[0]
     diffs = [vec_sub(p, base) for p in pts[1:]]
     basis = saturate_span(diffs)
-    coords = [(0,) * len(basis)] + [coordinates_in_basis(v, basis) for v in diffs]
-    if len(basis) == 1:
-        inner = [(c,) for c in range(min(coords)[0], max(coords)[0] + 1)]
-    else:
-        inner = lattice_points(hull(coords))
+    coords = [(0, 0)] + [coordinates_in_basis(v, basis) for v in diffs]
     axes = list(zip(*basis))
+    inner = lattice_points(hull(coords))
     return tuple(sorted(tuple(b + dot(c, axis) for b, axis in zip(base, axes)) for c in inner))
 
 
@@ -476,24 +499,52 @@ def normal_form(p):
     """Canonical representative of the GL(d,Z)-orbit of p.
 
     Over all ordered d-subsets of vertices with nonzero determinant, apply
-    the unique unimodular map putting the subset matrix in Hermite form and
-    keep the lexicographically smallest canonically ordered image.  The
-    result is constant on unimodular orbits.
+    the unique unimodular map u putting the subset matrix in Hermite form and
+    keep the lexicographically smallest image in canonical vertex order.  The
+    result is constant on unimodular orbits.  A unimodular map sends vertices
+    to vertices, so each candidate is ordered without a hull and only the
+    winner is hulled.
     """
-    d = p.dim
-    best = None
-    best_poly = None
-    verts = p.vertices
-    for cols in permutations(verts, d):
-        m = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
-        if mat_det(m) == 0:
-            continue
-        u, _ = row_hermite(m)
-        moved = [mat_vec(u, v) for v in verts]
-        cand = hull(moved)
-        if best is None or cand.vertices < best:
-            best = cand.vertices
-            best_poly = cand
-    if best_poly is None:
+    image = _planar_image if p.dim == 2 else _spatial_image
+    best = min(
+        filter(None, (image(cols, p.vertices) for cols in permutations(p.vertices, p.dim))),
+        default=None,
+    )
+    if best is None:
         raise ValueError("polytope has no spanning vertex subset")
-    return best_poly
+    return hull(best)
+
+
+def _planar_image(cols, verts):
+    """u(verts) counter-clockwise from the lexicographic minimum (the order of
+    hull), or None when the columns (a, b), (c, e) are dependent.
+
+    u has the closed form: row 0 a Bezout pair (x, y) of (a, b), row 1 the
+    primitive vector orthogonal to (a, b) with positive product on (c, e),
+    and row 0 reduced by that row so the Hermite entry above the second pivot
+    lies in [0, pivot).  For a nonsingular matrix u is unique, so it equals
+    the transform row_hermite finds.  u reverses orientation when det < 0.
+    """
+    (a, b), (c, e) = cols
+    det = a * e - b * c
+    if det == 0:
+        return None
+    g, x, y = bezout(a, b)
+    s, t = (-b // g, a // g) if det > 0 else (b // g, -a // g)
+    q = (x * c + y * e) // (abs(det) // g)
+    x, y = x - q * s, y - q * t
+    moved = [(x * vx + y * vy, s * vx + t * vy) for vx, vy in verts]
+    if det < 0:
+        moved.reverse()
+    k = moved.index(min(moved))
+    return tuple(moved[k:] + moved[:k])
+
+
+def _spatial_image(cols, verts):
+    """u(verts) sorted (the order of hull), u the row Hermite transform of the
+    matrix with columns cols, or None when they are dependent."""
+    m = tuple(zip(*cols))
+    if mat_det(m) == 0:
+        return None
+    u, _ = row_hermite(m)
+    return tuple(sorted(mat_vec(u, v) for v in verts))

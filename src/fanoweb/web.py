@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import gcd
 
 from .genset import from_polytope, mori_fiber_structures, polytope_reduction
-from .lattice import UnimodularMap, mat_inverse_unimodular, mat_mul, mat_vec, row_hermite
+from .lattice import UnimodularMap, bezout, mat_inverse_unimodular, mat_mul, mat_vec
 from .links import (
     HORIZONTAL_FIBER,
     Constituent,
@@ -497,8 +497,9 @@ def _assemble(p, q, rp, rq, seq, class_constraint):
 
     With no link steps the two reductions end at the same polygon, and they
     are joined at their first common member instead.  A sequence that does
-    not join the two reductions raises CertificateVerificationError: the
-    certificate alone cannot show which polygons it was meant to join.
+    not chain or does not join the two reductions raises
+    CertificateVerificationError: the certificate alone cannot show which
+    polygons it was meant to join.
     """
     chain = [p]
     relations = []
@@ -510,7 +511,10 @@ def _assemble(p, q, rp, rq, seq, class_constraint):
         chain.append(poly)
         relations.append(Relation("supset_dot", removed, ("reduction",)))
     if seq.steps:
-        panels, rels = sequence_panels(seq)
+        try:
+            panels, rels = sequence_panels(seq)
+        except ValueError as e:  # the joints of seq do not chain
+            raise _endpoint_fault(chain, str(e)) from None
         first = _hull_of(panels[0].points)
         if first != chain[-1]:
             raise _endpoint_fault(chain, "sequence does not start at the reduced polygon")
@@ -702,10 +706,10 @@ def _classes():
 
 
 def _basis_partners(a, box):
-    """The points b of the box with det(a, b) = +-1: +-b0 + t a, with b0 from
-    the Hermite transform u of the column a (u a = e1, extended Euclid) and t
-    in the interval that keeps the larger coordinate of a in the box."""
-    (p, q), _ = row_hermite(((a[0],), (a[1],)))[0]
+    """The points b of the box with det(a, b) = +-1: +-b0 + t a, with b0
+    = (-q, p) from a Bezout pair p a0 + q a1 = 1 of the primitive a and t in
+    the interval that keeps the larger coordinate of a in the box."""
+    _, p, q = bezout(*a)
     i = 0 if abs(a[0]) >= abs(a[1]) else 1
     for b0 in ((-q, p), (q, -p)):
         c, z = (a[i], b0[i]) if a[i] > 0 else (-a[i], -b0[i])

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fanoweb.genset import PrimGenSet, fiber_structure_for, from_polytope
+from fanoweb.genset import PrimGenSet, fiber_structure_for, fiber_structures, from_polytope
 from fanoweb.jsonio import (
     certificate_from_json,
     certificate_to_json,
@@ -19,9 +19,10 @@ from fanoweb.jsonio import (
     sequence_from_json,
     sequence_to_json,
 )
-from fanoweb.links import blowdown_link, elementary_transform, sequence_from_steps
+from fanoweb.links import blowdown_link, elementary_transform, enumerate_links, sequence_from_steps
 from fanoweb.polytopes import hull, polar_dual
-from fanoweb.web import GEN_S, connect, plane_polygon, ruled_polygon
+from fanoweb.web import GEN_S, connect, enumerate_class_polygons, plane_polygon, ruled_polygon
+from test_links import _box2_mori_states
 
 
 def test_polytope_roundtrip_and_hull_on_load():
@@ -86,6 +87,23 @@ def test_certificate_roundtrip():
     assert back == cert
     # serialization is canonical: identical objects give identical bytes
     assert dumps(data) == dumps(certificate_to_json(back))
+
+
+def test_box2_links_and_fiber_structures_round_trip_verbatim():
+    """Every link from a box-2 Mori state and every fiber structure of a
+    box-2 canonical polygon reads back to the same JSON, byte for byte."""
+    links = [link for c, cls in _box2_mori_states() for link in enumerate_links(c, cls, 2)]
+    structures = [
+        fs for p in enumerate_class_polygons(2, "canonical") for fs in fiber_structures(from_polytope(p))
+    ]
+    assert links and structures
+    for items, to_json, from_json in (
+        (links, link_to_json, link_from_json),
+        (structures, fiber_structure_to_json, fiber_structure_from_json),
+    ):
+        for x in items:
+            s = dumps(to_json(x))
+            assert dumps(to_json(from_json(json.loads(s)))) == s
 
 
 def test_rational_vertices_encoding():

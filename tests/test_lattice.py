@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from fanoweb.lattice import (
     UnimodularMap,
     _rank_fraction,
+    bezout,
     coordinates_in_basis,
     in_span,
     mat_det,
@@ -29,6 +30,16 @@ def test_primitivize_basic():
     assert primitivize((4, -6)) == ((2, -3), 2)
     assert primitivize((-2, 0, -1)) == ((-2, 0, -1), 1)
     assert primitivize((0, 7)) == ((0, 1), 7)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(a=st.integers(-10**6, 10**6), b=st.integers(-10**6, 10**6))
+@example(a=0, b=0)
+@example(a=0, b=-7)
+@example(a=-75025, b=46368)
+def test_bezout_pair(a, b):
+    g, x, y = bezout(a, b)
+    assert g == gcd(a, b) and x * a + y * b == g
 
 
 def test_primitivize_zero_vector_errors():

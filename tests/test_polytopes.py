@@ -1,11 +1,12 @@
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fanoweb.lattice import mat_det, mat_vec, row_hermite
 from fanoweb.polytopes import (
     DegenerateHullError,
     _pick_counts,
@@ -25,6 +26,7 @@ from fanoweb.polytopes import (
     primitive_points_in_hull,
     rational_polar_dual,
 )
+from test_web import _GL_WORDS, _gl_map
 
 TRIANGLE = [(1, 0), (0, 1), (-1, -1)]          # plane polygon
 SQUARE = [(1, 0), (0, 1), (-1, 0), (0, -1)]    # the two-ruling polygon
@@ -414,6 +416,8 @@ def _affine_sets(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(pts=_affine_sets())
 @example(pts=[(1, -2)])
+@example(pts=[(0, 0), (12, -18)])
+@example(pts=[(4, -2, 6), (0, 0, 0)])
 @example(pts=[(2, -1, 0), (-2, 1, 0)])
 @example(pts=[(0, 0, 0), (2, 2, 0), (0, 0, 2)])
 @example(pts=[(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (-2, 0, -1)])
@@ -429,6 +433,8 @@ def test_lattice_points_in_hull_match_caratheodory_cells(pts):
     word=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 1), st.sampled_from((-3, -1, 1, 2))), max_size=6),
     flip=st.booleans(),
 )
+@example(pts=[(0, 0), (12, -18)], word=[(0, 0, 2)], flip=True)
+@example(pts=[(4, -2, 6), (0, 0, 0)], word=[(1, 1, -3), (2, 0, 1)], flip=False)
 def test_lattice_points_in_hull_commute_with_unimodular_maps(pts, word, flip):
     d = len(pts[0])
 
@@ -441,6 +447,61 @@ def test_lattice_points_in_hull_commute_with_unimodular_maps(pts, word, flip):
         return tuple(x)
 
     assert lattice_points_in_hull([g(x) for x in pts]) == tuple(sorted(map(g, lattice_points_in_hull(pts))))
+
+
+def _reference_normal_form(p):
+    """The hull of the least image over every ordered d-subset of vertices
+    with nonzero determinant, mapped by the row_hermite transform of the
+    subset matrix, images compared by their hull's vertex tuple."""
+    best = None
+    for cols in permutations(p.vertices, p.dim):
+        m = tuple(zip(*cols))
+        if mat_det(m) == 0:
+            continue
+        cand = hull([mat_vec(row_hermite(m)[0], v) for v in p.vertices])
+        if best is None or cand.vertices < best.vertices:
+            best = cand
+    return best
+
+
+def _hull_or_reject(pts):
+    try:
+        return hull(pts)
+    except DegenerateHullError:
+        assume(False)
+
+
+_TRIANGLE_T50 = [(x + 50 * y, y) for x, y in TRIANGLE]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pts=st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20)), min_size=3, max_size=8))
+@example(pts=_TRIANGLE_T50)
+@example(pts=[(0, 0), (20, 1), (1, 20)])
+def test_normal_form_matches_reference_2d(pts):
+    p = _hull_or_reject(pts)
+    assert normal_form(p).vertices == _reference_normal_form(p).vertices
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(pts=st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=4, max_size=6))
+@example(pts=[V[1], V[2], V[3], V[5], V[7]])
+def test_normal_form_matches_reference_3d(pts):
+    p = _hull_or_reject(pts)
+    assert normal_form(p).vertices == _reference_normal_form(p).vertices
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(pts=st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=3, max_size=6), word=_GL_WORDS)
+@example(pts=TRIANGLE, word=["T"] * 50)
+@example(pts=QUAD1, word=["T", "S", "T^-1", "S^-1"] * 10)  # Fibonacci entries up to 10,946
+@example(pts=QUAD2, word=["S", "T^-1", "U", "T"])
+def test_normal_form_of_gl_images_matches_reference(pts, word):
+    p = _hull_or_reject(pts)
+    image = hull(_gl_map(word).apply_all(p.vertices))
+    nf = normal_form(image)
+    assert nf.vertices == _reference_normal_form(image).vertices
+    assert nf == normal_form(p)
 
 
 def test_normal_form_orbit_constancy():

@@ -602,17 +602,16 @@ def test_classify_is_gl_invariant(i, g):
     assert classify(_gl_image(p, g)) == classify(p)
 
 
-@pytest.fixture
-def faulty_cremona_move(monkeypatch):
-    """The S and U moves on the triangle (the Cremona word) with every link
-    relabelled IV_s, a kind none of them has; memos are cleared around it."""
+def _patch_cremona_move(monkeypatch, edit):
+    """Replace the steps of the S and U moves on the triangle (the Cremona
+    word) by edit(steps); memos are cleared around it."""
     builtin = web._forward_builtin
 
     def faulty(token, key):
         seq = builtin(token, key)
         if key != "P2" or token == "T":
             return seq
-        return sequence_from_steps([replace(s, kind="IV_s") for s in seq.steps])
+        return sequence_from_steps(edit(seq.steps))
 
     _clear_memos()
     monkeypatch.setattr(web, "_forward_builtin", faulty)
@@ -620,22 +619,48 @@ def faulty_cremona_move(monkeypatch):
     _clear_memos()
 
 
-def test_verify_certificate_is_the_one_gate(faulty_cremona_move, tmp_path, capsys):
-    # the triangle and its quarter turn are joined by the Cremona word alone
+@pytest.fixture
+def faulty_cremona_move(monkeypatch):
+    """Every link of the Cremona word relabelled IV_s, a kind none has."""
+    yield from _patch_cremona_move(monkeypatch, lambda steps: [replace(s, kind="IV_s") for s in steps])
+
+
+@pytest.fixture
+def broken_cremona_joint(monkeypatch):
+    """The Cremona word without its second step, so its joints do not chain."""
+    yield from _patch_cremona_move(monkeypatch, lambda steps: steps[:1] + steps[2:])
+
+
+def _connect_triangle_to_quarter_turn(tmp_path, capsys):
+    """connect's exception and the `fanoweb connect` exit code and JSON for
+    the triangle and its quarter turn, joined by the Cremona word alone."""
     tri = standard_pairs()["P2"][0]
     moved = hull(GEN_S.apply_all(tri.vertices))
     with pytest.raises(CertificateVerificationError) as err:
         connect(tri, moved, "terminal")
-    assert any("link invalid" in msg for _, msg in err.value.failures)
     paths = []
     for name, p in (("a.json", tri), ("b.json", moved)):
         path = tmp_path / name
         path.write_text(json.dumps({"dim": 2, "points": [list(v) for v in p.vertices]}))
         paths.append(str(path))
-    assert main(["connect", *paths, "--class", "terminal"]) == 3
-    out = json.loads(capsys.readouterr().out)
+    code = main(["connect", *paths, "--class", "terminal"])
+    return err.value, code, json.loads(capsys.readouterr().out)
+
+
+def test_verify_certificate_is_the_one_gate(faulty_cremona_move, tmp_path, capsys):
+    err, code, out = _connect_triangle_to_quarter_turn(tmp_path, capsys)
+    assert any("link invalid" in msg for _, msg in err.failures)
+    assert code == 3
     assert out["error"]["type"] == "verification"
     assert any("link invalid" in msg for _, msg in out["error"]["failures"])
+
+
+def test_broken_joint_is_a_verification_error(broken_cremona_joint, tmp_path, capsys):
+    err, code, out = _connect_triangle_to_quarter_turn(tmp_path, capsys)
+    assert any("do not chain" in msg for _, msg in err.failures)
+    assert code == 3
+    assert out["error"]["type"] == "verification"
+    assert any("do not chain" in msg for _, msg in out["error"]["failures"])
 
 
 def test_assemble_refuses_a_sequence_that_misses_the_reductions():
