@@ -7,7 +7,8 @@ matrix whose columns are some vectors, its transform spans the integer
 vectors orthogonal to them, which gives saturated spans, quotient
 projections with free cokernel, integer right inverses and deterministic
 (HNF-normalized) bases; back-substitution on the Hermite form of a basis
-gives integer coordinates in it.
+gives integer coordinates in it.  In the plane, saturated spans and span
+tests against one vector have closed forms (determinants and a gcd).
 """
 
 from __future__ import annotations
@@ -189,6 +190,14 @@ def saturate_span(vectors):
     if not vecs:
         raise ValueError("saturate_span needs at least one vector")
     d = len(vecs[0])
+    if d == 2 and any(map(any, vecs)):
+        # closed form in the plane: the identity for rank 2, else the
+        # primitive vector of the line with its first nonzero entry positive
+        v = next(w for w in vecs if any(w))
+        if any(v[0] * w[1] != v[1] * w[0] for w in vecs):
+            return ((1, 0), (0, 1))
+        p, _ = primitivize(v)
+        return (p if p > (0, 0) else (-p[0], -p[1]),)
     u, _, rank = _hermite_of_columns(vecs, d)
     if rank == 0:
         raise ValueError("cannot saturate the span of zero vectors")
@@ -328,6 +337,9 @@ def in_span(v, basis):
         return True
     if not basis:
         return False
+    if len(v) == 2 and len(basis) == 1:  # a determinant test in the plane
+        b = basis[0]
+        return any(b) and v[0] * b[1] == v[1] * b[0]
     return _rank_fraction(list(basis)) == _rank_fraction(list(basis) + [v])
 
 

@@ -29,6 +29,7 @@ from .genset import (
     positively_spans,
 )
 from .lattice import (
+    UnimodularMap,
     in_span,
     is_primitive,
     mat_mul,
@@ -391,6 +392,17 @@ def ruled_polygon(m):
     return hull([E1, E2, (-1, 0), (-m, -1)])
 
 
+def standard_pairs():
+    """The four standard Mori fiber polygons with their standard fibers."""
+    tri = plane_polygon()
+    return {
+        "P2": (tri, from_polytope(tri).points),
+        "F0": (ruled_polygon(0), HORIZONTAL_FIBER),
+        "F1": (ruled_polygon(1), HORIZONTAL_FIBER),
+        "F2": (ruled_polygon(2), HORIZONTAL_FIBER),
+    }
+
+
 def slide_link(start, end):
     """The II_ni link moving one point of a ruled set by one step.
 
@@ -628,6 +640,13 @@ def enumerate_links(start, class_constraint="none", box=4, mode="polytope"):
     growing II and III shapes) are drawn from the coordinate box.  The
     output is deduplicated and sorted, so it is deterministic.  It is
     computed once per (start, class, box, mode) and shared afterwards.
+
+    Planar starts in polytope mode under the canonical or terminal class
+    read a table: each such Mori pair is g(s) for one of four standard
+    pairs s, links are GL(2,Z)-equivariant, so its links are g applied to
+    the links out of s, kept when their added points lie in the box.
+    Every other input (3D, set mode, the other classes) runs the candidate
+    loop; the table's box independence is shown for those two classes only.
     """
     if class_constraint not in CLASS_NAMES:
         raise ValueError(f"unknown class {class_constraint!r}")
@@ -640,11 +659,69 @@ def enumerate_links(start, class_constraint="none", box=4, mode="polytope"):
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _enumerate_links(start, class_constraint, box, mode):
+    if not start.structure().mori:
+        raise ValueError("link enumeration starts from a Mori fiber structure")
+    if box < 0:
+        raise ValueError(f"box must be nonnegative, got {box}")
+    if start.pgs.dim == 2 and mode == "polytope" and class_constraint in ("canonical", "terminal"):
+        return _table_links(start, class_constraint, box)
+    return _candidate_links(start, class_constraint, box, mode)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _link_table(class_constraint):
+    """The links out of each standard pair, by key.  Their added points all
+    lie in box 2: the tests find the same links at box 6."""
+    return {
+        key: _candidate_links(Constituent(from_polytope(p), fiber), class_constraint, 2, "polytope")
+        for key, (p, fiber) in standard_pairs().items()
+    }
+
+
+def _frame(start):
+    """(key, g) with g mapping the standard pair key onto start whenever
+    start is an image of one; the caller checks that it is.
+
+    g sends e1 to a fiber point f and e2 to the point t with det(f, t) = 1,
+    which is all for P2.  For F_m the fourth point is then g(k, -1), so
+    m = -k, or m = k once g also sends e1 to -f.
+    """
+    pts, fiber = start.points, start.fiber
+    f = fiber[0]
+    t = next((p for p in pts if f[0] * p[1] - f[1] * p[0] == 1), None)
+    if t is None:
+        return None, None
+    key = "P2"
+    if len(pts) == 4:  # a planar Mori pair has 3 points, all fiber, or 4 and 2
+        c = next(p for p in pts if p not in fiber and p != t)
+        k = t[1] * c[0] - t[0] * c[1]
+        key = f"F{abs(k)}"
+        if k > 0:
+            f = (-f[0], -f[1])
+    return key, UnimodularMap(((f[0], t[0]), (f[1], t[1])))
+
+
+def _table_links(start, class_constraint, box):
+    """The links of start's standard pair moved onto start, kept when their
+    added points lie in the box."""
+    key, g = _frame(start)
+    moved = [conjugate(g, link) for link in _link_table(class_constraint).get(key, ())]
+    # every table link starts at the standard pair: this checks g(s) == start
+    if moved and moved[0].left != start:
+        return ()
+    kept = []
+    for link in moved:
+        added = {p for c in (link.middle, link.right) if c is not None for p in c.points}
+        if all(abs(x) <= box for p in added.difference(start.points) for x in p):
+            kept.append(link)
+    return tuple(sorted(kept, key=ElementaryLink.key))
+
+
+def _candidate_links(start, class_constraint, box, mode):
+    """The links out of a Mori start, found by building and validating every
+    candidate; the table's source and its reference in the tests."""
     A = start.pgs
     fiber = start.fiber
-    fs = start.structure()
-    if not fs.mori:
-        raise ValueError("link enumeration starts from a Mori fiber structure")
     d = A.dim
     cls = class_constraint
     found = {}

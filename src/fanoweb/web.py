@@ -22,7 +22,6 @@ from math import gcd
 from .genset import from_polytope, mori_fiber_structures, polytope_reduction
 from .lattice import UnimodularMap, bezout, mat_inverse_unimodular, mat_mul, mat_vec
 from .links import (
-    HORIZONTAL_FIBER,
     Constituent,
     LinkSequence,
     _set_purity,
@@ -39,6 +38,7 @@ from .links import (
     sequence_from_steps,
     sequence_panels,
     slide_link,
+    standard_pairs,
     validate_sequence,
 )
 from .polytopes import (
@@ -85,17 +85,6 @@ class CertificateVerificationError(Exception):
     def __init__(self, failures):
         super().__init__(f"certificate failed verification: {failures}")
         self.failures = failures
-
-
-def standard_pairs():
-    """The four standard Mori fiber polygons with their standard fibers."""
-    tri = plane_polygon()
-    return {
-        "P2": (tri, from_polytope(tri).points),
-        "F0": (ruled_polygon(0), HORIZONTAL_FIBER),
-        "F1": (ruled_polygon(1), HORIZONTAL_FIBER),
-        "F2": (ruled_polygon(2), HORIZONTAL_FIBER),
-    }
 
 
 STANDARD_KEYS = ("P2", "F0", "F1", "F2")

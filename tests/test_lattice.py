@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fanoweb.lattice import (
     UnimodularMap,
+    _hermite_of_columns,
     _rank_fraction,
     bezout,
     coordinates_in_basis,
@@ -309,3 +310,48 @@ def test_mat_inverse_unimodular_inverts(d, seed):
     doubled = (tuple(2 * x for x in m[0]),) + m[1:]
     with pytest.raises(ValueError):
         mat_inverse_unimodular(doubled)
+
+
+@st.composite
+def _plane_vectors(draw):
+    """One to three vectors of Z^2: free ones, zero vectors, and multiples
+    (often negative) of earlier ones."""
+    vecs = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("free", "zero", "multiple") if vecs else ("free", "zero")))
+        if kind == "free":
+            v = tuple(draw(st.lists(st.integers(-6, 6), min_size=2, max_size=2)))
+        elif kind == "zero":
+            v = (0, 0)
+        else:
+            k = draw(st.integers(-3, 3))
+            v = tuple(k * x for x in draw(st.sampled_from(vecs)))
+        vecs.append(v)
+    return vecs
+
+
+def _hermite_saturation(vecs):
+    """The saturated span by the Hermite route every dimension can take,
+    or None for zero vectors."""
+    u, _, rank = _hermite_of_columns(vecs, 2)
+    if rank == 0:
+        return None
+    w, _, _ = _hermite_of_columns(u[rank:], 2)
+    return row_hermite(w[2 - rank:])[1]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(vecs=_plane_vectors(), v=st.tuples(st.integers(-6, 6), st.integers(-6, 6)))
+@example(vecs=[(-2, 4), (1, -2)], v=(3, -6))
+@example(vecs=[(0, 0), (0, -3)], v=(0, 5))
+@example(vecs=[(0, 0)], v=(1, 1))
+def test_plane_span_closed_forms_match_the_hermite_route(vecs, v):
+    expected = _hermite_saturation(vecs)
+    if expected is None:
+        with pytest.raises(ValueError):
+            saturate_span(vecs)
+    else:
+        assert saturate_span(vecs) == expected
+    for b in vecs:
+        bareiss = not any(v) or _rank_fraction([b]) == _rank_fraction([b, v])
+        assert in_span(v, [b]) == bareiss

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from fanoweb.genset import PrimGenSet, from_polytope, mori_fiber_structures
 from fanoweb.lattice import UnimodularMap, mat_mul
 from fanoweb.links import (
+    HORIZONTAL_FIBER,
     Constituent,
     ElementaryLink,
+    _candidate_links,
     _enumerate_links,
     blowdown_link,
     box_primitives,
@@ -24,6 +26,7 @@ from fanoweb.links import (
     sequence_from_steps,
     sequence_panels,
     slide_link,
+    standard_pairs,
     validate_link,
     validate_sequence,
 )
@@ -294,6 +297,61 @@ def test_enumerate_links_is_square_equivariant(i, s):
     assert {l.key() for l in enumerate_links(moved, cls, 2)} == {
         conjugate(s, l).key() for l in enumerate_links(c, cls, 2)
     }
+
+
+def _keys(links):
+    return [l.key() for l in links]
+
+
+@pytest.mark.parametrize("box", [2, 4])
+def test_table_links_equal_the_candidate_loop(box):
+    for c, cls in _box2_mori_states():
+        assert _keys(enumerate_links(c, cls, box)) == _keys(_candidate_links(c, cls, box, "polytope"))
+
+
+@pytest.mark.parametrize("cls, counts", [("canonical", (3, 5, 5, 2)), ("terminal", (3, 5, 3, 0))])
+def test_links_out_of_the_standard_pairs_do_not_depend_on_the_box(cls, counts):
+    got = []
+    for poly, fiber in standard_pairs().values():
+        start = Constituent(from_polytope(poly), fiber)
+        links = _candidate_links(start, cls, 2, "polytope")
+        assert _keys(_candidate_links(start, cls, 6, "polytope")) == _keys(links)
+        assert _keys(enumerate_links(start, cls, 6)) == _keys(links)
+        got.append(len(links))
+    assert tuple(got) == counts
+
+
+def test_set_mode_runs_the_candidate_loop():
+    differs = 0
+    for c, cls in _box2_mori_states():
+        links = enumerate_links(c, cls, 2, "set")
+        assert _keys(links) == _keys(_candidate_links(c, cls, 2, "set"))
+        # the keys without their mode
+        as_polytope = {(l.kind, *l.key()[2:]) for l in enumerate_links(c, cls, 2)}
+        differs += {(l.kind, *l.key()[2:]) for l in links} != as_polytope
+    # set mode finds links that the polytope-mode table cannot give
+    assert differs > 0
+
+
+def test_negative_box_is_refused_on_every_path():
+    tri = from_polytope(plane_polygon())
+    start = Constituent(tri, tri.points)
+    for cls, mode in (("canonical", "polytope"), ("terminal", "polytope"), ("none", "polytope"), ("canonical", "set")):
+        with pytest.raises(ValueError, match="box must be nonnegative"):
+            enumerate_links(start, cls, -1, mode)
+
+
+def test_starts_outside_the_table():
+    # the third ruled polygon is neither canonical nor terminal: no links
+    start = Constituent(from_polytope(ruled_polygon(3)), HORIZONTAL_FIBER)
+    assert start.structure().mori
+    for cls in ("canonical", "terminal"):
+        assert enumerate_links(start, cls, 2) == ()
+        assert _candidate_links(start, cls, 2, "polytope") == ()
+    # the square with its whole set as fiber is no Mori fiber structure
+    square = from_polytope(ruled_polygon(0))
+    with pytest.raises(ValueError, match="Mori fiber structure"):
+        enumerate_links(Constituent(square, square.points), "canonical", 2)
 
 
 def test_box_primitives():

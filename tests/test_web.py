@@ -18,6 +18,7 @@ from fanoweb.links import (
     _enumerate_links,
     blowdown_link,
     box_primitives,
+    conjugate_sequence,
     elementary_transform,
     plane_polygon,
     ruled_polygon,
@@ -32,7 +33,9 @@ from fanoweb.web import (
     TOKENS,
     CertificateVerificationError,
     ClassViolationError,
+    ConnectCertificate,
     NoMoriFiberStructureError,
+    Relation,
     _bfs_pairs,
     _classes,
     _minimal_classes,
@@ -562,6 +565,40 @@ def test_connect_words_never_revisit_a_state(cls, i, j, g, h):
     relations[k] = Relation(r.rel, (r.witness[0] + 1, r.witness[1]), r.origin)
     tampered = ConnectCertificate(cert.chain, tuple(relations), cert.sequence, cls)
     assert not verify_certificate(tampered).ok
+
+
+def _moved_certificate(g, cert):
+    """The image of a certificate under g: its chain, witnesses and links."""
+    return ConnectCertificate(
+        tuple(hull(g.apply_all(p.vertices)) for p in cert.chain),
+        tuple(
+            Relation(r.rel, None if r.witness is None else g.apply(r.witness), r.origin)
+            for r in cert.relations
+        ),
+        conjugate_sequence(g, cert.sequence),
+        cert.class_constraint,
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    cls=st.sampled_from(["canonical", "terminal"]),
+    i=st.integers(min_value=0),
+    j=st.integers(min_value=0),
+    g=st.lists(st.sampled_from(sorted(TOKENS)), min_size=1, max_size=6),
+)
+def test_certificates_are_gl_equivariant(cls, i, j, g):
+    polys = enumerate_class_polygons(2, cls)
+    cert = connect(polys[i % len(polys)], polys[j % len(polys)], cls)
+    image = _moved_certificate(_gl_map(g), cert)
+    assert verify_certificate(image).ok
+    k = next((k for k, r in enumerate(image.relations) if r.witness is not None), None)
+    if k is None:
+        return
+    r = image.relations[k]
+    relations = list(image.relations)
+    relations[k] = Relation(r.rel, (r.witness[0] + 1, r.witness[1]), r.origin)
+    assert not verify_certificate(replace(image, relations=tuple(relations))).ok
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
