@@ -66,6 +66,9 @@ def cross3(u, v):
 
 
 def mat_vec(m, v):
+    if len(m) == 2 == len(v):  # the planar case, in closed form
+        (a, b), (c, d) = m
+        return (a * v[0] + b * v[1], c * v[0] + d * v[1])
     return tuple(dot(row, v) for row in m)
 
 
@@ -352,6 +355,9 @@ def coordinates_in_basis(v, basis):
     column (a remainder shows there), then c = y * u.  Returns None when v
     is not an integer combination of the basis.
     """
+    if len(basis) == 1:  # one exact division on the first nonzero entry
+        c = next((y // x for x, y in zip(basis[0], v) if x), 0)
+        return (c,) if all(c * x == y for x, y in zip(basis[0], v)) else None
     u, h = row_hermite(basis)
     y = []
     for row in h:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from .genset import (
     InvalidFiberStructure,
@@ -608,21 +609,18 @@ def sequence_panels(seq):
 # ---------------------------------------------------------------------------
 
 
+def check_box(box):
+    """Refuse a box that is negative or no int (True and 2.0 are not) before
+    any memo, where True, 1.0 and 1 hash alike."""
+    if type(box) is not int or box < 0:
+        raise ValueError(f"box must be nonnegative and an int, got {box!r}")
+
+
 def box_primitives(box, dim):
-    if box < 0:
-        raise ValueError(f"box must be nonnegative, got {box}")
-    out = []
-    rng = range(-box, box + 1)
-    if dim == 2:
-        candidates = ((x, y) for x in rng for y in rng)
-    elif dim == 3:
-        candidates = ((x, y, z) for x in rng for y in rng for z in rng)
-    else:
+    check_box(box)
+    if dim not in (2, 3):
         raise ValueError("enumeration supports dimensions 2 and 3")
-    for c in candidates:
-        if is_primitive(c):
-            out.append(c)
-    return tuple(out)
+    return tuple(c for c in product(range(-box, box + 1), repeat=dim) if is_primitive(c))
 
 
 def _try_link(kind, left, middle, right, mode, cls):
@@ -652,6 +650,7 @@ def enumerate_links(start, class_constraint="none", box=4, mode="polytope"):
         raise ValueError(f"unknown class {class_constraint!r}")
     if mode not in ("set", "polytope"):
         raise ValueError(f"unknown link mode {mode!r}")
+    check_box(box)
     if not isinstance(start, Constituent):
         start = Constituent(start.parent, start.fiber)
     return _enumerate_links(start, class_constraint, box, mode)
@@ -661,8 +660,6 @@ def enumerate_links(start, class_constraint="none", box=4, mode="polytope"):
 def _enumerate_links(start, class_constraint, box, mode):
     if not start.structure().mori:
         raise ValueError("link enumeration starts from a Mori fiber structure")
-    if box < 0:
-        raise ValueError(f"box must be nonnegative, got {box}")
     if start.pgs.dim == 2 and mode == "polytope" and class_constraint in ("canonical", "terminal"):
         return _table_links(start, class_constraint, box)
     return _candidate_links(start, class_constraint, box, mode)

@@ -162,7 +162,11 @@ def _hull2d(pts):
     if len(verts) < 3:
         raise DegenerateHullError(affine_dimension(pts))
     # monotone chain starts at the lexicographic minimum and runs CCW
-    vertices = tuple(verts)
+    return _polygon(tuple(verts))
+
+
+def _polygon(vertices):
+    """The Polytope of vertices in hull's order (unchecked): CCW from the least."""
     facets = []
     for (ax, ay), (bx, by) in zip(vertices, vertices[1:] + vertices[:1]):
         g = gcd(bx - ax, by - ay)

@@ -27,6 +27,7 @@ from .links import (
     _set_purity,
     blowdown_link,
     box_primitives,
+    check_box,
     conjugate,
     conjugate_sequence,
     elementary_transform,
@@ -44,6 +45,7 @@ from .links import (
 from .polytopes import (
     MEMO_SIZE,
     _canonical_terminal,
+    _polygon,
     hull,
     in_class,
     is_fano,
@@ -624,8 +626,9 @@ def fano_purity_report(seq):
 def enumerate_class_polygons(box, class_constraint):
     """Every polygon of the class with vertices in the box, bit-exact.
 
-    Orbit-first: each canonical class (_classes) is placed in the box by
-    every unimodular map that keeps it there (_placements).
+    Orbit-first: each canonical class (_classes) that is in the class is
+    placed in the box by every unimodular map that keeps it there
+    (_placements); the other classes are not placed.
     """
     polys = (p for _, ps in _class_placements(box, class_constraint) for p in ps)
     return tuple(sorted(polys, key=lambda p: p.vertices))
@@ -642,9 +645,10 @@ def enumerate_fano(box, class_constraint, mfp_only=False):
 
 
 def _class_placements(box, class_constraint):
+    check_box(box)
     if class_constraint not in ("canonical", "reflexive", "terminal"):
         raise ValueError("enumeration supports canonical, reflexive, terminal")
-    return [(nf, polys) for nf, polys in _placements(box) if in_class(nf, class_constraint)]
+    return _placements(box, tuple(nf for nf in _classes() if in_class(nf, class_constraint)))
 
 
 def _minimal_classes():
@@ -709,26 +713,38 @@ def _basis_partners(a, box):
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _placements(box):
-    """((class normal form, its distinct images in the box), ...).
+def _placements(box, classes):
+    """((class normal form, its distinct images in the box), ...) for the
+    given class normal forms and no other.
 
     Consecutive boundary points u, v of a reflexive polygon form a lattice
     basis, so the maps [a b] [u v]^-1 over the pairs a, b of box primitives
     with det(a, b) = +-1 are all unimodular maps that can keep it in the box.
+    Such a map moves the counter-clockwise vertices of the class onto those
+    of the image, clockwise when det(a, b) < 0: reversed then and rotated to
+    the least vertex, they are in hull's order, so no image is hulled.
     """
     pairs = [(a, b) for a in box_primitives(box, 2) for b in _basis_partners(a, box)]
     out = []
-    for nf in _classes():
+    for nf in classes:
         (x0, y0), (x1, y1) = nf.vertices[:2]
         k = gcd(x1 - x0, y1 - y0)
         inv = mat_inverse_unimodular(((x0, x0 + (x1 - x0) // k), (y0, y0 + (y1 - y0) // k)))
         coords = [mat_vec(inv, x) for x in nf.vertices]
         images = set()
         for (a0, a1), (b0, b1) in pairs:
-            image = [(s * a0 + t * b0, s * a1 + t * b1) for s, t in coords]
-            if all(abs(x) <= box and abs(y) <= box for x, y in image):
-                images.add(tuple(sorted(image)))
-        out.append((nf, tuple(hull(image) for image in images)))
+            image = []
+            for s, t in coords:
+                x, y = s * a0 + t * b0, s * a1 + t * b1
+                if not (-box <= x <= box and -box <= y <= box):
+                    break
+                image.append((x, y))
+            else:
+                if a0 * b1 < a1 * b0:
+                    image.reverse()
+                i = image.index(min(image))
+                images.add(tuple(image[i:] + image[:i]))
+        out.append((nf, tuple(map(_polygon, images))))
     return tuple(out)
 
 
@@ -744,8 +760,7 @@ def bfs_connect(p, q, class_constraint="canonical", box=4):
     walks link moves between fibered pairs, any Mori fiber structure of the
     reduced endpoints being a valid source or target.
     """
-    if box < 0:
-        raise ValueError(f"box must be nonnegative, got {box}")
+    check_box(box)
 
     def join(rp, rq):
         steps = _bfs_pairs(

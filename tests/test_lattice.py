@@ -13,11 +13,13 @@ from fanoweb.lattice import (
     _rank_fraction,
     bezout,
     coordinates_in_basis,
+    dot,
     in_span,
     mat_det,
     mat_identity,
     mat_inverse_unimodular,
     mat_mul,
+    mat_vec,
     pibar,
     primitivize,
     quotient_projection,
@@ -355,3 +357,55 @@ def test_plane_span_closed_forms_match_the_hermite_route(vecs, v):
     for b in vecs:
         bareiss = not any(v) or _rank_fraction([b]) == _rank_fraction([b, v])
         assert in_span(v, [b]) == bareiss
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    d=st.sampled_from((2, 3)),
+    entries=st.lists(st.integers(-10**6, 10**6), min_size=12, max_size=12),
+)
+def test_mat_vec_matches_the_dot_form(d, entries):
+    m = tuple(tuple(entries[d * i:d * i + d]) for i in range(d))
+    v = tuple(entries[9:9 + d])
+    assert mat_vec(m, v) == tuple(dot(row, v) for row in m)
+
+
+def _hermite_coordinates(v, basis):
+    """Integer coordinates by back-substitution on the row Hermite form,
+    the route coordinates_in_basis takes for a basis of several rows."""
+    u, h = row_hermite(basis)
+    y = []
+    for row in h:
+        col = next((j for j, x in enumerate(row) if x), None)
+        if col is None:
+            break
+        y.append((v[col] - sum(a * r[col] for a, r in zip(y, h))) // row[col])
+    if any(dot(y, column) != b for column, b in zip(zip(*h), v)):
+        return None
+    return tuple(dot(y, column) for column in zip(*u))
+
+
+@st.composite
+def _row_and_vector(draw):
+    """A row in Z^2 or Z^3 and an integer multiple of it, negative ones
+    included, that is then in most draws moved off the multiples."""
+    d = draw(st.sampled_from((2, 3)))
+    row = tuple(draw(st.lists(st.integers(-6, 6), min_size=d, max_size=d)))
+    k = draw(st.integers(-5, 5))
+    v = tuple(k * x for x in row)
+    if draw(st.booleans()):
+        i = draw(st.integers(0, d - 1))
+        v = v[:i] + (v[i] + draw(st.integers(1, 3)),) + v[i + 1:]
+    return row, v
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=_row_and_vector())
+@example(case=((2, -4), (3, -6)))
+@example(case=((0, -3, 6), (0, 2, -4)))
+@example(case=((0, -3), (0, 9)))
+@example(case=((0, 0), (0, 0)))
+@example(case=((0, 0, 0), (1, 0, 0)))
+def test_one_row_coordinates_match_the_hermite_route(case):
+    row, v = case
+    assert coordinates_in_basis(v, (row,)) == _hermite_coordinates(v, (row,))

@@ -19,13 +19,14 @@ from fanoweb.links import (
     blowdown_link,
     box_primitives,
     conjugate_sequence,
+    enumerate_links,
     elementary_transform,
     plane_polygon,
     ruled_polygon,
     sequence_from_steps,
     validate_sequence,
 )
-from fanoweb.polytopes import classify, hull, in_class, normal_form, primitive_points
+from fanoweb.polytopes import _polygon, classify, hull, in_class, normal_form, primitive_points
 from fanoweb.web import (
     GEN_S,
     GEN_T,
@@ -39,6 +40,7 @@ from fanoweb.web import (
     _bfs_pairs,
     _classes,
     _minimal_classes,
+    _placements,
     bfs_connect,
     connect,
     enumerate_class_polygons,
@@ -54,7 +56,7 @@ from fanoweb.web import (
     verify_certificate,
 )
 from test_links import _box2_mori_states
-from test_memo import _clear_memos
+from test_memo import _clear_memos, _memos
 
 
 def test_factor_generators():
@@ -366,6 +368,53 @@ def test_enumeration_matches_brute_force(box):
             counts = Counter(nfs[p] for p in kept)
             want = sorted((nf.vertices, n) for nf, n in counts.items())
             assert [(nf.vertices, n) for nf, n in enumerate_fano(box, cls, mfp)] == want
+
+
+@pytest.mark.parametrize("box", [0, 1, 2, 3, 4])
+def test_placed_polygons_are_their_hulls(box):
+    for cls in ("canonical", "terminal", "reflexive"):
+        for p in enumerate_class_polygons(box, cls):
+            h = hull(p.vertices)
+            assert (p.vertices, p.facets) == (h.vertices, h.facets)
+
+
+def test_a_query_places_only_its_classes(monkeypatch):
+    _clear_memos()
+    placed = []
+
+    def spy(vertices):
+        placed.append(vertices)
+        return _polygon(vertices)
+
+    monkeypatch.setattr(web, "_polygon", spy)
+    assert len(enumerate_fano(3, "terminal", mfp_only=True)) == 3
+    assert _placements.cache_info().currsize == 1
+    terminal = {nf for nf in _classes() if in_class(nf, "terminal")}
+    assert len(terminal) == 5
+    assert {normal_form(hull(v)) for v in placed} == terminal
+    # in the plane the canonical and the reflexive classes are the same 16
+    enumerate_fano(3, "canonical")
+    enumerate_class_polygons(3, "reflexive")
+    assert _placements.cache_info()[:2] == (1, 2)
+
+
+@pytest.mark.parametrize("box", [2.0, 2.5, True, -1])
+def test_a_box_that_is_no_nonnegative_int_is_refused_before_any_memo(box):
+    tri = plane_polygon()
+    s_tri = hull(GEN_S.apply_all(tri.vertices))
+    start = Constituent(from_polytope(tri), from_polytope(tri).points)
+    calls = [
+        lambda: box_primitives(box, 2),
+        lambda: enumerate_links(start, "terminal", box),
+        lambda: bfs_connect(tri, s_tri, "canonical", box),
+        lambda: enumerate_fano(box, "canonical"),
+        lambda: enumerate_class_polygons(box, "terminal"),
+    ]
+    for call in calls:
+        before = [fn.cache_info() for _, fn in _memos()]
+        with pytest.raises(ValueError, match="box must be"):
+            call()
+        assert [fn.cache_info() for _, fn in _memos()] == before
 
 
 def test_orbit_counts():
