@@ -5,10 +5,10 @@ Everything runs on arbitrary-precision integers, so no overflow is possible
 anywhere downstream.  The workhorse is the row Hermite normal form: on the
 matrix whose columns are some vectors, its transform spans the integer
 vectors orthogonal to them, which gives saturated spans, quotient
-projections with free cokernel, integer right inverses and deterministic
-(HNF-normalized) bases; back-substitution on the Hermite form of a basis
-gives integer coordinates in it.  In the plane, saturated spans and span
-tests against one vector have closed forms (determinants and a gcd).
+projections with free cokernel and deterministic (HNF-normalized) bases;
+back-substitution on the Hermite form of a basis gives integer coordinates
+in it.  In the plane, saturated spans and span tests against one vector
+have closed forms (determinants and a gcd).
 """
 
 from __future__ import annotations
@@ -298,19 +298,6 @@ def pibar(pi, v):
     return primitivize(w)[0]
 
 
-def right_inverse(mat):
-    """Integer right inverse of a surjective matrix (unit invariant factors)."""
-    r = len(mat)
-    u, h, _ = _hermite_of_columns(mat, len(mat[0]))
-    if h[:r] != mat_identity(r):
-        raise ValueError("matrix has no integer right inverse")
-    # u[:r] * transpose(mat) == I, so its transpose is a right inverse
-    x = tuple(zip(*u[:r]))
-    if mat_mul(mat, x) != mat_identity(r):
-        raise AssertionError("right inverse construction failed")
-    return x
-
-
 def _rank_fraction(rows):
     """Rank over Q, by fraction-free (Bareiss) elimination on Python ints.
 
@@ -355,6 +342,8 @@ def coordinates_in_basis(v, basis):
     column (a remainder shows there), then c = y * u.  Returns None when v
     is not an integer combination of the basis.
     """
+    if basis == mat_identity(len(v)):  # the coordinates are the point itself
+        return tuple(v)
     if len(basis) == 1:  # one exact division on the first nonzero entry
         c = next((y // x for x, y in zip(basis[0], v) if x), 0)
         return (c,) if all(c * x == y for x, y in zip(basis[0], v)) else None

@@ -33,10 +33,6 @@ from .lattice import (
     UnimodularMap,
     in_span,
     is_primitive,
-    mat_mul,
-    mat_vec,
-    primitivize,
-    right_inverse,
     saturate_span,
 )
 from .polytopes import CLASS_NAMES, MEMO_SIZE, hull, in_class, primitive_points_in_hull
@@ -292,68 +288,6 @@ def _purity_checks(link, add):
         add(f"{label} fiber purity", _set_purity(c.fiber))
 
 
-def base_relations_report(link):
-    """Check the induced relations between the bases of a link's columns.
-
-    I_d drops one base ray; the II types and the trivial link keep all bases
-    equal; I_m and IV_m project the outer bases onto the middle one (the
-    primitivized images under the quotient of the larger fiber span).
-    III kinds mirror.  Returns (ok, detail).
-    """
-    kind = link.kind
-    if kind in ("III_d", "III_m"):
-        return base_relations_report(inverse(link))
-    fs_l = link.left.structure()
-    fs_r = link.right.structure()
-    if kind == "I_d":
-        ok = (
-            set(fs_r.base.points) < set(fs_l.base.points)
-            and len(fs_l.base) == len(fs_r.base) + 1
-        )
-        return ok, "base reduction" if not ok else ""
-    if kind == "IV_s":
-        ok = fs_l.base == fs_r.base
-        return ok, "bases differ" if not ok else ""
-    fs_m = link.middle.structure()
-    if kind in ("II_irr", "II_ni"):
-        ok = fs_l.base == fs_m.base == fs_r.base
-        return ok, "bases differ" if not ok else ""
-    if kind == "I_m":
-        if fs_m.base != fs_r.base:
-            return False, "middle and right bases differ"
-        ok = _base_projects(fs_l, fs_m)
-        return ok, "left base does not project onto the middle base" if not ok else ""
-    if kind == "IV_m":
-        ok = _base_projects(fs_l, fs_m) and _base_projects(fs_r, fs_m)
-        return ok, "outer bases do not project onto the middle base" if not ok else ""
-    return False, f"no base relation for kind {kind}"
-
-
-def _base_projects(fs_small, fs_big):
-    """The base of the larger fiber is the primitivized image of the other.
-
-    fs_small has the smaller fiber span; composing its quotient with the
-    induced surjection onto the larger quotient must send its base rays onto
-    the base of fs_big exactly.
-    """
-    pi_small = fs_small.projection.matrix
-    pi_big = fs_big.projection.matrix
-    if not pi_big:
-        return fs_big.base.points == ()
-    if not pi_small:
-        return False
-    x = right_inverse(pi_small)
-    rho = mat_mul(pi_big, x)
-    if mat_mul(rho, pi_small) != pi_big:
-        return False
-    image = set()
-    for w in fs_small.base.points:
-        y = mat_vec(rho, w)
-        if any(c != 0 for c in y):
-            image.add(primitivize(y)[0])
-    return image == set(fs_big.base.points)
-
-
 def conjugate(g, link):
     """Apply a unimodular map to every point of every constituent."""
 
@@ -402,6 +336,23 @@ def standard_pairs():
         "F1": (ruled_polygon(1), HORIZONTAL_FIBER),
         "F2": (ruled_polygon(2), HORIZONTAL_FIBER),
     }
+
+
+# The unimodular maps sending each standard polygon onto itself, of orders
+# 6, 8, 2 and 2.  Those of F1 and F2 keep the ruling; four of the square's
+# eight exchange its two rulings.
+STANDARD_SYMMETRIES = {
+    "P2": tuple(map(UnimodularMap, (
+        ((1, 0), (0, 1)), ((0, -1), (1, -1)), ((-1, 1), (-1, 0)),
+        ((0, 1), (1, 0)), ((-1, 0), (-1, 1)), ((1, -1), (0, -1)),
+    ))),
+    "F0": tuple(map(UnimodularMap, (
+        ((1, 0), (0, 1)), ((0, -1), (1, 0)), ((-1, 0), (0, -1)), ((0, 1), (-1, 0)),
+        ((1, 0), (0, -1)), ((-1, 0), (0, 1)), ((0, 1), (1, 0)), ((0, -1), (-1, 0)),
+    ))),
+    "F1": tuple(map(UnimodularMap, (((1, 0), (0, 1)), ((1, -1), (0, -1))))),
+    "F2": tuple(map(UnimodularMap, (((1, 0), (0, 1)), ((1, -2), (0, -1))))),
+}
 
 
 def slide_link(start, end):
@@ -675,22 +626,27 @@ def _link_table(class_constraint):
     }
 
 
-def _frame(start):
-    """(key, g) with g mapping the standard pair key onto start whenever
-    start is an image of one; the caller checks that it is.
+def _frame(points, fiber):
+    """(key, g) with g mapping the standard pair key onto (points, fiber)
+    whenever that pair is an image of one.  Otherwise it gives (None, None)
+    or a map that misses, so each caller checks the map: _table_links
+    through the links it moves, web._to_standard_form before it uses it.
 
     g sends e1 to a fiber point f and e2 to the point t with det(f, t) = 1,
     which is all for P2.  For F_m the fourth point is then g(k, -1), so
     m = -k, or m = k once g also sends e1 to -f.
     """
-    pts, fiber = start.points, start.fiber
+    if not fiber:
+        return None, None
     f = fiber[0]
-    t = next((p for p in pts if f[0] * p[1] - f[1] * p[0] == 1), None)
+    t = next((p for p in points if f[0] * p[1] - f[1] * p[0] == 1), None)
     if t is None:
         return None, None
     key = "P2"
-    if len(pts) == 4:  # a planar Mori pair has 3 points, all fiber, or 4 and 2
-        c = next(p for p in pts if p not in fiber and p != t)
+    if len(points) == 4:  # a planar Mori pair has 3 points, all fiber, or 4 and 2
+        c = next((p for p in points if p not in fiber and p != t), None)
+        if c is None:
+            return None, None
         k = t[1] * c[0] - t[0] * c[1]
         key = f"F{abs(k)}"
         if k > 0:
@@ -701,7 +657,7 @@ def _frame(start):
 def _table_links(start, class_constraint, box):
     """The links of start's standard pair moved onto start, kept when their
     added points lie in the box."""
-    key, g = _frame(start)
+    key, g = _frame(start.points, start.fiber)
     moved = [conjugate(g, link) for link in _link_table(class_constraint).get(key, ())]
     # every table link starts at the standard pair: this checks g(s) == start
     if moved and moved[0].left != start:

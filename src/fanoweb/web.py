@@ -8,6 +8,10 @@ everything into a certificate whose every relation, link, and class
 membership is re-checked from scratch (verify_certificate) before it is
 returned; that check is the one gate on what the builder produces.
 
+The map onto a standard form is the link table's closed-form frame
+(links._frame) composed with a symmetry of the standard polygon: of those
+maps, the orientation-preserving one with the shortest generator word.
+
 A breadth-first oracle over the same link moves provides shortest
 certificates inside a coordinate box, and the exhaustive enumerator counts
 class polygons up to unimodular equivalence.
@@ -20,10 +24,12 @@ from functools import lru_cache
 from math import gcd
 
 from .genset import from_polytope, mori_fiber_structures, polytope_reduction
-from .lattice import UnimodularMap, bezout, mat_inverse_unimodular, mat_mul, mat_vec
+from .lattice import UnimodularMap, bezout, mat_det, mat_inverse_unimodular, mat_mul, mat_vec
 from .links import (
+    STANDARD_SYMMETRIES,
     Constituent,
     LinkSequence,
+    _frame,
     _set_purity,
     blowdown_link,
     box_primitives,
@@ -45,6 +51,7 @@ from .links import (
 from .polytopes import (
     MEMO_SIZE,
     _canonical_terminal,
+    _hull,
     _polygon,
     hull,
     in_class,
@@ -89,14 +96,10 @@ class CertificateVerificationError(Exception):
         self.failures = failures
 
 
-STANDARD_KEYS = ("P2", "F0", "F1", "F2")
-
-
 # ---------------------------------------------------------------------------
 # GL(2,Z) factorization into the three generators
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=MEMO_SIZE)
 def factor_unimodular(g):
     """A word in S, T, U (and inverses) whose product is g.
 
@@ -226,78 +229,6 @@ def base_sequence(token, key):
 
 
 # ---------------------------------------------------------------------------
-# matching a Mori fiber polygon to its standard form
-# ---------------------------------------------------------------------------
-
-def _orbit_maps(src, dst):
-    """All unimodular maps sending the point set src onto dst."""
-    out = {}
-    src_set = set(src)
-    dst_set = set(dst)
-    pairs_src = [
-        (a, b)
-        for a in src
-        for b in src
-        if a != b and a[0] * b[1] - a[1] * b[0] != 0
-    ]
-    pairs_dst = {}
-    for a in dst:
-        for b in dst:
-            det = a[0] * b[1] - a[1] * b[0]
-            if a != b and det != 0:
-                pairs_dst.setdefault(det, []).append((a, b))
-    for a, b in pairs_src:
-        det = a[0] * b[1] - a[1] * b[0]
-        for c, d in pairs_dst.get(det, ()):
-            # u * (a b) == (c d): u = (c d) * adj(a b) / det
-            adj = ((b[1], -b[0]), (-a[1], a[0]))
-            cols = ((c[0], d[0]), (c[1], d[1]))
-            raw = mat_mul(cols, adj)
-            if any(x % det for row in raw for x in row):
-                continue
-            mat = tuple(tuple(x // det for x in row) for row in raw)
-            if mat in out:
-                continue
-            a11, a12 = mat[0]
-            a21, a22 = mat[1]
-            if a11 * a22 - a12 * a21 not in (1, -1):
-                continue
-            u = UnimodularMap(mat)
-            if {u.apply(p) for p in src_set} == dst_set:
-                out[mat] = u
-    return list(out.values())
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def match_standard(p):
-    """The standard form key and a map u with u(p) equal to it on the nose.
-
-    Among all matching maps the one with the shortest factorization word for
-    its inverse is chosen, with deterministic tie-breaks.
-    """
-    a = primitive_points(p)
-    for key in STANDARD_KEYS:
-        std, _ = standard_pairs()[key]
-        b = primitive_points(std)
-        if len(a) != len(b) or len(p.vertices) != len(std.vertices):
-            continue
-        if len(lattice_points(p)) != len(lattice_points(std)):
-            continue
-        cands = _orbit_maps(a, b)
-        if not cands:
-            continue
-
-        def rank(u):
-            word = factor_unimodular(u.inverse())
-            return (len(word), word, u.matrix)
-
-        return key, min(cands, key=rank)
-    raise NotInStandardOrbitError(
-        "polygon is not unimodular-equivalent to a standard Mori fiber polygon"
-    )
-
-
-# ---------------------------------------------------------------------------
 # reduction to a Mori fiber polygon
 # ---------------------------------------------------------------------------
 
@@ -352,29 +283,41 @@ def to_standard_form(p, fiber, class_constraint="canonical"):
     and seq is a link sequence from (p, fiber) to the standard pair, meant
     to stay inside the class.  Its links are validated when they enter a
     certificate (verify_certificate); the tests pin the word's endpoints
-    and validity.
+    and validity.  Raises NotInStandardOrbitError unless (p, fiber) is a
+    unimodular image of a standard pair.
     """
     return _to_standard_form(p, tuple(sorted(tuple(q) for q in fiber)), class_constraint)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _to_standard_form(p, fiber, class_constraint):
-    key, u = match_standard(p)
-    g = u.inverse()
-    _, f_std = standard_pairs()[key]
-    word = factor_unimodular(g)
+    key, g = _frame(primitive_points(p), fiber)
+    std, f_std = standard_pairs().get(key, (None, None))
+    if (
+        std is None
+        or set(g.apply_all(std.vertices)) != set(p.vertices)
+        or tuple(sorted(g.apply_all(f_std))) != fiber
+    ):
+        raise NotInStandardOrbitError("pair is not an image of a standard Mori fiber pair")
+    # the maps from std onto p are g.a over the symmetries a of std; the
+    # orientation-preserving one with the shortest word wins, ties broken
+    # by the word and then by the matrix of its inverse u
+    ranked = []
+    for a in STANDARD_SYMMETRIES[key]:
+        h = g.compose(a)
+        if mat_det(h.matrix) == 1:
+            word = factor_unimodular(h)
+            ranked.append((len(word), word, h.inverse().matrix, h))
+    _, word, _, g = min(ranked)
     parts = []
-    expected = tuple(sorted(g.apply_all(f_std)))
-    if fiber != expected:
-        if key != "F0":
-            raise ValueError("fiber does not match the unique ruling")
+    if fiber != tuple(sorted(g.apply_all(f_std))):  # only the square has two rulings
         parts.append(conjugate_sequence(g, sequence_from_steps([ruling_swap(-1)])))
     prefixes = [UnimodularMap.identity(2)]
     for t in word:
         prefixes.append(prefixes[-1].compose(TOKENS[t]))
     for i in range(len(word), 0, -1):
         parts.append(conjugate_sequence(prefixes[i - 1], base_sequence(word[i - 1], key)))
-    return key, u, _concat(parts, class_constraint)
+    return key, g.inverse(), _concat(parts, class_constraint)
 
 
 def _concat(parts, class_constraint):
@@ -506,11 +449,11 @@ def _assemble(p, q, rp, rq, seq, class_constraint):
             panels, rels = sequence_panels(seq)
         except ValueError as e:  # the joints of seq do not chain
             raise _endpoint_fault(chain, str(e)) from None
-        first = _hull_of(panels[0].points)
+        first = _hull(panels[0].points)
         if first != chain[-1]:
             raise _endpoint_fault(chain, "sequence does not start at the reduced polygon")
         for panel, (rel, witness, idx) in zip(panels[1:], rels):
-            chain.append(_hull_of(panel.points))
+            chain.append(_hull(panel.points))
             relations.append(Relation(rel, witness, ("link", idx)))
         join = len(rq.chain)
     elif chain[-1] in at:
@@ -527,11 +470,6 @@ def _assemble(p, q, rp, rq, seq, class_constraint):
 
 def _endpoint_fault(chain, message):
     return CertificateVerificationError(((len(chain) - 1, message),))
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _hull_of(points):
-    return hull(points)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -591,7 +529,7 @@ def verify_certificate(cert):
             if panels is not None:
                 for j, panel in enumerate(panels):
                     idx = start + j
-                    if idx >= len(chain) or _hull_of(panel.points) != chain[idx]:
+                    if idx >= len(chain) or _hull(panel.points) != chain[idx]:
                         failures.append((idx, "panel does not match the chain"))
                         break
     return VerifyReport(not failures, tuple(failures))

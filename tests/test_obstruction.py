@@ -57,15 +57,6 @@ def test_run_suite_green():
     assert len(rep["checks"]) >= 10
 
 
-def test_base_relations_across_dimensions():
-    from fanoweb.links import base_relations_report
-
-    for seq in (impure_sequence(), pure_sequence()):
-        for step in seq.steps:
-            ok, detail = base_relations_report(step)
-            assert ok, (step.kind, detail)
-
-
 def test_pure_sequence_as_certificate_verifies():
     from fanoweb.links import sequence_panels
     from fanoweb.polytopes import hull

@@ -5,15 +5,16 @@ from functools import lru_cache
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fanoweb import web
 from fanoweb.cli import main
 from fanoweb.genset import from_polytope, mori_fiber_structures, positively_spans
 from fanoweb.jsonio import certificate_from_json, certificate_to_json, dumps
-from fanoweb.lattice import UnimodularMap
+from fanoweb.lattice import UnimodularMap, mat_mul
 from fanoweb.links import (
+    HORIZONTAL_FIBER,
     Constituent,
     _enumerate_links,
     blowdown_link,
@@ -36,6 +37,7 @@ from fanoweb.web import (
     ClassViolationError,
     ConnectCertificate,
     NoMoriFiberStructureError,
+    NotInStandardOrbitError,
     Relation,
     _bfs_pairs,
     _classes,
@@ -49,7 +51,6 @@ from fanoweb.web import (
     fano_purity_report,
     forward_sequence,
     join_standard,
-    match_standard,
     mmp_reduce,
     standard_pairs,
     to_standard_form,
@@ -117,12 +118,11 @@ def test_mmp_chain_strictly_decreases():
 
 
 def test_match_standard_identity_and_images():
-    for key, (std, _) in standard_pairs().items():
-        k, u = match_standard(std)
-        assert k == key
-        assert u.matrix == ((1, 0), (0, 1))
+    for key, (std, fiber) in standard_pairs().items():
+        k, u, seq = to_standard_form(std, fiber, "canonical")
+        assert (k, u.matrix, seq.steps) == (key, ((1, 0), (0, 1)), ())
     moved = hull(GEN_T.apply_all(ruled_polygon(2).vertices))
-    k, u = match_standard(moved)
+    k, u, _ = to_standard_form(moved, GEN_T.apply_all(HORIZONTAL_FIBER), "canonical")
     assert k == "F2"
     assert hull(u.apply_all(moved.vertices)) == ruled_polygon(2)
 
@@ -132,6 +132,78 @@ def test_to_standard_form_identity():
     key, u, seq = to_standard_form(std, fiber, "terminal")
     assert key == "F0" and u.matrix == ((1, 0), (0, 1))
     assert seq.steps == ()
+
+
+def test_non_orbit_pairs_raise_not_in_standard_orbit():
+    square = ruled_polygon(0)
+    pentagon = hull([(1, 0), (0, 1), (-1, 0), (0, -1), (-1, -1)])
+    for p, fiber in (
+        (square, from_polytope(square).points),  # all four points as the fiber
+        (square, ()),
+        (pentagon, HORIZONTAL_FIBER),
+        (pentagon, from_polytope(pentagon).points),
+        (plane_polygon(), ((-1, -1), (1, 0))),
+        (ruled_polygon(3), HORIZONTAL_FIBER),  # the frame names F3
+    ):
+        with pytest.raises(NotInStandardOrbitError):
+            to_standard_form(p, fiber, "canonical")
+
+
+def _orbit_maps(src, dst):
+    """All unimodular maps sending the point set src onto dst: each pair of
+    independent points of src against each pair of dst with the same
+    determinant, so every map found preserves orientation."""
+    out = {}
+    pairs_dst = {}
+    for a in dst:
+        for b in dst:
+            det = a[0] * b[1] - a[1] * b[0]
+            if det != 0:
+                pairs_dst.setdefault(det, []).append((a, b))
+    for a in src:
+        for b in src:
+            det = a[0] * b[1] - a[1] * b[0]
+            for c, d in pairs_dst.get(det, ()):  # no key 0
+                # u * (a b) == (c d): u = (c d) * adj(a b) / det
+                raw = mat_mul(((c[0], d[0]), (c[1], d[1])), ((b[1], -b[0]), (-a[1], a[0])))
+                if any(x % det for row in raw for x in row):
+                    continue
+                u = UnimodularMap(tuple(tuple(x // det for x in row) for row in raw))
+                if set(u.apply_all(src)) == set(dst):
+                    out[u.matrix] = u
+    return list(out.values())
+
+
+def _searched_standard_form(p):
+    """The key and the map u onto the standard polygon that a search over
+    all maps between primitive points finds: the shortest word for u^-1,
+    ties broken by the word and then by the matrix."""
+
+    def rank(u):
+        word = factor_unimodular(u.inverse())
+        return len(word), word, u.matrix
+
+    for key, (std, _) in standard_pairs().items():
+        cands = _orbit_maps(primitive_points(p), primitive_points(std))
+        if cands:
+            return key, min(cands, key=rank)
+    raise NotInStandardOrbitError(p)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(i=st.integers(min_value=0), g=st.lists(st.sampled_from(sorted(TOKENS)), max_size=12))
+@example(i=0, g=["T"] * 100)
+@example(i=40, g=["S", "T", "T"] * 20)
+@example(i=97, g=["T^-1", "U", "S^-1"] * 15)
+@example(i=150, g=["U", "S"] + ["T"] * 50)
+def test_to_standard_form_map_is_the_searched_one(i, g):
+    states = _box2_mori_states()
+    c, cls = states[i % len(states)]
+    m = _gl_map(g)
+    p = hull(m.apply_all(c.points))
+    key, u, _ = to_standard_form(p, m.apply_all(c.fiber), cls)
+    ref_key, ref_u = _searched_standard_form(p)
+    assert (key, u.matrix) == (ref_key, ref_u.matrix)
 
 
 def test_to_standard_form_mirrored_square_is_trivial():
