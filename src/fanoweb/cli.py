@@ -9,7 +9,6 @@ usage or error, 2 certificate not found within the box, 3 verification failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -17,7 +16,7 @@ from . import jsonio
 from .genset import fiber_structure_for, fiber_structures, from_polytope, polytope_reduction
 from .links import Constituent, enumerate_links
 from .obstruction import run_suite
-from .polytopes import classify, lattice_points, interior_lattice_points, mavlyutov_dual, polar_dual, primitive_points
+from .polytopes import CLASS_NAMES, classify, lattice_points, interior_lattice_points, mavlyutov_dual, polar_dual, primitive_points
 from .render import render_svg
 from .web import (
     CertificateVerificationError,
@@ -62,7 +61,8 @@ def _load_polytope(args, attr="polytope"):
 def cmd_classify(args):
     p = _load_polytope(args)
     flags = classify(p)
-    _emit_json(args, {"polytope": jsonio.polytope_to_json(p), "flags": dataclasses.asdict(flags)})
+    flags = {name: flags.get(name) for name in CLASS_NAMES[1:]}
+    _emit_json(args, {"polytope": jsonio.polytope_to_json(p), "flags": flags})
     return 0
 
 

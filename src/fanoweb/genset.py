@@ -9,12 +9,13 @@ projections of the remaining points, which is again a PGS of the quotient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
 from .lattice import (
     QuotientProjection,
+    _Frozen,
+    _set,
     coordinates_in_basis,
     in_span,
     is_primitive,
@@ -115,15 +116,17 @@ def from_polytope(p):
     return PrimGenSet(p.dim, primitive_points(p), _checked=True)
 
 
-@dataclass(frozen=True)
-class FiberStructure:
-    parent: PrimGenSet
-    fiber: tuple
-    span_basis: tuple
-    projection: QuotientProjection
-    base: PrimGenSet
-    irreducible: bool
-    mori: bool
+class FiberStructure(_Frozen):
+    __slots__ = ("parent", "fiber", "span_basis", "projection", "base", "irreducible", "mori")
+
+    def __init__(self, parent, fiber, span_basis, projection, base, irreducible, mori):
+        _set(self, "parent", parent)
+        _set(self, "fiber", fiber)
+        _set(self, "span_basis", span_basis)
+        _set(self, "projection", projection)
+        _set(self, "base", base)
+        _set(self, "irreducible", irreducible)
+        _set(self, "mori", mori)
 
     @property
     def fiber_dim(self):
@@ -267,12 +270,14 @@ def reductions(parent):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ReductionResult:
-    valid: bool
-    polytope: object
-    removed: tuple
-    reason: str
+class ReductionResult(_Frozen):
+    __slots__ = ("valid", "polytope", "removed", "reason")
+
+    def __init__(self, valid, polytope, removed, reason):
+        _set(self, "valid", valid)
+        _set(self, "polytope", polytope)
+        _set(self, "removed", removed)
+        _set(self, "reason", reason)
 
 
 def polytope_reduction(p, v):

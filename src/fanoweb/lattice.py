@@ -13,8 +13,43 @@ have closed forms (determinants and a gcd).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Base of the immutable value classes.  A subclass names its fields in
+    __slots__ in constructor order (a leading underscore marks a derived
+    slot) and sets them in __init__ through _set.  Fields compare and hash
+    as one tuple, equal only within one type; assigning to or deleting a
+    field afterwards raises AttributeError."""
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(getattr(self, n) for n in self.__slots__ if n[0] != "_")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        args = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__ if n[0] != "_")
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
 
 def vec_gcd(v):
@@ -209,15 +244,15 @@ def saturate_span(vectors):
     return row_hermite(w[d - rank:])[1]
 
 
-@dataclass(frozen=True)
-class UnimodularMap:
+class UnimodularMap(_Frozen):
     """An element of GL(d,Z) acting on column vectors."""
 
-    matrix: tuple
+    __slots__ = ("matrix",)
 
-    def __post_init__(self):
-        if mat_det(self.matrix) not in (1, -1):
+    def __init__(self, matrix):
+        if mat_det(matrix) not in (1, -1):
             raise ValueError("matrix is not unimodular")
+        _set(self, "matrix", matrix)
 
     @property
     def dim(self):
@@ -241,17 +276,19 @@ class UnimodularMap:
         return UnimodularMap(mat_identity(d))
 
 
-@dataclass(frozen=True)
-class QuotientProjection:
+class QuotientProjection(_Frozen):
     """Projection N -> N_b with kernel exactly the saturated fiber lattice.
 
     The matrix has shape (d-k) x d and is normalized by row Hermite form so
     two calls with the same fiber basis produce identical output.
     """
 
-    source_dim: int
-    fiber_basis: tuple
-    matrix: tuple
+    __slots__ = ("source_dim", "fiber_basis", "matrix")
+
+    def __init__(self, source_dim, fiber_basis, matrix):
+        _set(self, "source_dim", source_dim)
+        _set(self, "fiber_basis", fiber_basis)
+        _set(self, "matrix", matrix)
 
     @property
     def target_dim(self):

@@ -14,7 +14,6 @@ primitive-point set of its own hull.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -31,6 +30,8 @@ from .genset import (
 )
 from .lattice import (
     UnimodularMap,
+    _Frozen,
+    _set,
     in_span,
     is_primitive,
     saturate_span,
@@ -43,15 +44,23 @@ _MIRROR = {"I_d": "III_d", "III_d": "I_d", "I_m": "III_m", "III_m": "I_m",
            "II_irr": "II_irr", "II_ni": "II_ni", "IV_m": "IV_m", "IV_s": "IV_s"}
 
 
-@dataclass(frozen=True)
-class Constituent:
+class Constituent(_Frozen):
     """One column of a link diagram: a set with a marked fiber subset."""
 
-    pgs: PrimGenSet
-    fiber: tuple
+    __slots__ = ("pgs", "fiber")
 
-    def __post_init__(self):
-        object.__setattr__(self, "fiber", tuple(sorted(tuple(p) for p in self.fiber)))
+    def __init__(self, pgs, fiber):
+        _set(self, "pgs", pgs)
+        _set(self, "fiber", tuple(sorted(tuple(p) for p in fiber)))
+
+    # written out, not the base's field tuple: a memo key in link enumeration
+    def __eq__(self, other):
+        if other.__class__ is not Constituent:
+            return NotImplemented
+        return self.pgs == other.pgs and self.fiber == other.fiber
+
+    def __hash__(self):
+        return hash((self.pgs, self.fiber))
 
     @property
     def points(self):
@@ -68,31 +77,24 @@ def constituent(points, fiber, dim=None):
     return Constituent(PrimGenSet(dim, pts), fiber)
 
 
-@dataclass(frozen=True, eq=False)
-class ElementaryLink:
-    kind: str
-    left: Constituent
-    middle: object  # Constituent or None
-    right: Constituent
-    mode: str = "set"
+class ElementaryLink(_Frozen):
+    """A link diagram: three columns (the middle one may be None), equal and
+    hashed by key()."""
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown link kind {self.kind!r}")
-        if self.mode not in ("set", "polytope"):
-            raise ValueError(f"unknown link mode {self.mode!r}")
-        mid = None if self.middle is None else (self.middle.points, self.middle.fiber)
-        object.__setattr__(
-            self,
-            "_key",
-            (
-                self.kind,
-                self.mode,
-                (self.left.points, self.left.fiber),
-                mid,
-                (self.right.points, self.right.fiber),
-            ),
-        )
+    __slots__ = ("kind", "left", "middle", "right", "mode", "_key")
+
+    def __init__(self, kind, left, middle, right, mode="set"):
+        if kind not in KINDS:
+            raise ValueError(f"unknown link kind {kind!r}")
+        if mode not in ("set", "polytope"):
+            raise ValueError(f"unknown link mode {mode!r}")
+        _set(self, "kind", kind)
+        _set(self, "left", left)
+        _set(self, "middle", middle)
+        _set(self, "right", right)
+        _set(self, "mode", mode)
+        mid = None if middle is None else (middle.points, middle.fiber)
+        _set(self, "_key", (kind, mode, (left.points, left.fiber), mid, (right.points, right.fiber)))
 
     def key(self):
         return self._key
@@ -115,10 +117,12 @@ def inverse(link):
     )
 
 
-@dataclass(frozen=True)
-class LinkReport:
-    ok: bool
-    checks: tuple
+class LinkReport(_Frozen):
+    __slots__ = ("ok", "checks")
+
+    def __init__(self, ok, checks):
+        _set(self, "ok", ok)
+        _set(self, "checks", checks)
 
     def failed(self):
         return tuple(c for c in self.checks if not c[1])
@@ -423,11 +427,13 @@ def ruling_swap(sign=1):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinkSequence:
-    steps: tuple
-    joints: tuple
-    class_constraint: str = "none"
+class LinkSequence(_Frozen):
+    __slots__ = ("steps", "joints", "class_constraint")
+
+    def __init__(self, steps, joints, class_constraint="none"):
+        _set(self, "steps", steps)
+        _set(self, "joints", joints)
+        _set(self, "class_constraint", class_constraint)
 
     def __len__(self):
         return len(self.steps)
@@ -451,10 +457,12 @@ def conjugate_sequence(g, seq):
     )
 
 
-@dataclass(frozen=True)
-class SequenceReport:
-    ok: bool
-    failures: tuple
+class SequenceReport(_Frozen):
+    __slots__ = ("ok", "failures")
+
+    def __init__(self, ok, failures):
+        _set(self, "ok", ok)
+        _set(self, "failures", failures)
 
 
 def _class_ok(points, class_constraint):

@@ -24,14 +24,14 @@ maps over ordered vertex subsets, in 2D in closed form (extended Euclid).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, permutations, product
 from math import ceil, floor, gcd
 
 from .lattice import (
+    _Frozen,
     _rank_fraction,
+    _set,
     bezout,
     coordinates_in_basis,
     cross3,
@@ -334,8 +334,13 @@ class RationalPolytope:
         return all(lv > 0 for _, lv in self.facets)
 
 
+# The four functions below import Fraction when called: only the dual and
+# classify paths reach them, and importing fractions (with decimal and
+# numbers) up front would cost every process about 3 ms.
 def _rational_hull(points):
     """Hull of rational points via integer scaling."""
+    from fractions import Fraction
+
     frac_pts = [tuple(Fraction(x) for x in p) for p in points]
     den = 1
     for p in frac_pts:
@@ -349,6 +354,8 @@ def _rational_hull(points):
 
 
 def as_rational(p):
+    from fractions import Fraction
+
     return RationalPolytope(
         p.dim,
         tuple(tuple(Fraction(x) for x in v) for v in p.vertices),
@@ -362,6 +369,8 @@ def polar_dual(p):
     Requires the origin strictly inside p; the dual vertex for a facet
     (normal, level) is normal/level.
     """
+    from fractions import Fraction
+
     if not p.origin_interior():
         raise ValueError("polar dual requires the origin strictly inside")
     verts = [tuple(Fraction(x, lv) for x in n) for n, lv in p.facets]
@@ -369,22 +378,26 @@ def polar_dual(p):
 
 
 def rational_polar_dual(q):
+    from fractions import Fraction
+
     if not q.origin_interior():
         raise ValueError("polar dual requires the origin strictly inside")
     verts = [tuple(Fraction(x) / lv for x in n) for n, lv in q.facets]
     return _rational_hull(verts)
 
 
-@dataclass(frozen=True)
-class MavlyutovDual:
+class MavlyutovDual(_Frozen):
     """Hull of the lattice points of the polar dual, with a dimension tag.
 
     polytope is None exactly when the hull is lower-dimensional.
     """
 
-    dim: int
-    points: tuple
-    polytope: object
+    __slots__ = ("dim", "points", "polytope")
+
+    def __init__(self, dim, points, polytope):
+        _set(self, "dim", dim)
+        _set(self, "points", points)
+        _set(self, "polytope", polytope)
 
 
 def mavlyutov_dual(p):
@@ -398,20 +411,22 @@ def mavlyutov_dual(p):
     return MavlyutovDual(adim, pts, None)
 
 
-@dataclass(frozen=True)
-class ClassFlags:
-    fano: bool
-    canonical: bool
-    terminal: bool
-    reflexive: bool
-    pseudoreflexive: bool
-    almost_pseudoreflexive: bool
+class ClassFlags(_Frozen):
+    __slots__ = ("fano", "canonical", "terminal", "reflexive", "pseudoreflexive", "almost_pseudoreflexive")
+
+    def __init__(self, fano, canonical, terminal, reflexive, pseudoreflexive, almost_pseudoreflexive):
+        _set(self, "fano", fano)
+        _set(self, "canonical", canonical)
+        _set(self, "terminal", terminal)
+        _set(self, "reflexive", reflexive)
+        _set(self, "pseudoreflexive", pseudoreflexive)
+        _set(self, "almost_pseudoreflexive", almost_pseudoreflexive)
 
     def get(self, name):
         return getattr(self, name)
 
 
-CLASS_NAMES = ("none",) + tuple(f.name for f in fields(ClassFlags))
+CLASS_NAMES = ("none",) + ClassFlags.__slots__
 
 
 def classify(p):

@@ -59,13 +59,18 @@ def _is_mori(c):
 
 
 def render_svg(obj, cell_size=24):
-    """Render to an SVG 1.1 string (two-dimensional data only)."""
+    """Render to an SVG 1.1 string (two-dimensional data only).
+
+    cell_size is the lattice spacing in pixels: a positive int (True is not).
+    """
+    if type(cell_size) is not int or cell_size < 1:
+        raise ValueError(f"cell size must be a positive int, got {cell_size!r}")
     panels = _panel_data(obj)
     if not panels:
         raise ValueError("nothing to render")
     if any(p.dim != 2 for p, _, _, _ in panels):
         raise ValueError("rendering supports two-dimensional chains only")
-    cell = int(cell_size)
+    cell = cell_size
     reach = 1
     for p, _, _, _ in panels:
         for v in p.vertices:

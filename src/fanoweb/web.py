@@ -19,16 +19,14 @@ class polygons up to unimodular equivalence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
 from .genset import from_polytope, mori_fiber_structures, polytope_reduction
-from .lattice import UnimodularMap, bezout, mat_det, mat_inverse_unimodular, mat_mul, mat_vec
+from .lattice import UnimodularMap, _Frozen, _set, bezout, mat_det, mat_inverse_unimodular, mat_mul, mat_vec
 from .links import (
     STANDARD_SYMMETRIES,
     Constituent,
-    LinkSequence,
     _frame,
     _set_purity,
     blowdown_link,
@@ -233,11 +231,13 @@ def base_sequence(token, key):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MmpReduction:
-    polytope: object
-    fiber: tuple
-    chain: tuple  # ((removed vertex, polytope after removal), ...)
+class MmpReduction(_Frozen):
+    __slots__ = ("polytope", "fiber", "chain")
+
+    def __init__(self, polytope, fiber, chain):
+        _set(self, "polytope", polytope)
+        _set(self, "fiber", fiber)
+        _set(self, "chain", chain)  # ((removed vertex, polytope after removal), ...)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -356,6 +356,7 @@ def _ladder_steps(a, b):
     return _ladder_steps(a, "F1") + _ladder_steps("F1", b)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def join_standard(a, b, class_constraint="canonical"):
     if class_constraint == "terminal" and "F2" in (a, b):
         raise ClassViolationError("the F2 polygon is not terminal")
@@ -367,25 +368,31 @@ def join_standard(a, b, class_constraint="canonical"):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Relation:
-    rel: str  # "supset_dot", "subset_dot", "equal"
-    witness: object
-    origin: tuple  # ("reduction",) or ("link", step index)
+class Relation(_Frozen):
+    __slots__ = ("rel", "witness", "origin")
+
+    def __init__(self, rel, witness, origin):
+        _set(self, "rel", rel)  # "supset_dot", "subset_dot", "equal"
+        _set(self, "witness", witness)
+        _set(self, "origin", origin)  # ("reduction",) or ("link", step index)
 
 
-@dataclass(frozen=True)
-class ConnectCertificate:
-    chain: tuple
-    relations: tuple
-    sequence: LinkSequence
-    class_constraint: str
+class ConnectCertificate(_Frozen):
+    __slots__ = ("chain", "relations", "sequence", "class_constraint")
+
+    def __init__(self, chain, relations, sequence, class_constraint):
+        _set(self, "chain", chain)
+        _set(self, "relations", relations)
+        _set(self, "sequence", sequence)
+        _set(self, "class_constraint", class_constraint)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    ok: bool
-    failures: tuple
+class VerifyReport(_Frozen):
+    __slots__ = ("ok", "failures")
+
+    def __init__(self, ok, failures):
+        _set(self, "ok", ok)
+        _set(self, "failures", failures)
 
 
 def _require_class(p, class_constraint):

@@ -246,3 +246,55 @@ def test_negative_box_exit_1(tmp_path, capsys):
         assert main(argv) == 1
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["type"] == "ValueError" and "nonnegative" in err["message"]
+
+
+def test_render_cell_size_not_positive_exit_1(tmp_path, capsys):
+    a = _write(tmp_path, "a.json", {"dim": 2, "points": [[1, 0], [0, 1], [-1, -1]]})
+    b = _write(tmp_path, "b.json", {"dim": 2, "points": [[0, 1], [-1, 0], [1, -1]]})
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["connect", a, b, "--class", "terminal", "--out", cert_path]) == 0
+    for size in ("0", "-5"):
+        assert main(["render", cert_path, "--cell-size", size]) == 1
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ValueError" and "cell size" in err["message"]
+    assert main(["render", cert_path, "--cell-size", "1"]) == 0
+    assert capsys.readouterr().out.startswith("<?xml")
+
+
+_LEAN_SCRIPT = """
+import json, sys
+before = set(sys.modules)
+from fanoweb import cli
+tri, tri90, cert, verdict, heavy = sys.argv[1:6]
+rcs = [cli.main(["connect", tri, tri90, "--class", "terminal", "--out", cert]),
+       cli.main(["verify", cert, "--out", verdict])]
+heavy = heavy.split(",")
+loaded = sorted(m for m in heavy if m in set(sys.modules) - before)
+rcs.append(cli.main(["classify", tri, "--out", verdict]))
+print(json.dumps({"rcs": rcs, "loaded": loaded, "classify_loads_fractions": "fractions" in sys.modules}))
+"""
+
+
+def test_connect_and_verify_stay_off_dataclasses_and_fractions(tmp_path):
+    """A fresh interpreter runs connect and verify without importing
+    dataclasses (and its inspect) or fractions (and its decimal and numbers):
+    compared against the modules it held before importing fanoweb, so a
+    site that preloads some of them cannot hide or fake a load."""
+    import os
+    import subprocess
+    import sys
+
+    import fanoweb
+
+    tri = _write(tmp_path, "tri.json", {"dim": 2, "points": [[1, 0], [0, 1], [-1, -1]]})
+    tri90 = _write(tmp_path, "tri90.json", {"dim": 2, "points": [[0, 1], [-1, 0], [1, -1]]})
+    src = os.path.dirname(os.path.dirname(fanoweb.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    heavy = "dataclasses,inspect,fractions,decimal,numbers"
+    argv = [tri, tri90, str(tmp_path / "cert.json"), str(tmp_path / "out.json"), heavy]
+    proc = subprocess.run(
+        [sys.executable, "-c", _LEAN_SCRIPT, *argv], env=env, capture_output=True, text=True, check=True
+    )
+    got = json.loads(proc.stdout)
+    assert got == {"rcs": [0, 0, 0], "loaded": [], "classify_loads_fractions": True}
+    assert json.loads((tmp_path / "out.json").read_text())["flags"]["terminal"] is True

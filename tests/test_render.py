@@ -1,5 +1,7 @@
 import xml.etree.ElementTree as ET
 
+import pytest
+
 from fanoweb.links import sequence_from_steps, elementary_transform
 from fanoweb.polytopes import hull
 from fanoweb.render import render_svg
@@ -61,3 +63,11 @@ def test_cell_size_scales_output():
     large = render_svg(seq, cell_size=40)
     assert small != large
     assert ET.fromstring(small).get("width") < ET.fromstring(large).get("width")
+
+
+@pytest.mark.parametrize("cell_size", [0, -5, 2.7, 24.0, True, "24", None])
+def test_cell_size_must_be_a_positive_int(cell_size):
+    seq = sequence_from_steps([elementary_transform(0)], "terminal")
+    with pytest.raises(ValueError, match="cell size"):
+        render_svg(seq, cell_size)
+    assert render_svg(seq, 1).startswith("<?xml")

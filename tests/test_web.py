@@ -1,6 +1,5 @@
 import json
 from collections import Counter
-from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations
 
@@ -16,6 +15,7 @@ from fanoweb.lattice import UnimodularMap, mat_mul
 from fanoweb.links import (
     HORIZONTAL_FIBER,
     Constituent,
+    ElementaryLink,
     _enumerate_links,
     blowdown_link,
     box_primitives,
@@ -719,7 +719,8 @@ def test_certificates_are_gl_equivariant(cls, i, j, g):
     r = image.relations[k]
     relations = list(image.relations)
     relations[k] = Relation(r.rel, (r.witness[0] + 1, r.witness[1]), r.origin)
-    assert not verify_certificate(replace(image, relations=tuple(relations))).ok
+    tampered = ConnectCertificate(image.chain, tuple(relations), image.sequence, image.class_constraint)
+    assert not verify_certificate(tampered).ok
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -780,7 +781,9 @@ def _patch_cremona_move(monkeypatch, edit):
 @pytest.fixture
 def faulty_cremona_move(monkeypatch):
     """Every link of the Cremona word relabelled IV_s, a kind none has."""
-    yield from _patch_cremona_move(monkeypatch, lambda steps: [replace(s, kind="IV_s") for s in steps])
+    yield from _patch_cremona_move(monkeypatch, lambda steps: [
+        ElementaryLink("IV_s", s.left, s.middle, s.right, s.mode) for s in steps
+    ])
 
 
 @pytest.fixture
