@@ -20,8 +20,6 @@ from .polytopes import CLASS_NAMES, classify, lattice_points, interior_lattice_p
 from .render import render_svg
 from .web import (
     CertificateVerificationError,
-    ClassViolationError,
-    NoMoriFiberStructureError,
     bfs_connect,
     connect,
     enumerate_fano,
@@ -317,7 +315,7 @@ def main(argv=None):
         return _error({"type": "usage", "message": str(e)})
     except CertificateVerificationError as e:
         return _error({"type": "verification", "failures": [[i, msg] for i, msg in e.failures]}, 3)
-    except (ClassViolationError, NoMoriFiberStructureError, ValueError, KeyError) as e:
+    except (ValueError, KeyError) as e:
         return _error({"type": type(e).__name__, "message": str(e)})
     except OSError as e:
         return _error({"type": "io", "message": str(e)})

@@ -25,7 +25,6 @@ from .lattice import (
 )
 from .polytopes import (
     MEMO_SIZE,
-    DegenerateHullError,
     hull,
     primitive_points,
 )
@@ -50,7 +49,7 @@ def positively_spans(points, dim):
         return any(p[0] > 0 for p in pts) and any(p[0] < 0 for p in pts)
     try:
         return hull(pts).origin_interior()
-    except (DegenerateHullError, ValueError):
+    except ValueError:
         return False
 
 

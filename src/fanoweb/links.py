@@ -79,9 +79,10 @@ def constituent(points, fiber, dim=None):
 
 class ElementaryLink(_Frozen):
     """A link diagram: three columns (the middle one may be None), equal and
-    hashed by key()."""
+    hashed by key(), which holds all that validation and the panels read; so
+    a link is its own memo key."""
 
-    __slots__ = ("kind", "left", "middle", "right", "mode", "_key")
+    __slots__ = ("kind", "left", "middle", "right", "mode", "_key", "_hash")
 
     def __init__(self, kind, left, middle, right, mode="set"):
         if kind not in KINDS:
@@ -94,7 +95,9 @@ class ElementaryLink(_Frozen):
         _set(self, "right", right)
         _set(self, "mode", mode)
         mid = None if middle is None else (middle.points, middle.fiber)
-        _set(self, "_key", (kind, mode, (left.points, left.fiber), mid, (right.points, right.fiber)))
+        key = (kind, mode, (left.points, left.fiber), mid, (right.points, right.fiber))
+        _set(self, "_key", key)
+        _set(self, "_hash", hash(key))
 
     def key(self):
         return self._key
@@ -103,7 +106,7 @@ class ElementaryLink(_Frozen):
         return isinstance(other, ElementaryLink) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key)
+        return self._hash
 
 
 def inverse(link):
@@ -131,8 +134,6 @@ class LinkReport(_Frozen):
 def _fs_or_none(c):
     try:
         return c.structure(), None
-    except InvalidFiberStructure as e:
-        return None, str(e)
     except ValueError as e:
         return None, str(e)
 
@@ -157,7 +158,7 @@ def _tower_is_mori(total_fiber, sub_fiber):
         parent, basis = intrinsic_pgs(total_fiber)
         sub = intrinsic_points(sub_fiber, basis)
         fs = fiber_structure_for(parent, sub)
-    except (InvalidFiberStructure, ValueError):
+    except ValueError:
         return False
     return fs.mori
 
@@ -182,25 +183,9 @@ def _intrinsic_reduction(big_fiber, small_fiber):
     return positively_spans(intr, len(big_basis))
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def validate_link(link):
     """Validate a link diagram condition by condition."""
-    return _validate_link(link.key())
-
-
-def _link_of(key):
-    """A link with the given key(); the key holds all that validation and
-    the panels read."""
-    kind, mode, *cols = key
-    left, middle, right = (
-        None if c is None else Constituent(PrimGenSet(len(c[0][0]), c[0], _checked=True), c[1])
-        for c in cols
-    )
-    return ElementaryLink(kind, left, middle, right, mode)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _validate_link(key):
-    link = _link_of(key)
     checks = []
 
     def add(name, ok, detail=""):
@@ -465,18 +450,15 @@ class SequenceReport(_Frozen):
         _set(self, "failures", failures)
 
 
-def _class_ok(points, class_constraint):
-    return class_constraint == "none" or in_class(hull(points), class_constraint)
-
-
 @lru_cache(maxsize=MEMO_SIZE)
-def _step_class_failures(key, class_constraint):
-    """The columns of the link with this key() whose sets leave the class."""
-    _, _, *cols = key
+def _step_class_failures(link, class_constraint):
+    """The columns of the link whose sets leave the class."""
+    if class_constraint == "none":
+        return ()
     return tuple(
         label
-        for label, c in zip(("left", "middle", "right"), cols)
-        if c is not None and not _class_ok(c[0], class_constraint)
+        for label, c in zip(("left", "middle", "right"), (link.left, link.middle, link.right))
+        if c is not None and not in_class(hull(c.points), class_constraint)
     )
 
 
@@ -488,15 +470,15 @@ def validate_sequence(seq):
         rep = validate_link(step)
         if not rep.ok:
             failures.append((i, "link invalid: " + "; ".join(n for n, _, _ in rep.failed())))
-        for label in _step_class_failures(step.key(), seq.class_constraint):
+        for label in _step_class_failures(step, seq.class_constraint):
             failures.append((i, f"{label} constituent leaves class {seq.class_constraint}"))
     for i in range(len(seq.steps) - 1):
-        a, b = seq.steps[i].right, seq.steps[i + 1].left
-        if a.points != b.points or a.fiber != b.fiber:
+        if seq.steps[i].right != seq.steps[i + 1].left:
             failures.append((i, "joint mismatch between consecutive steps"))
     return SequenceReport(not failures, tuple(failures))
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def link_panels(link):
     """Flatten one link into display panels and the relations between them.
 
@@ -504,12 +486,6 @@ def link_panels(link):
     I_m and IV_m shapes), so a flattened chain never repeats a set at a
     purely notational equality column.
     """
-    return _link_panels(link.key())
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _link_panels(key):
-    link = _link_of(key)
     L, M, R = link.left, link.middle, link.right
     if M is None:
         if link.kind == "IV_s":
@@ -551,7 +527,7 @@ def sequence_panels(seq):
     for idx, step in enumerate(seq.steps):
         parts, rels = link_panels(step)
         if panels:
-            if (panels[-1].points, panels[-1].fiber) != (parts[0].points, parts[0].fiber):
+            if panels[-1] != parts[0]:
                 raise ValueError("sequence joints do not chain verbatim")
             parts = parts[1:]
         else:
@@ -584,9 +560,8 @@ def box_primitives(box, dim):
 
 def _try_link(kind, left, middle, right, mode, cls):
     link = ElementaryLink(kind, left, middle, right, mode)
-    for c in (link.left, link.middle, link.right):
-        if c is not None and not _class_ok(c.points, cls):
-            return None
+    if _step_class_failures(link, cls):
+        return None
     return link if validate_link(link).ok else None
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, combinations, permutations, product
-from math import ceil, floor, gcd
+from math import gcd
 
 from .lattice import (
     _Frozen,
@@ -217,7 +217,7 @@ def lattice_points(p):
 
 def _scan(facets, lo, hi):
     """Integer points x with lo <= x <= hi and n . x >= -level on every facet
-    (integer normals, integer or Fraction levels), in lexicographic order.
+    (integer normals and levels), in lexicographic order.
 
     The widest axis of the box is scanned last, so the fewest prefixes are
     visited: each prefix of the other coordinates meets the polytope in an
@@ -334,9 +334,9 @@ class RationalPolytope:
         return all(lv > 0 for _, lv in self.facets)
 
 
-# The four functions below import Fraction when called: only the dual and
-# classify paths reach them, and importing fractions (with decimal and
-# numbers) up front would cost every process about 3 ms.
+# The four functions below import Fraction when called: only the dual path
+# reaches them, and importing fractions (with decimal and numbers) up front
+# would cost every process about 3 ms.
 def _rational_hull(points):
     """Hull of rational points via integer scaling."""
     from fractions import Fraction
@@ -401,10 +401,13 @@ class MavlyutovDual(_Frozen):
 
 
 def mavlyutov_dual(p):
-    q = polar_dual(p)
-    lo = [ceil(min(axis)) for axis in zip(*q.vertices)]
-    hi = [floor(max(axis)) for axis in zip(*q.vertices)]
-    pts = _scan(q.facets, lo, hi)
+    """The integer points u with <v, u> >= -1 at every vertex v of p, in the
+    box of the polar dual's vertices n / level over the facets of p."""
+    if not p.origin_interior():
+        raise ValueError("polar dual requires the origin strictly inside")
+    lo = [min(-(-n[i] // lv) for n, lv in p.facets) for i in range(p.dim)]
+    hi = [max(n[i] // lv for n, lv in p.facets) for i in range(p.dim)]
+    pts = _scan(tuple((v, 1) for v in p.vertices), lo, hi)
     adim = affine_dimension(pts)
     if adim == p.dim:
         return MavlyutovDual(adim, pts, hull(pts))

@@ -10,7 +10,6 @@ byte-identical SVG.
 
 from __future__ import annotations
 
-from .genset import InvalidFiberStructure
 from .lattice import _rank_fraction
 from .links import LinkSequence, sequence_panels
 from .polytopes import hull, lattice_points
@@ -54,7 +53,7 @@ def _panel_data(obj):
 def _is_mori(c):
     try:
         return c.structure().mori
-    except (InvalidFiberStructure, ValueError):
+    except ValueError:
         return False
 
 

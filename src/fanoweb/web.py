@@ -322,19 +322,19 @@ def _to_standard_form(p, fiber, class_constraint):
 
 def _concat(parts, class_constraint):
     """Join link sequences, cutting each loop back to the first visit of its
-    (points, fiber) state, the pair validate_sequence compares at a joint: the
-    joints still chain verbatim, the endpoints stay and no link is new."""
+    state, the Constituent validate_sequence compares at a joint: the joints
+    still chain verbatim, the endpoints stay and no link is new."""
     steps = [s for part in parts for s in part.steps]
     out = []
-    seen = {_pair_key(steps[0].left): 0} if steps else {}  # state -> len(out) there
+    seen = {steps[0].left: 0} if steps else {}  # state -> len(out) there
     for step in steps:
-        at = seen.get(_pair_key(step.right))
+        at = seen.get(step.right)
         if at is None:
             out.append(step)
-            seen[_pair_key(step.right)] = len(out)
+            seen[step.right] = len(out)
         else:
             for cut in out[at:]:
-                del seen[_pair_key(cut.right)]
+                del seen[cut.right]
             del out[at:]
     return sequence_from_steps(out, class_constraint)
 
@@ -726,39 +726,37 @@ def _pair_key(c):
 
 
 def _bfs_pairs(sources, targets, class_constraint, box):
-    target_keys = {_pair_key(c) for c in targets}
+    targets = set(targets)
     prev = {}
     frontier = []
     for c in sorted(sources, key=_pair_key):
-        k = _pair_key(c)
-        if k in target_keys:
+        if c in targets:
             return []
-        if k not in prev:
-            prev[k] = (None, None, c)
+        if c not in prev:
+            prev[c] = (None, None)
             frontier.append(c)
     while frontier:
         nxt = []
         for c in frontier:
             for link in enumerate_links(c, class_constraint, box, "polytope"):
                 r = link.right
-                k = _pair_key(r)
-                if k in prev:
+                if r in prev:
                     continue
-                prev[k] = (_pair_key(c), link, r)
-                if k in target_keys:
-                    return _rebuild(prev, k)
+                prev[r] = (c, link)
+                if r in targets:
+                    return _rebuild(prev, r)
                 nxt.append(r)
         frontier = sorted(nxt, key=_pair_key)
     return None
 
 
-def _rebuild(prev, key):
+def _rebuild(prev, state):
     steps = []
     while True:
-        parent, link, _ = prev[key]
+        parent, link = prev[state]
         if parent is None:
             break
         steps.append(link)
-        key = parent
+        state = parent
     steps.reverse()
     return steps

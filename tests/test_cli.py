@@ -267,19 +267,21 @@ before = set(sys.modules)
 from fanoweb import cli
 tri, tri90, cert, verdict, heavy = sys.argv[1:6]
 rcs = [cli.main(["connect", tri, tri90, "--class", "terminal", "--out", cert]),
-       cli.main(["verify", cert, "--out", verdict])]
+       cli.main(["verify", cert, "--out", verdict]),
+       cli.main(["classify", tri, "--out", verdict])]
 heavy = heavy.split(",")
 loaded = sorted(m for m in heavy if m in set(sys.modules) - before)
-rcs.append(cli.main(["classify", tri, "--out", verdict]))
-print(json.dumps({"rcs": rcs, "loaded": loaded, "classify_loads_fractions": "fractions" in sys.modules}))
+rcs.append(cli.main(["dual", tri, "--out", cert + ".dual"]))
+print(json.dumps({"rcs": rcs, "loaded": loaded, "dual_loads_fractions": "fractions" in sys.modules}))
 """
 
 
 def test_connect_and_verify_stay_off_dataclasses_and_fractions(tmp_path):
-    """A fresh interpreter runs connect and verify without importing
-    dataclasses (and its inspect) or fractions (and its decimal and numbers):
-    compared against the modules it held before importing fanoweb, so a
-    site that preloads some of them cannot hide or fake a load."""
+    """A fresh interpreter runs connect, verify and classify without
+    importing dataclasses (and its inspect) or fractions (and its decimal
+    and numbers): compared against the modules it held before importing
+    fanoweb, so a site that preloads some of them cannot hide or fake a
+    load.  dual, which does need fractions, is the positive control."""
     import os
     import subprocess
     import sys
@@ -296,5 +298,5 @@ def test_connect_and_verify_stay_off_dataclasses_and_fractions(tmp_path):
         [sys.executable, "-c", _LEAN_SCRIPT, *argv], env=env, capture_output=True, text=True, check=True
     )
     got = json.loads(proc.stdout)
-    assert got == {"rcs": [0, 0, 0], "loaded": [], "classify_loads_fractions": True}
+    assert got == {"rcs": [0, 0, 0, 0], "loaded": [], "dual_loads_fractions": True}
     assert json.loads((tmp_path / "out.json").read_text())["flags"]["terminal"] is True

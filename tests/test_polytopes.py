@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import gcd
+from math import ceil, floor, gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -10,6 +10,7 @@ from fanoweb.lattice import mat_det, mat_vec, row_hermite
 from fanoweb.polytopes import (
     DegenerateHullError,
     _pick_counts,
+    _scan,
     affine_dimension,
     as_rational,
     classify,
@@ -261,6 +262,8 @@ def test_polar_dual_requires_interior_origin():
     shifted = hull([(0, 0), (2, 0), (0, 2)])
     with pytest.raises(ValueError):
         polar_dual(shifted)
+    with pytest.raises(ValueError):
+        mavlyutov_dual(shifted)
 
 
 def test_double_dual_is_identity():
@@ -275,6 +278,26 @@ def test_mavlyutov_reflexive_is_polar():
     assert md.polytope is not None
     dual_verts = {tuple(map(int, v)) for v in polar_dual(p).vertices}
     assert set(md.polytope.vertices) == dual_verts
+
+
+def _rational_mavlyutov_points(p):
+    """The reference route: the lattice points of the rational polar dual,
+    scanned over its own facets (_scan is exact on Fraction levels too)."""
+    q = polar_dual(p)
+    lo = [ceil(min(axis)) for axis in zip(*q.vertices)]
+    hi = [floor(max(axis)) for axis in zip(*q.vertices)]
+    return _scan(q.facets, lo, hi)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pts=st.one_of(_points((6, 6), 8), _points((3, 3, 3), 8)))
+@example(pts=QUAD2)
+@example(pts=[(1, 0), (0, 1), (-3, -1)])  # Fano but not canonical
+@example(pts=[(2, 1), (-1, 2), (-1, -3)])  # origin inside, vertices not primitive
+def test_mavlyutov_dual_matches_rational_route(pts):
+    p = _hull_or_reject(pts)
+    assume(p.origin_interior())
+    assert mavlyutov_dual(p).points == _rational_mavlyutov_points(p)
 
 
 def test_mavlyutov_lower_dimensional():

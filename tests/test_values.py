@@ -9,6 +9,7 @@ import pickle
 import pytest
 
 from fanoweb.genset import FiberStructure, PrimGenSet, ReductionResult, fiber_structure_for
+from fanoweb.jsonio import link_from_json, link_to_json
 from fanoweb.lattice import QuotientProjection, UnimodularMap
 from fanoweb.links import (
     Constituent,
@@ -16,9 +17,11 @@ from fanoweb.links import (
     LinkReport,
     LinkSequence,
     SequenceReport,
-    _link_of,
+    _step_class_failures,
     blowdown_link,
     inverse,
+    link_panels,
+    validate_link,
 )
 from fanoweb.polytopes import CLASS_NAMES, ClassFlags, MavlyutovDual, hull
 from fanoweb.web import ConnectCertificate, MmpReduction, Relation, VerifyReport
@@ -155,7 +158,20 @@ def test_elementary_link_is_equal_and_hashed_by_key():
         None if LINK.middle is None else (LINK.middle.points, LINK.middle.fiber),
         (LINK.right.points, LINK.right.fiber),
     )
-    rebuilt = _link_of(key)
+    rebuilt = link_from_json(link_to_json(LINK))
     assert rebuilt is not LINK and rebuilt == LINK and hash(rebuilt) == hash(LINK) == hash(key)
     assert inverse(inverse(LINK)) == LINK and inverse(LINK) != LINK
     assert {LINK, rebuilt, inverse(LINK)} == {LINK, inverse(LINK)}
+
+
+def test_an_equal_link_built_apart_hits_the_link_memos():
+    rebuilt = link_from_json(link_to_json(LINK))
+    assert rebuilt is not LINK and rebuilt == LINK
+    memos = (validate_link, link_panels, _step_class_failures)
+    first = (validate_link(LINK), link_panels(LINK), _step_class_failures(LINK, "terminal"))
+    before = [fn.cache_info() for fn in memos]
+    again = (validate_link(rebuilt), link_panels(rebuilt), _step_class_failures(rebuilt, "terminal"))
+    after = [fn.cache_info() for fn in memos]
+    assert again == first and again[0].ok
+    assert [a.hits - b.hits for a, b in zip(after, before)] == [1, 1, 1]
+    assert [a.misses for a in after] == [b.misses for b in before]
