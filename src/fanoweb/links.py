@@ -36,7 +36,7 @@ from .lattice import (
     is_primitive,
     saturate_span,
 )
-from .polytopes import CLASS_NAMES, MEMO_SIZE, hull, in_class, primitive_points_in_hull
+from .polytopes import CLASS_NAMES, MEMO_SIZE, _hull, hull, in_class, primitive_points_in_hull
 
 KINDS = ("I_d", "I_m", "II_irr", "II_ni", "III_d", "III_m", "IV_m", "IV_s")
 
@@ -462,16 +462,23 @@ def _step_class_failures(link, class_constraint):
     )
 
 
+def _step_failures(link, class_constraint):
+    """The messages of the link's failed diagram checks and of its columns
+    that leave the class."""
+    rep = validate_link(link)
+    failures = [] if rep.ok else ["link invalid: " + "; ".join(n for n, _, _ in rep.failed())]
+    failures.extend(
+        f"{label} constituent leaves class {class_constraint}"
+        for label in _step_class_failures(link, class_constraint)
+    )
+    return tuple(failures)
+
+
 def validate_sequence(seq):
     """Steps validate, consecutive endpoints agree verbatim, and every
     top-row polytope satisfies the class constraint."""
-    failures = []
-    for i, step in enumerate(seq.steps):
-        rep = validate_link(step)
-        if not rep.ok:
-            failures.append((i, "link invalid: " + "; ".join(n for n, _, _ in rep.failed())))
-        for label in _step_class_failures(step, seq.class_constraint):
-            failures.append((i, f"{label} constituent leaves class {seq.class_constraint}"))
+    cls = seq.class_constraint
+    failures = [(i, msg) for i, step in enumerate(seq.steps) for msg in _step_failures(step, cls)]
     for i in range(len(seq.steps) - 1):
         if seq.steps[i].right != seq.steps[i + 1].left:
             failures.append((i, "joint mismatch between consecutive steps"))
@@ -479,6 +486,15 @@ def validate_sequence(seq):
 
 
 @lru_cache(maxsize=MEMO_SIZE)
+def step_record(link, class_constraint):
+    """All that a certificate reads of one link under a class, computed once:
+    (failures, first, later) with the step's failure messages, the hull of
+    its first panel and (relation, witness, hull) for each later panel."""
+    panels, rels = link_panels(link)
+    later = tuple((rel, witness, _hull(c.points)) for c, (rel, witness) in zip(panels[1:], rels))
+    return _step_failures(link, class_constraint), _hull(panels[0].points), later
+
+
 def link_panels(link):
     """Flatten one link into display panels and the relations between them.
 

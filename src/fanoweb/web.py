@@ -41,15 +41,13 @@ from .links import (
     ruled_polygon,
     ruling_swap,
     sequence_from_steps,
-    sequence_panels,
     slide_link,
     standard_pairs,
-    validate_sequence,
+    step_record,
 )
 from .polytopes import (
     MEMO_SIZE,
     _canonical_terminal,
-    _hull,
     _polygon,
     hull,
     in_class,
@@ -286,11 +284,14 @@ def to_standard_form(p, fiber, class_constraint="canonical"):
     and validity.  Raises NotInStandardOrbitError unless (p, fiber) is a
     unimodular image of a standard pair.
     """
-    return _to_standard_form(p, tuple(sorted(tuple(q) for q in fiber)), class_constraint)
+    return _to_standard_form(p, tuple(sorted(tuple(q) for q in fiber)), class_constraint)[:3]
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _to_standard_form(p, fiber, class_constraint):
+    """(key, u, seq, seq reversed): the reversed word is kept with the word,
+    so connect's q-side reuses its inverse links, which hit the link memos
+    by identity."""
     key, g = _frame(primitive_points(p), fiber)
     std, f_std = standard_pairs().get(key, (None, None))
     if (
@@ -317,12 +318,13 @@ def _to_standard_form(p, fiber, class_constraint):
         prefixes.append(prefixes[-1].compose(TOKENS[t]))
     for i in range(len(word), 0, -1):
         parts.append(conjugate_sequence(prefixes[i - 1], base_sequence(word[i - 1], key)))
-    return key, g.inverse(), _concat(parts, class_constraint)
+    seq = _concat(parts, class_constraint)
+    return key, g.inverse(), seq, reverse_sequence(seq)
 
 
 def _concat(parts, class_constraint):
     """Join link sequences, cutting each loop back to the first visit of its
-    state, the Constituent validate_sequence compares at a joint: the joints
+    state, the Constituent a joint compares: the joints
     still chain verbatim, the endpoints stay and no link is new."""
     steps = [s for part in parts for s in part.steps]
     out = []
@@ -404,10 +406,11 @@ def connect(p, q, class_constraint="canonical"):
     """A verified certificate joining two polygons of the same class."""
 
     def join(rp, rq):
-        key_p, _, seq_p = to_standard_form(rp.polytope, rp.fiber, class_constraint)
-        key_q, _, seq_q = to_standard_form(rq.polytope, rq.fiber, class_constraint)
+        # a reduction's fiber is a fiber structure's, already sorted
+        key_p, _, seq_p, _ = _to_standard_form(rp.polytope, rp.fiber, class_constraint)
+        key_q, _, _, back_q = _to_standard_form(rq.polytope, rq.fiber, class_constraint)
         ladder = join_standard(key_p, key_q, class_constraint)
-        return _concat([seq_p, ladder, reverse_sequence(seq_q)], class_constraint)
+        return _concat([seq_p, ladder, back_q], class_constraint)
 
     return _certify(p, q, class_constraint, join)
 
@@ -452,16 +455,15 @@ def _assemble(p, q, rp, rq, seq, class_constraint):
         chain.append(poly)
         relations.append(Relation("supset_dot", removed, ("reduction",)))
     if seq.steps:
-        try:
-            panels, rels = sequence_panels(seq)
-        except ValueError as e:  # the joints of seq do not chain
-            raise _endpoint_fault(chain, str(e)) from None
-        first = _hull(panels[0].points)
-        if first != chain[-1]:
-            raise _endpoint_fault(chain, "sequence does not start at the reduced polygon")
-        for panel, (rel, witness, idx) in zip(panels[1:], rels):
-            chain.append(_hull(panel.points))
-            relations.append(Relation(rel, witness, ("link", idx)))
+        for idx, step in enumerate(seq.steps):
+            _, first, later = step_record(step, class_constraint)
+            if idx == 0 and first != chain[-1]:
+                raise _endpoint_fault(chain, "sequence does not start at the reduced polygon")
+            if idx and seq.steps[idx - 1].right != step.left:
+                raise _endpoint_fault(chain, "sequence joints do not chain verbatim")
+            for rel, witness, panel in later:
+                chain.append(panel)
+                relations.append(Relation(rel, witness, ("link", idx)))
         join = len(rq.chain)
     elif chain[-1] in at:
         join = at[chain[-1]]
@@ -508,37 +510,59 @@ def _relation_holds(a, b, rel, witness):
 
 
 def verify_certificate(cert):
-    """Re-check every relation, link validation, and class membership."""
+    """Re-check every class membership, relation, link validation and joint.
+
+    Every check runs under the certificate's class label; a sequence that
+    carries another label fails.  The relations whose origin is a link must
+    be exactly the panel relations of the sequence, one walk over its steps:
+    contiguous, in order, each with the panel's relation, witness and step
+    index, its chain member equal to the panel's hull, and covering every
+    step, so a chain that claims more links than the sequence holds fails.
+    """
     failures = []
-    chain = cert.chain
-    if len(chain) != len(cert.relations) + 1:
+    chain, relations, cls = cert.chain, cert.relations, cert.class_constraint
+    if len(chain) != len(relations) + 1:
         return VerifyReport(False, ((0, "chain and relation lengths disagree"),))
     for i, member in enumerate(chain):
-        if not in_class(member, cert.class_constraint):
-            failures.append((i, f"chain member leaves class {cert.class_constraint}"))
-    for i, r in enumerate(cert.relations):
+        if not in_class(member, cls):
+            failures.append((i, f"chain member leaves class {cls}"))
+    for i, r in enumerate(relations):
         if not _relation_holds(chain[i], chain[i + 1], r.rel, r.witness):
             failures.append((i, f"relation {r.rel} fails"))
-    seq_rep = validate_sequence(cert.sequence)
-    if not seq_rep.ok:
-        failures.extend((i, f"sequence: {msg}") for i, msg in seq_rep.failures)
-    link_positions = [i for i, r in enumerate(cert.relations) if r.origin[0] == "link"]
-    if cert.sequence.steps:
-        if not link_positions:
-            failures.append((0, "sequence present but no link relations"))
-        else:
-            start = link_positions[0]
-            try:
-                panels, _ = sequence_panels(cert.sequence)
-            except ValueError as e:
-                panels = None
-                failures.append((start, str(e)))
-            if panels is not None:
-                for j, panel in enumerate(panels):
-                    idx = start + j
-                    if idx >= len(chain) or _hull(panel.points) != chain[idx]:
-                        failures.append((idx, "panel does not match the chain"))
-                        break
+    steps = cert.sequence.steps
+    if cert.sequence.class_constraint != cls:
+        failures.append((0, f"sequence class {cert.sequence.class_constraint} is not {cls}"))
+    link_positions = [i for i, r in enumerate(relations) if r.origin[0] == "link"]
+    if not steps or not link_positions:
+        if steps or link_positions:
+            failures.append((0, "one of the sequence and its link relations is empty"))
+        return VerifyReport(not failures, tuple(failures))
+    start = at = link_positions[0]
+    mismatch = None  # the chain index of the first panel that does not match
+    for idx, step in enumerate(steps):
+        if idx and steps[idx - 1].right != step.left:
+            failures.append((idx - 1, "sequence: joint mismatch between consecutive steps"))
+        bad, first, later = step_record(step, cls)
+        failures.extend((idx, f"sequence: {msg}") for msg in bad)
+        if idx == 0 and first != chain[at]:
+            mismatch = at
+        for rel, witness, panel in later:
+            if mismatch is not None:
+                break
+            at += 1
+            r = relations[at - 1] if at < len(chain) else None
+            if (
+                r is None
+                or r.rel != rel
+                or r.witness != witness
+                or r.origin != ("link", idx)
+                or chain[at] != panel
+            ):
+                mismatch = at
+    if mismatch is not None:
+        failures.append((mismatch, "panel does not match the chain"))
+    elif len(link_positions) != at - start:
+        failures.append((at, "link relations beyond the sequence's panels"))
     return VerifyReport(not failures, tuple(failures))
 
 

@@ -20,7 +20,7 @@ from fanoweb.links import (
     _step_class_failures,
     blowdown_link,
     inverse,
-    link_panels,
+    step_record,
     validate_link,
 )
 from fanoweb.polytopes import CLASS_NAMES, ClassFlags, MavlyutovDual, hull
@@ -167,10 +167,10 @@ def test_elementary_link_is_equal_and_hashed_by_key():
 def test_an_equal_link_built_apart_hits_the_link_memos():
     rebuilt = link_from_json(link_to_json(LINK))
     assert rebuilt is not LINK and rebuilt == LINK
-    memos = (validate_link, link_panels, _step_class_failures)
-    first = (validate_link(LINK), link_panels(LINK), _step_class_failures(LINK, "terminal"))
+    memos = (validate_link, step_record, _step_class_failures)
+    first = (validate_link(LINK), step_record(LINK, "terminal"), _step_class_failures(LINK, "terminal"))
     before = [fn.cache_info() for fn in memos]
-    again = (validate_link(rebuilt), link_panels(rebuilt), _step_class_failures(rebuilt, "terminal"))
+    again = (validate_link(rebuilt), step_record(rebuilt, "terminal"), _step_class_failures(rebuilt, "terminal"))
     after = [fn.cache_info() for fn in memos]
     assert again == first and again[0].ok
     assert [a.hits - b.hits for a, b in zip(after, before)] == [1, 1, 1]

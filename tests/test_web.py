@@ -1,3 +1,4 @@
+import copy
 import json
 from collections import Counter
 from functools import lru_cache
@@ -721,6 +722,111 @@ def test_certificates_are_gl_equivariant(cls, i, j, g):
     relations[k] = Relation(r.rel, (r.witness[0] + 1, r.witness[1]), r.origin)
     tampered = ConnectCertificate(image.chain, tuple(relations), image.sequence, image.class_constraint)
     assert not verify_certificate(tampered).ok
+
+
+@pytest.mark.parametrize("g", [
+    UnimodularMap(((1, 3), (0, 1))),
+    GEN_S,
+    UnimodularMap(((2, 3), (1, 2))),
+])
+def test_verify_refuses_a_sequence_cut_short(g):
+    tri = plane_polygon()
+    cert = connect(tri, hull(g.apply_all(tri.vertices)), "terminal")
+    steps = cert.sequence.steps
+    n = len(steps)
+    assert n >= 4 and verify_certificate(cert).ok
+    for keep in (1, n - 2, n - 1):
+        cut = ConnectCertificate(
+            cert.chain, cert.relations, sequence_from_steps(steps[:keep], "terminal"), "terminal"
+        )
+        assert not verify_certificate(cut).ok, keep
+
+
+def test_verify_uses_the_certificate_class_label():
+    cert = connect(plane_polygon(), hull(GEN_T.apply_all(ruled_polygon(1).vertices)), "terminal")
+    data = json.loads(dumps(certificate_to_json(cert)))
+    assert verify_certificate(certificate_from_json(data)).ok
+    data["sequence"]["class"] = "none"
+    rep = verify_certificate(certificate_from_json(data))
+    assert not rep.ok
+    assert rep.failures == ((0, "sequence class none is not terminal"),)
+
+
+def _tampered_certificates(data, draw):
+    """JSON certificates tampered in the link sequence or in the relations
+    that claim to be its panels."""
+    steps = data["sequence"]["steps"]
+    n = len(steps)
+    for k in range(1, n + 1):
+        for kept in (steps[k:], steps[:n - k]):
+            bad = copy.deepcopy(data)
+            bad["sequence"]["steps"] = kept
+            yield bad
+    links = [k for k, r in enumerate(data["relations"]) if r["origin"][0] == "link"]
+    k = draw(st.sampled_from(links))
+    idx = data["relations"][k]["origin"][1]
+    for moved in (idx - 1, idx + 1, n):
+        bad = copy.deepcopy(data)
+        bad["relations"][k]["origin"][1] = moved
+        yield bad
+    pairs = [
+        (a, b) for a, b in combinations(links, 2)
+        if data["relations"][a]["witness"] != data["relations"][b]["witness"]
+    ]
+    if pairs:
+        a, b = draw(st.sampled_from(pairs))
+        bad = copy.deepcopy(data)
+        ra, rb = bad["relations"][a], bad["relations"][b]
+        ra["witness"], rb["witness"] = rb["witness"], ra["witness"]
+        yield bad
+    # an equality holds whatever its witness, so only the panel check sees this
+    for k in links:
+        if data["relations"][k]["rel"] == "equal":
+            bad = copy.deepcopy(data)
+            bad["relations"][k]["witness"] = [1, 0]
+            yield bad
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    cls=st.sampled_from(["canonical", "terminal"]),
+    i=st.integers(min_value=0),
+    j=st.integers(min_value=0),
+    g=_GL_WORDS,
+    data=st.data(),
+)
+def test_verify_refuses_tampered_link_relations(cls, i, j, g, data):
+    polys = enumerate_class_polygons(2, cls)
+    cert = connect(polys[i % len(polys)], _gl_image(polys[j % len(polys)], g), cls)
+    loaded = json.loads(dumps(certificate_to_json(cert)))
+    assert verify_certificate(certificate_from_json(loaded)).ok
+    if not cert.sequence.steps:
+        return
+    for bad in _tampered_certificates(loaded, data.draw):
+        assert not verify_certificate(certificate_from_json(bad)).ok
+
+
+def test_a_warm_connect_builds_no_link(monkeypatch):
+    from fanoweb import links
+
+    p = ruled_polygon(1)
+    q = hull(UnimodularMap(((2, 3), (1, 2))).apply_all(plane_polygon().vertices))
+    cert = connect(p, q, "canonical")
+    built = []
+    real_inverse, real_init = links.inverse, ElementaryLink.__init__
+
+    def spy_inverse(link):
+        built.append(link)
+        return real_inverse(link)
+
+    def spy_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(links, "inverse", spy_inverse)
+    monkeypatch.setattr(ElementaryLink, "__init__", spy_init)
+    assert connect(p, q, "canonical") == cert
+    assert built == []
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
