@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import jsonio
-from .genset import fiber_structure_for, fiber_structures, from_polytope, polytope_reduction
+from .genset import fiber_structure_for, fiber_structures, from_polytope, mori_fiber_structures, polytope_reduction
 from .links import Constituent, enumerate_links
 from .obstruction import run_suite
 from .polytopes import CLASS_NAMES, classify, lattice_points, interior_lattice_points, mavlyutov_dual, polar_dual, primitive_points
@@ -125,7 +125,7 @@ def cmd_links(args):
     if args.fiber:
         fs = fiber_structure_for(a, jsonio._points(json.loads(args.fiber), p.dim))
     else:
-        mori = [f for f in fiber_structures(a) if f.mori]
+        mori = mori_fiber_structures(a)
         if not mori:
             raise ValueError("polytope has no Mori fiber structure")
         fs = min(mori, key=lambda f: f.fiber)

@@ -228,34 +228,50 @@ def intrinsic_pgs(points):
 def fiber_structures(parent):
     """All fiber structures, one per linear span, deterministic order.
 
-    Spans are generated by subsets of the parent (singletons, independent
-    pairs in 3D) plus the whole space; they are deduplicated by their
-    saturated HNF basis.
+    Only spans that can carry a fiber are built.  A fiber must positively
+    span its span, so it has at least k + 1 points on a k-dimensional span.
+    The only primitive points on a line through the origin are p and -p,
+    so a line fiber is an antipodal pair {p, -p} of the parent.  In 3D a
+    plane fiber has at least three points, and the planes are those of
+    independent pairs of points.  The whole space is added last, once (in
+    1D a line is the whole space).
     """
     d = parent.dim
-    span_keys = {}
-    for p in parent.points:
-        span_keys.setdefault(saturate_span([p]), True)
+    pts = parent.points
+    fibers = []
+    if d > 1:
+        in_parent = set(pts)
+        fibers = [(q, p) for p in pts if (q := tuple(-x for x in p)) < p and q in in_parent]
     if d == 3:
-        for a, b in combinations(parent.points, 2):
-            if not in_span(a, saturate_span([b])):
-                span_keys.setdefault(saturate_span([a, b]), True)
+        planes = {}
+        for a, b in combinations(pts, 2):
+            if a != tuple(-x for x in b):
+                planes.setdefault(saturate_span([a, b]), True)
+        for basis in planes:
+            fiber = tuple(p for p in pts if in_span(p, basis))
+            if len(fiber) > 2:
+                fibers.append(fiber)
     out = []
-    for basis in span_keys:
-        members = tuple(p for p in parent.points if in_span(p, basis))
+    for fiber in fibers:
         try:
-            fs = fiber_structure_for(parent, members)
+            out.append(fiber_structure_for(parent, fiber))
         except InvalidFiberStructure:
             continue
-        if fs.fiber_dim != len(basis):
-            continue
-        out.append(fs)
-    out.append(fiber_structure_for(parent, parent.points))
+    out.append(fiber_structure_for(parent, pts))
     out.sort(key=lambda fs: (fs.fiber_dim, fs.fiber))
     return tuple(out)
 
 
 def mori_fiber_structures(parent):
+    """The Mori fiber structures of parent, in the order of fiber_structures.
+
+    A planar Mori structure is the trivial one on a triangle (d + 1 = 3
+    points) or has the fiber {f, -f} over the base {1, -1}, and being
+    irreducible it then has 2 + 2 = 4 points; so a planar set of more than
+    4 points has none, and none is built.
+    """
+    if parent.dim == 2 and len(parent) > 4:
+        return ()
     return tuple(fs for fs in fiber_structures(parent) if fs.mori)
 
 

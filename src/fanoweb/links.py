@@ -47,20 +47,22 @@ _MIRROR = {"I_d": "III_d", "III_d": "I_d", "I_m": "III_m", "III_m": "I_m",
 class Constituent(_Frozen):
     """One column of a link diagram: a set with a marked fiber subset."""
 
-    __slots__ = ("pgs", "fiber")
+    __slots__ = ("pgs", "fiber", "_hash")
 
     def __init__(self, pgs, fiber):
         _set(self, "pgs", pgs)
         _set(self, "fiber", tuple(sorted(tuple(p) for p in fiber)))
+        _set(self, "_hash", hash((pgs, self.fiber)))
 
     # written out, not the base's field tuple: a memo key in link enumeration
+    # and in the bfs search
     def __eq__(self, other):
         if other.__class__ is not Constituent:
             return NotImplemented
         return self.pgs == other.pgs and self.fiber == other.fiber
 
     def __hash__(self):
-        return hash((self.pgs, self.fiber))
+        return self._hash
 
     @property
     def points(self):
@@ -608,10 +610,15 @@ def enumerate_links(start, class_constraint="none", box=4, mode="polytope"):
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _enumerate_links(start, class_constraint, box, mode):
+    table = start.pgs.dim == 2 and mode == "polytope" and class_constraint in ("canonical", "terminal")
+    if table:
+        links = _table_links(start, class_constraint, box)
+        if links:  # start is g(a standard pair), so a Mori pair
+            return links
     if not start.structure().mori:
         raise ValueError("link enumeration starts from a Mori fiber structure")
-    if start.pgs.dim == 2 and mode == "polytope" and class_constraint in ("canonical", "terminal"):
-        return _table_links(start, class_constraint, box)
+    if table:
+        return ()
     return _candidate_links(start, class_constraint, box, mode)
 
 

@@ -1,9 +1,11 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fanoweb import genset
 from fanoweb.genset import (
     EMPTY_PGS,
     InvalidFiberStructure,
@@ -17,7 +19,8 @@ from fanoweb.genset import (
     positively_spans,
     reductions,
 )
-from fanoweb.lattice import UnimodularMap, mat_mul
+from fanoweb.jsonio import fiber_structure_to_json
+from fanoweb.lattice import UnimodularMap, in_span, is_primitive, mat_mul, saturate_span
 from fanoweb.polytopes import hull
 
 V = {
@@ -186,6 +189,95 @@ def test_cached_invalid_fiber_raises_fresh_exception():
         frames = traceback.extract_tb(e.__traceback__)
         assert "whole space" in str(e)
     assert len(frames) <= 3
+
+
+def test_the_line_has_one_fiber_structure():
+    line = PrimGenSet(1, [(1,), (-1,)])
+    for structs in (fiber_structures(line), mori_fiber_structures(line)):
+        assert len(structs) == 1
+        assert structs[0].trivial and structs[0].mori
+
+
+def _fiber_structures_reference(parent):
+    """The every-point loop: one span per point and, in 3D, per independent
+    pair; each span's full intersection is built and the failures dropped."""
+    spans = {}
+    for p in parent.points:
+        spans.setdefault(saturate_span([p]), True)
+    if parent.dim == 3:
+        for a, b in combinations(parent.points, 2):
+            if not in_span(a, saturate_span([b])):
+                spans.setdefault(saturate_span([a, b]), True)
+    out = []
+    for basis in spans:
+        members = tuple(p for p in parent.points if in_span(p, basis))
+        try:
+            out.append(fiber_structure_for(parent, members))
+        except InvalidFiberStructure:
+            continue
+    out.append(fiber_structure_for(parent, parent.points))
+    return sorted(out, key=lambda fs: (fs.fiber_dim, fs.fiber))
+
+
+def _pgs_strategy(dim, box):
+    """Primitive generating sets, most not the primitive points of their
+    hull; each drawn point may bring its negative along, so that line
+    fibers occur."""
+    point = st.tuples(*[st.integers(-box, box)] * dim).filter(is_primitive)
+    return st.lists(st.tuples(point, st.booleans()), min_size=2, max_size=7).map(
+        lambda drawn: sorted(
+            {q for p, both in drawn for q in ((p, tuple(-x for x in p)) if both else (p,))}
+        )
+    ).filter(lambda pts: is_pgs(pts, dim)[0]).map(lambda pts: PrimGenSet(dim, pts))
+
+
+def _check_against_reference(a):
+    ref = _fiber_structures_reference(a)
+    assert [fiber_structure_to_json(fs) for fs in fiber_structures(a)] == [
+        fiber_structure_to_json(fs) for fs in ref
+    ]
+    assert [fiber_structure_to_json(fs) for fs in mori_fiber_structures(a)] == [
+        fiber_structure_to_json(fs) for fs in ref if fs.mori
+    ]
+    if a.dim == 2 and len(a) > 4:
+        assert not any(fs.mori for fs in ref)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(a=_pgs_strategy(2, 4))
+def test_planar_fiber_structures_match_the_every_point_loop(a):
+    _check_against_reference(a)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(a=_pgs_strategy(3, 2))
+def test_3d_fiber_structures_match_the_every_point_loop(a):
+    _check_against_reference(a)
+
+
+def _builds(monkeypatch, fn, a):
+    """The fibers fn(a) builds from empty memos."""
+    built = []
+    build = genset._build_fiber_structure
+
+    def spy(parent, fiber):
+        built.append(fiber)
+        return build(parent, fiber)
+
+    genset._fiber_structure.cache_clear()
+    fiber_structures.cache_clear()
+    monkeypatch.setattr(genset, "_build_fiber_structure", spy)
+    fn(a)
+    return built
+
+
+def test_only_fiber_structures_that_can_exist_are_built(monkeypatch):
+    hexagon = PrimGenSet(2, [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)])
+    assert _builds(monkeypatch, mori_fiber_structures, hexagon) == []
+    # the three antipodal lines and the whole set
+    assert len(_builds(monkeypatch, fiber_structures, hexagon)) == 4
+    # (0, 1) and (-2, -1) have no negative in the set: no fiber on their lines
+    assert _builds(monkeypatch, fiber_structures, QUAD2) == [((-1, 0), (1, 0)), QUAD2.points]
 
 
 def test_counting_invariant_and_base_is_pgs():

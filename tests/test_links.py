@@ -1,4 +1,5 @@
 import random
+import re
 from functools import lru_cache
 from itertools import product
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanoweb.genset import PrimGenSet, from_polytope, mori_fiber_structures
+from fanoweb.genset import InvalidFiberStructure, PrimGenSet, from_polytope, mori_fiber_structures
 from fanoweb.lattice import UnimodularMap, mat_det, mat_mul
 from fanoweb.links import (
     HORIZONTAL_FIBER,
@@ -370,6 +371,31 @@ def test_starts_outside_the_table():
     square = from_polytope(ruled_polygon(0))
     with pytest.raises(ValueError, match="Mori fiber structure"):
         enumerate_links(Constituent(square, square.points), "canonical", 2)
+
+
+@pytest.mark.parametrize("cls", ["canonical", "terminal"])
+def test_table_path_checks_starts_it_cannot_move(cls):
+    square = from_polytope(ruled_polygon(0))
+    hexagon = PrimGenSet(2, [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)])
+    quad2 = from_polytope(ruled_polygon(2))
+    # valid fiber structures that are not Mori: not irreducible, or trivial on 4 points
+    for start in (Constituent(hexagon, HORIZONTAL_FIBER), Constituent(square, square.points)):
+        with pytest.raises(ValueError, match="^link enumeration starts from a Mori fiber structure$"):
+            enumerate_links(start, cls, 2)
+    invalid = {
+        (): "fiber is empty",
+        ((1, 0),): "fiber must be the full intersection with its span",
+        ((-1, -1), (1, 1)): "fiber is not a subset of the parent",
+    }
+    for fiber, message in invalid.items():
+        with pytest.raises(InvalidFiberStructure, match=f"^{re.escape(message)}$"):
+            enumerate_links(Constituent(square, fiber), cls, 2)
+    lone = next(p for p in quad2.points if tuple(-x for x in p) not in quad2.points)
+    with pytest.raises(InvalidFiberStructure, match="^fiber does not generate its span as a cone$"):
+        enumerate_links(Constituent(quad2, (lone,)), cls, 2)
+    # at box 0 the table keeps only the ruling swap, which adds no point
+    (link,) = enumerate_links(Constituent(square, HORIZONTAL_FIBER), cls, 0)
+    assert link.kind == "IV_m" and link.right.fiber == ((0, -1), (0, 1))
 
 
 def test_box_primitives():

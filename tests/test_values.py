@@ -149,6 +149,13 @@ def test_construction_normalises_and_checks():
     assert ClassFlags(*CASES[ClassFlags][1]).get("terminal") is True
 
 
+def test_constituent_stores_its_hash():
+    c = Constituent(SQUARE_PGS, [[1, 0], [-1, 0]])
+    assert hash(c) == c._hash == hash((SQUARE_PGS, HORIZONTAL))
+    assert "_hash" not in repr(c)
+    assert c.__reduce__() == (Constituent, (SQUARE_PGS, HORIZONTAL))
+
+
 def test_elementary_link_is_equal_and_hashed_by_key():
     key = LINK.key()
     assert key == (
