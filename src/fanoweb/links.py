@@ -36,7 +36,15 @@ from .lattice import (
     is_primitive,
     saturate_span,
 )
-from .polytopes import CLASS_NAMES, MEMO_SIZE, _hull, hull, in_class, primitive_points_in_hull
+from .polytopes import (
+    CLASS_NAMES,
+    MEMO_SIZE,
+    _hull,
+    hull,
+    in_class,
+    primitive_points,
+    primitive_points_in_hull,
+)
 
 KINDS = ("I_d", "I_m", "II_irr", "II_ni", "III_d", "III_m", "IV_m", "IV_s")
 
@@ -111,15 +119,23 @@ class ElementaryLink(_Frozen):
         return self._hash
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _shared(value):
+    """The first equal link or column that _link saw."""
+    return value
+
+
+def _link(kind, left, middle, right, mode):
+    """The link of conjugate, inverse and the named links, shared with its
+    columns: equal links and columns are then one object, so joints and the
+    memos keyed by them compare by identity before they call __eq__."""
+    middle = None if middle is None else _shared(middle)
+    return _shared(ElementaryLink(kind, _shared(left), middle, _shared(right), mode))
+
+
 def inverse(link):
     """The mirrored diagram; I and III kinds swap, the others are self-dual."""
-    return ElementaryLink(
-        kind=_MIRROR[link.kind],
-        left=link.right,
-        middle=link.middle,
-        right=link.left,
-        mode=link.mode,
-    )
+    return _link(_MIRROR[link.kind], link.right, link.middle, link.left, link.mode)
 
 
 class LinkReport(_Frozen):
@@ -290,13 +306,7 @@ def conjugate(g, link):
             g.apply_all(c.fiber),
         )
 
-    return ElementaryLink(
-        kind=link.kind,
-        left=move(link.left),
-        middle=move(link.middle),
-        right=move(link.right),
-        mode=link.mode,
-    )
+    return _link(link.kind, move(link.left), move(link.middle), move(link.right), link.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +368,7 @@ def slide_link(start, end):
     left = from_polytope(hull([(-1, 0), E1, (start[0], 1), (start[1], -1)]))
     right = from_polytope(hull([(-1, 0), E1, (end[0], 1), (end[1], -1)]))
     mid = from_polytope(hull(left.points + right.points))
-    return ElementaryLink(
+    return _link(
         kind="II_ni",
         left=Constituent(left, HORIZONTAL_FIBER),
         middle=Constituent(mid, HORIZONTAL_FIBER),
@@ -386,7 +396,7 @@ def blowdown_link(sign=1):
     """
     tri = from_polytope(plane_polygon())
     quad = from_polytope(ruled_polygon(1))
-    link = ElementaryLink(
+    link = _link(
         kind="III_m",
         left=Constituent(tri, tri.points),
         middle=Constituent(quad, quad.points),
@@ -399,7 +409,7 @@ def blowdown_link(sign=1):
 def ruling_swap(sign=1):
     """The IV_m link exchanging the two rulings of conv(+-e1, +-e2)."""
     sq = from_polytope(ruled_polygon(0))
-    link = ElementaryLink(
+    link = _link(
         kind="IV_m",
         left=Constituent(sq, HORIZONTAL_FIBER),
         middle=Constituent(sq, sq.points),
@@ -490,11 +500,52 @@ def validate_sequence(seq):
 @lru_cache(maxsize=MEMO_SIZE)
 def step_record(link, class_constraint):
     """All that a certificate reads of one link under a class, computed once:
-    (failures, first, later) with the step's failure messages, the hull of
-    its first panel and (relation, witness, hull) for each later panel."""
+    (failures, first, first in class, later).  failures are the step's
+    failure messages, with one more when the link is not in polytope mode,
+    the only mode that connect and bfs_connect emit; first is the hull of
+    its first panel; later holds (relation, witness, hull, in class,
+    relation holds) for each later panel, the relation being the one from
+    the panel before."""
     panels, rels = link_panels(link)
-    later = tuple((rel, witness, _hull(c.points)) for c, (rel, witness) in zip(panels[1:], rels))
-    return _step_failures(link, class_constraint), _hull(panels[0].points), later
+    hulls = [_hull(c.points) for c in panels]
+    later = tuple(
+        (rel, witness, b, in_class(b, class_constraint), _relation_holds(a, b, rel, witness))
+        for a, b, (rel, witness) in zip(hulls, hulls[1:], rels)
+    )
+    failures = _step_failures(link, class_constraint)
+    if link.mode != "polytope":
+        failures += (f"link mode {link.mode} is not polytope",)
+    return failures, hulls[0], in_class(hulls[0], class_constraint), later
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _relation_holds(a, b, rel, witness):
+    """a and b are equal, or the bigger one's primitive points are the
+    smaller one's and the witness, which the smaller one does not hold."""
+    if rel == "equal":
+        return a == b
+    if rel == "supset_dot":
+        big, small = a, b
+    elif rel == "subset_dot":
+        big, small = b, a
+    else:
+        return False
+    if witness is None:
+        return False
+    w = tuple(witness)
+    try:
+        pa = primitive_points(big)
+        if w not in pa:
+            return False
+        rest = tuple(x for x in pa if x != w)
+        if set(primitive_points(small)) != set(rest):
+            return False
+        if small != hull(rest):
+            return False
+        return not small.contains(w)
+    except ValueError:
+        # tampered chains may leave the Fano world entirely
+        return False
 
 
 def link_panels(link):

@@ -59,20 +59,22 @@ def impure_sequence():
 
 
 def pure_sequence():
-    """The alternative route through hull-saturated sets only."""
+    """The alternative route through hull-saturated sets only, in polytope
+    mode: every column is the primitive points of its hull, so the route
+    is also a certificate's link sequence."""
     step1 = ElementaryLink(
         kind="II_ni",
         left=_c("123457", "14"),
         middle=_c("1234567", "14"),
         right=_c("123456", "14"),
-        mode="set",
+        mode="polytope",
     )
     step2 = ElementaryLink(
         kind="I_m",
         left=_c("123456", "14"),
         middle=_c("123456", "1234"),
         right=_c("12356", "123"),
-        mode="set",
+        mode="polytope",
     )
     return sequence_from_steps([step1, step2])
 

@@ -28,6 +28,7 @@ from .links import (
     STANDARD_SYMMETRIES,
     Constituent,
     _frame,
+    _relation_holds,
     _set_purity,
     blowdown_link,
     box_primitives,
@@ -456,12 +457,12 @@ def _assemble(p, q, rp, rq, seq, class_constraint):
         relations.append(Relation("supset_dot", removed, ("reduction",)))
     if seq.steps:
         for idx, step in enumerate(seq.steps):
-            _, first, later = step_record(step, class_constraint)
-            if idx == 0 and first != chain[-1]:
+            _, first, _, later = step_record(step, class_constraint)
+            if idx == 0 and first is not chain[-1] and first != chain[-1]:
                 raise _endpoint_fault(chain, "sequence does not start at the reduced polygon")
-            if idx and seq.steps[idx - 1].right != step.left:
+            if idx and seq.steps[idx - 1].right is not step.left and seq.steps[idx - 1].right != step.left:
                 raise _endpoint_fault(chain, "sequence joints do not chain verbatim")
-            for rel, witness, panel in later:
+            for rel, witness, panel, _, _ in later:
                 chain.append(panel)
                 relations.append(Relation(rel, witness, ("link", idx)))
         join = len(rq.chain)
@@ -481,34 +482,6 @@ def _endpoint_fault(chain, message):
     return CertificateVerificationError(((len(chain) - 1, message),))
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _relation_holds(a, b, rel, witness):
-    if rel == "equal":
-        return a == b
-    if rel == "supset_dot":
-        big, small = a, b
-    elif rel == "subset_dot":
-        big, small = b, a
-    else:
-        return False
-    if witness is None:
-        return False
-    w = tuple(witness)
-    try:
-        pa = primitive_points(big)
-        if w not in pa:
-            return False
-        rest = tuple(x for x in pa if x != w)
-        if set(primitive_points(small)) != set(rest):
-            return False
-        if small != hull(rest):
-            return False
-        return not small.contains(w)
-    except ValueError:
-        # tampered chains may leave the Fano world entirely
-        return False
-
-
 def verify_certificate(cert):
     """Re-check every class membership, relation, link validation and joint.
 
@@ -518,52 +491,106 @@ def verify_certificate(cert):
     contiguous, in order, each with the panel's relation, witness and step
     index, its chain member equal to the panel's hull, and covering every
     step, so a chain that claims more links than the sequence holds fails.
+
+    Where the walk shows that part of the chain is exactly the sequence's
+    panels, joined verbatim, the class of its members and its relations are
+    read from the links' records, which checked them on equal values once
+    per link; every other member and relation is checked here.  A malformed
+    relation fails; it does not raise.
     """
-    failures = []
     chain, relations, cls = cert.chain, cert.relations, cert.class_constraint
     if len(chain) != len(relations) + 1:
         return VerifyReport(False, ((0, "chain and relation lengths disagree"),))
-    for i, member in enumerate(chain):
-        if not in_class(member, cls):
-            failures.append((i, f"chain member leaves class {cls}"))
-    for i, r in enumerate(relations):
-        if not _relation_holds(chain[i], chain[i + 1], r.rel, r.witness):
-            failures.append((i, f"relation {r.rel} fails"))
-    steps = cert.sequence.steps
+    walked = []
     if cert.sequence.class_constraint != cls:
-        failures.append((0, f"sequence class {cert.sequence.class_constraint} is not {cls}"))
-    link_positions = [i for i, r in enumerate(relations) if r.origin[0] == "link"]
-    if not steps or not link_positions:
-        if steps or link_positions:
+        walked.append((0, f"sequence class {cert.sequence.class_constraint} is not {cls}"))
+    # an unmatched walk leaves an empty span past the chain's end
+    n = len(chain)
+    lo, hi, outside, broken = _walk(chain, relations, cert.sequence.steps, cls, walked) or (n, n, [], [])
+    members = [i for i, p in enumerate(chain[:lo]) if not in_class(p, cls)] + outside
+    members += [i for i in range(hi + 1, n) if not in_class(chain[i], cls)]
+    rels = [i for i, r in enumerate(relations[:lo]) if not _holds(chain, r, i)] + broken
+    rels += [i for i in range(hi, n - 1) if not _holds(chain, relations[i], i)]
+    failures = [(i, f"chain member leaves class {cls}") for i in members]
+    failures += [(i, f"relation {relations[i].rel} fails") for i in rels]
+    failures += walked
+    return VerifyReport(not failures, tuple(failures))
+
+
+def _holds(chain, r, i):
+    """Relation r holds between chain members i and i + 1, and is well
+    formed: a relation name, a witness that is None or a tuple of ints, and
+    an origin that is a nonempty tuple."""
+    w = r.witness
+    return (
+        type(r.rel) is str
+        and type(r.origin) is tuple
+        and len(r.origin) > 0
+        and (w is None or (type(w) is tuple and {int}.issuperset(map(type, w))))
+        and _relation_holds(chain[i], chain[i + 1], r.rel, w)
+    )
+
+
+def _is_link(r):
+    """r claims a link as its origin; a malformed origin claims none, and
+    its relation fails in _holds."""
+    return type(r.origin) is tuple and r.origin[:1] == ("link",)
+
+
+def _walk(chain, relations, steps, cls, failures):
+    """Walk the steps of the sequence along the chain, appending the
+    sequence's failures.  Returns (lo, hi, outside, broken) when the chain
+    members lo..hi and the relations between them are exactly the panels
+    of the steps, whose joints chain verbatim: outside and broken are the
+    members that leave the class and the relations that fail there, as the
+    step records give them.  Returns None otherwise."""
+    start = next((i for i, r in enumerate(relations) if _is_link(r)), None)
+    if not steps or start is None:
+        if steps or start is not None:
             failures.append((0, "one of the sequence and its link relations is empty"))
-        return VerifyReport(not failures, tuple(failures))
-    start = at = link_positions[0]
+        return None
+    at = start
+    joined = True
     mismatch = None  # the chain index of the first panel that does not match
+    outside, broken = [], []
     for idx, step in enumerate(steps):
-        if idx and steps[idx - 1].right != step.left:
+        if idx and steps[idx - 1].right is not step.left and steps[idx - 1].right != step.left:
             failures.append((idx - 1, "sequence: joint mismatch between consecutive steps"))
-        bad, first, later = step_record(step, cls)
-        failures.extend((idx, f"sequence: {msg}") for msg in bad)
-        if idx == 0 and first != chain[at]:
-            mismatch = at
-        for rel, witness, panel in later:
-            if mismatch is not None:
-                break
+            joined = False
+        bad, first, first_in_class, later = step_record(step, cls)
+        if bad:
+            failures.extend((idx, f"sequence: {msg}") for msg in bad)
+        if mismatch is not None:
+            continue
+        if idx == 0:
+            if first is not chain[at] and first != chain[at]:
+                mismatch = at
+                continue
+            if not first_in_class:
+                outside.append(at)
+        origin = ("link", idx)
+        for rel, witness, panel, in_cls, holds in later:
             at += 1
             r = relations[at - 1] if at < len(chain) else None
             if (
                 r is None
                 or r.rel != rel
                 or r.witness != witness
-                or r.origin != ("link", idx)
-                or chain[at] != panel
+                or r.origin != origin
+                or (chain[at] is not panel and chain[at] != panel)
             ):
                 mismatch = at
+                break
+            if not in_cls:
+                outside.append(at)
+            if not holds:
+                broken.append(at - 1)
     if mismatch is not None:
         failures.append((mismatch, "panel does not match the chain"))
-    elif len(link_positions) != at - start:
+        return None
+    if any(_is_link(r) for r in relations[at:]):
         failures.append((at, "link relations beyond the sequence's panels"))
-    return VerifyReport(not failures, tuple(failures))
+    return (start, at, outside, broken) if joined else None
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,20 @@ def test_verify_flags_tampering(tmp_path, capsys):
     assert out["ok"] is False and out["failures"]
 
 
+def test_verify_set_mode_step_exit_3(tmp_path, capsys):
+    # the README certificate with its first link in set mode, which skips the
+    # purity checks: connect emits polytope-mode links only
+    a = _write(tmp_path, "tri.json", {"dim": 2, "points": [[1, 0], [0, 1], [-1, -1]]})
+    b = _write(tmp_path, "tri90.json", {"dim": 2, "points": [[0, 1], [-1, 0], [1, -1]]})
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["connect", a, b, "--class", "terminal", "--out", cert_path]) == 0
+    cert = json.loads(open(cert_path).read())
+    cert["sequence"]["steps"][0]["mode"] = "set"
+    assert main(["verify", _write(tmp_path, "set.json", cert)]) == 3
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"ok": False, "failures": [[0, "sequence: link mode set is not polytope"]]}
+
+
 def test_verify_empty_fiber_exit_3(tmp_path, capsys):
     a = _write(tmp_path, "a.json", {"dim": 2, "points": [[1, 0], [0, 1], [-1, -1]]})
     b = _write(tmp_path, "b.json", {"dim": 2, "points": [[0, 1], [-1, 0], [1, -1]]})

@@ -18,11 +18,14 @@ from fanoweb.links import (
     Constituent,
     ElementaryLink,
     _enumerate_links,
+    _relation_holds,
     blowdown_link,
     box_primitives,
+    conjugate,
     conjugate_sequence,
     enumerate_links,
     elementary_transform,
+    inverse,
     plane_polygon,
     ruled_polygon,
     sequence_from_steps,
@@ -804,6 +807,156 @@ def test_verify_refuses_tampered_link_relations(cls, i, j, g, data):
         return
     for bad in _tampered_certificates(loaded, data.draw):
         assert not verify_certificate(certificate_from_json(bad)).ok
+
+
+def test_equal_links_and_columns_are_one_object():
+    link = elementary_transform(1, 1)
+    a = conjugate(GEN_S, conjugate(GEN_S, link))
+    b = conjugate(GEN_S.compose(GEN_S), link)
+    assert a is b and a.left is b.left and a.middle is b.middle and a.right is b.right
+    assert inverse(inverse(a)) is a and inverse(a) is inverse(b)
+    # the columns of consecutive steps are one object, so a joint is an identity
+    seq = conjugate_sequence(GEN_T, forward_sequence("S", "F1"))
+    assert all(s.right is t.left for s, t in zip(seq.steps, seq.steps[1:]))
+
+
+def _reduced_on_both_sides(cls):
+    """A certificate whose endpoints both need class-preserving reductions."""
+    polys = [p for p in enumerate_class_polygons(2, cls) if mmp_reduce(p, cls).chain]
+    cert = connect(polys[0], polys[-1], cls)
+    links = [i for i, r in enumerate(cert.relations) if r.origin[0] == "link"]
+    assert links and links[0] > 0 and links[-1] < len(cert.relations) - 1
+    return cert, links[0], links[-1] + 1
+
+
+def test_a_warm_verify_checks_only_the_reduction_sides_itself(monkeypatch):
+    cert, lo, hi = _reduced_on_both_sides("canonical")
+    assert verify_certificate(cert).ok
+    members, relations = [], []
+    real_in_class, real_holds = web.in_class, web._relation_holds
+
+    def spy_in_class(p, cls):
+        members.append(p)
+        return real_in_class(p, cls)
+
+    def spy_holds(a, b, rel, witness):
+        relations.append((a, b, rel, witness))
+        return real_holds(a, b, rel, witness)
+
+    monkeypatch.setattr(web, "in_class", spy_in_class)
+    monkeypatch.setattr(web, "_relation_holds", spy_holds)
+    assert verify_certificate(cert).ok
+    chain, rels = cert.chain, cert.relations
+    outside = [i for i in range(len(chain)) if not lo <= i <= hi]
+    assert members == [chain[i] for i in outside]
+    assert relations == [
+        (chain[i], chain[i + 1], rels[i].rel, rels[i].witness)
+        for i in range(len(rels)) if not lo <= i < hi
+    ]
+    assert all(rels[i].origin == ("reduction",) for i in outside if i < len(rels))
+
+
+def _direct_failures(cert):
+    """The class and relation failures of every chain member and relation,
+    each checked on its own, as when no link record is read."""
+    chain, cls = cert.chain, cert.class_constraint
+    out = {(i, f"chain member leaves class {cls}") for i, p in enumerate(chain) if not in_class(p, cls)}
+    out |= {
+        (i, f"relation {r.rel} fails")
+        for i, r in enumerate(cert.relations)
+        if not _relation_holds(chain[i], chain[i + 1], r.rel, r.witness)
+    }
+    return out
+
+
+def _with(cert, chain=None, relations=None):
+    return ConnectCertificate(
+        cert.chain if chain is None else tuple(chain),
+        cert.relations if relations is None else tuple(relations),
+        cert.sequence,
+        cert.class_constraint,
+    )
+
+
+def test_an_equal_copy_inside_a_link_span_still_verifies():
+    cert, lo, hi = _reduced_on_both_sides("terminal")
+    for k in (lo, (lo + hi) // 2, hi):
+        chain = list(cert.chain)
+        chain[k] = _polygon(chain[k].vertices)
+        assert chain[k] == cert.chain[k] and chain[k] is not cert.chain[k]
+        assert verify_certificate(_with(cert, chain=chain)) == verify_certificate(cert)
+
+
+def test_a_tampered_span_fails_as_every_check_run_on_its_own():
+    cert, lo, hi = _reduced_on_both_sides("canonical")
+    outside_class = hull([(1, 0), (0, 1), (-1, -3)])
+    assert not in_class(outside_class, "canonical")
+    for k in sorted({0, lo - 1, lo, (lo + hi) // 2, hi, hi + 1, len(cert.chain) - 1}):
+        chain = list(cert.chain)
+        chain[k] = outside_class
+        rep = verify_certificate(_with(cert, chain=chain))
+        mismatch = {(k, "panel does not match the chain")} if lo <= k <= hi else set()
+        assert set(rep.failures) == _direct_failures(_with(cert, chain=chain)) | mismatch, k
+    for k in sorted({0, lo, (lo + hi) // 2, hi - 1, hi}):
+        r = cert.relations[k]
+        if r.witness is None:
+            continue
+        relations = list(cert.relations)
+        relations[k] = Relation(r.rel, (r.witness[0] + 1, r.witness[1]), r.origin)
+        rep = verify_certificate(_with(cert, relations=relations))
+        mismatch = {(k + 1, "panel does not match the chain")} if lo <= k < hi else set()
+        assert (k, f"relation {r.rel} fails") in rep.failures
+        assert set(rep.failures) == _direct_failures(_with(cert, relations=relations)) | mismatch, k
+
+
+def test_a_tampered_span_keeps_its_failure_entries():
+    cert = connect(plane_polygon(), hull(GEN_S.apply_all(plane_polygon().vertices)), "terminal")
+    chain = list(cert.chain)
+    chain[3] = hull([(1, 0), (0, 1), (-1, -2)])
+    assert verify_certificate(_with(cert, chain=chain)).failures == (
+        (3, "chain member leaves class terminal"),
+        (2, "relation subset_dot fails"),
+        (3, "relation supset_dot fails"),
+        (3, "panel does not match the chain"),
+    )
+    relations = list(cert.relations)
+    r = relations[2]
+    relations[2] = Relation(r.rel, (r.witness[0] + 1, r.witness[1]), r.origin)
+    assert verify_certificate(_with(cert, relations=relations)).failures == (
+        (2, "relation subset_dot fails"),
+        (3, "panel does not match the chain"),
+    )
+
+
+@pytest.mark.parametrize("witness", [5, [1, 0], ((1,), 0), 1.5])
+def test_verify_fails_a_malformed_witness_without_raising(witness):
+    cert, lo, hi = _reduced_on_both_sides("terminal")
+    for k in (0, lo, hi - 1):
+        relations = list(cert.relations)
+        r = relations[k]
+        relations[k] = Relation(r.rel, witness, r.origin)
+        rep = verify_certificate(_with(cert, relations=relations))
+        assert not rep.ok and (k, f"relation {r.rel} fails") in rep.failures
+
+
+@pytest.mark.parametrize("origin", [5, (), "reduction", None])
+def test_verify_fails_a_malformed_origin_without_raising(origin):
+    cert, lo, _ = _reduced_on_both_sides("terminal")
+    for k in (0, lo):
+        relations = list(cert.relations)
+        r = relations[k]
+        relations[k] = Relation(r.rel, r.witness, origin)
+        assert not verify_certificate(_with(cert, relations=relations)).ok
+
+
+def test_verify_fails_a_step_that_is_not_in_polytope_mode():
+    tri = plane_polygon()
+    cert = connect(tri, hull(GEN_S.apply_all(tri.vertices)), "terminal")
+    data = json.loads(dumps(certificate_to_json(cert)))
+    data["sequence"]["steps"][0]["mode"] = "set"
+    rep = verify_certificate(certificate_from_json(data))
+    assert not rep.ok
+    assert rep.failures == ((0, "sequence: link mode set is not polytope"),)
 
 
 def test_a_warm_connect_builds_no_link(monkeypatch):
