@@ -7,8 +7,9 @@ matrix whose columns are some vectors, its transform spans the integer
 vectors orthogonal to them, which gives saturated spans, quotient
 projections with free cokernel and deterministic (HNF-normalized) bases;
 back-substitution on the Hermite form of a basis gives integer coordinates
-in it.  In the plane, saturated spans and span tests against one vector
-have closed forms (determinants and a gcd).
+in it.  In the plane, saturated spans, span tests against one vector and
+the quotient projection along a line have closed forms (determinants and a
+gcd).
 """
 
 from __future__ import annotations
@@ -259,10 +260,18 @@ class UnimodularMap(_Frozen):
         return len(self.matrix)
 
     def apply(self, v):
+        """g(v); ValueError when v's length is not the map's dimension."""
+        if len(v) != len(self.matrix):
+            raise ValueError(f"a map of dimension {self.dim} cannot move {v!r}")
         return mat_vec(self.matrix, v)
 
     def apply_all(self, vs):
-        return tuple(mat_vec(self.matrix, v) for v in vs)
+        """g(v) for each v, in order; ValueError as apply.  In the plane,
+        unpacking each vector into two entries is the length check."""
+        if len(self.matrix) != 2:
+            return tuple(map(self.apply, vs))
+        (a, b), (c, d) = self.matrix
+        return tuple((a * x + b * y, c * x + d * y) for x, y in vs)
 
     def inverse(self):
         return UnimodularMap(mat_inverse_unimodular(self.matrix))
@@ -310,14 +319,25 @@ def quotient_projection(fiber_basis, dim):
         raise ValueError("empty fiber basis")
     if any(len(b) != dim for b in basis):
         raise ValueError("fiber basis vectors must have length dim")
-    u, h, rank = _hermite_of_columns(basis, dim)
-    if rank != k:
-        raise ValueError("fiber basis is not linearly independent")
-    if h[:k] != mat_identity(k):
-        raise ValueError("fiber basis does not span a saturated sublattice")
-    if k == dim:
-        return QuotientProjection(dim, basis, ())
-    pi = QuotientProjection(dim, basis, row_hermite(u[k:])[1])
+    if dim == 2 and k == 1:
+        # a line in the plane: its orthogonal row (-f1, f0), first nonzero
+        # entry positive, is the Hermite route's answer
+        f0, f1 = basis[0]
+        if not (f0 or f1):
+            raise ValueError("fiber basis is not linearly independent")
+        if gcd(f0, f1) != 1:
+            raise ValueError("fiber basis does not span a saturated sublattice")
+        row = (-f1, f0) if (-f1, f0) > (0, 0) else (f1, -f0)
+        pi = QuotientProjection(dim, basis, (row,))
+    else:
+        u, h, rank = _hermite_of_columns(basis, dim)
+        if rank != k:
+            raise ValueError("fiber basis is not linearly independent")
+        if h[:k] != mat_identity(k):
+            raise ValueError("fiber basis does not span a saturated sublattice")
+        if k == dim:
+            return QuotientProjection(dim, basis, ())
+        pi = QuotientProjection(dim, basis, row_hermite(u[k:])[1])
     for b in basis:
         if any(x != 0 for x in pi.apply(b)):
             raise AssertionError("projection does not kill the fiber basis")

@@ -296,11 +296,14 @@ def _purity_checks(link, add):
 
 
 def conjugate(g, link):
-    """Apply a unimodular map to every point of every constituent."""
+    """Apply a unimodular map to every point of every constituent.  Raises
+    ValueError when a column's dimension is not the map's."""
 
     def move(c):
         if c is None:
             return None
+        if c.pgs.dim != g.dim:
+            raise ValueError(f"a map of dimension {g.dim} cannot move a column of dimension {c.pgs.dim}")
         return Constituent(
             PrimGenSet(c.pgs.dim, g.apply_all(c.pgs.points), _checked=True),
             g.apply_all(c.fiber),
@@ -505,17 +508,50 @@ def step_record(link, class_constraint):
     the only mode that connect and bfs_connect emit; first is the hull of
     its first panel; later holds (relation, witness, hull, in class,
     relation holds) for each later panel, the relation being the one from
-    the panel before."""
-    panels, rels = link_panels(link)
-    hulls = [_hull(c.points) for c in panels]
+    the panel before.
+
+    The hulls and witnesses are the link's own.  The failures, the classes
+    and whether each relation holds are those of its orbit representative
+    (_orbit_representative), one check that the link shares with each of
+    its images whose left column's frame is the image of its own."""
+    hulls, rels = _panel_hulls(link)
+    failures, classes, holds = _orbit_checks(_orbit_representative(link), class_constraint)
     later = tuple(
-        (rel, witness, b, in_class(b, class_constraint), _relation_holds(a, b, rel, witness))
-        for a, b, (rel, witness) in zip(hulls, hulls[1:], rels)
+        (rel, witness, b, in_cls, ok)
+        for (rel, witness), b, in_cls, ok in zip(rels, hulls[1:], classes[1:], holds)
     )
+    return failures, hulls[0], classes[0], later
+
+
+def _panel_hulls(link):
+    """The hull of each panel of the link, and the relations between them."""
+    panels, rels = link_panels(link)
+    return [_hull(c.points) for c in panels], rels
+
+
+def _orbit_checks(link, class_constraint):
+    """(failures, the class of each panel, whether each panel relation
+    holds) of the link, checked directly: the part of its step record that
+    a unimodular map keeps."""
+    hulls, rels = _panel_hulls(link)
     failures = _step_failures(link, class_constraint)
     if link.mode != "polytope":
         failures += (f"link mode {link.mode} is not polytope",)
-    return failures, hulls[0], in_class(hulls[0], class_constraint), later
+    classes = tuple(in_class(b, class_constraint) for b in hulls)
+    holds = tuple(_relation_holds(a, b, rel, w) for a, b, (rel, w) in zip(hulls, hulls[1:], rels))
+    return failures, classes, holds
+
+
+def _orbit_representative(link):
+    """g^-1(link) for g the frame of the link's left column (_frame) when
+    every column is planar and that frame exists, else the link itself.
+    Every check of _orbit_checks is invariant under any unimodular map (the
+    README's Guarantees give the argument), so a frame that misses is sound
+    and only costs memo hits."""
+    if any(c is not None and c.pgs.dim != 2 for c in (link.left, link.middle, link.right)):
+        return link
+    _, g = _frame(link.left.points, link.left.fiber)
+    return link if g is None else conjugate(g.inverse(), link)
 
 
 @lru_cache(maxsize=MEMO_SIZE)

@@ -207,12 +207,20 @@ def _hull3d(pts):
     return Polytope(3, tuple(sorted(vertices)), facets)
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def lattice_points(p):
     """All lattice points of the polytope, sorted lexicographically."""
+    return _point_lists(p)[0]
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _point_lists(p):
+    """(lattice points, primitive lattice points) of the polytope, each
+    sorted lexicographically: one memo entry serves lattice_points and
+    primitive_points."""
     lo = [min(axis) for axis in zip(*p.vertices)]
     hi = [max(axis) for axis in zip(*p.vertices)]
-    return _scan(p.facets, lo, hi)
+    points = _scan(p.facets, lo, hi)
+    return points, tuple(q for q in points if vec_gcd(q) == 1)
 
 
 def _scan(facets, lo, hi):
@@ -509,7 +517,7 @@ def primitive_points(p):
     """All primitive lattice points of a Fano polytope (the origin excluded)."""
     if not is_fano(p):
         raise ValueError("primitive point set is defined for Fano polytopes only")
-    return tuple(q for q in lattice_points(p) if vec_gcd(q) == 1)
+    return _point_lists(p)[1]
 
 
 def primitive_points_in_hull(points):

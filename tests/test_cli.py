@@ -3,6 +3,9 @@ import json
 import pytest
 
 from fanoweb.cli import main
+from fanoweb.jsonio import certificate_from_json
+from fanoweb.links import _orbit_representative
+from fanoweb.web import verify_certificate
 
 
 def _write(tmp_path, name, payload):
@@ -314,3 +317,64 @@ def test_connect_and_verify_stay_off_dataclasses_and_fractions(tmp_path):
     got = json.loads(proc.stdout)
     assert got == {"rcs": [0, 0, 0, 0], "loaded": [], "dual_loads_fractions": True}
     assert json.loads((tmp_path / "out.json").read_text())["flags"]["terminal"] is True
+
+
+def _move_middle_point(middle):
+    middle["points"][middle["points"].index([0, -1])] = [1, -1]
+
+
+# Edits of step 1 of the README certificate (tri.json to tri90.json, terminal),
+# whose left column is an image of the standard F1 pair, whether the edited
+# link is checked on its orbit representative, and the reports that checking
+# every link directly gives.
+MALFORMED_STEPS = {
+    "spatial middle": (
+        False,
+        lambda step: step.update(middle={
+            "dim": 3,
+            "points": [[1, 0, 0], [0, 1, 0], [-1, -1, 0], [0, 0, 1], [0, 0, -1]],
+            "fiber": [[0, 0, -1], [0, 0, 1]],
+        }),
+        [[1, "sequence: link invalid: left enlargement; right reduction; fibers equal; bases equal"],
+         [3, "panel does not match the chain"]],
+    ),
+    "empty right fiber": (
+        True,
+        lambda step: step["right"].update(fiber=[]),
+        [[1, "sequence: link invalid: right fiber structure; right Mori; fibers equal"],
+         [1, "sequence: joint mismatch between consecutive steps"]],
+    ),
+    # a left fiber of three of the four points has no frame
+    "left column without a frame": (
+        False,
+        lambda step: step["left"].update(fiber=[[-1, 0], [0, 1], [1, 0]]),
+        [[0, "sequence: joint mismatch between consecutive steps"],
+         [1, "sequence: link invalid: left fiber structure; left Mori; fibers equal"]],
+    ),
+    "moved middle point": (
+        True,
+        lambda step: _move_middle_point(step["middle"]),
+        [[1, "sequence: link invalid: right reduction; middle set purity"],
+         [1, "sequence: middle constituent leaves class terminal"],
+         [3, "panel does not match the chain"]],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_STEPS))
+def test_verify_reports_of_malformed_links(tmp_path, capsys, name):
+    orbit, edit, failures = MALFORMED_STEPS[name]
+    a = _write(tmp_path, "tri.json", {"dim": 2, "points": [[1, 0], [0, 1], [-1, -1]]})
+    b = _write(tmp_path, "tri90.json", {"dim": 2, "points": [[0, 1], [-1, 0], [1, -1]]})
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["connect", a, b, "--class", "terminal", "--out", cert_path]) == 0
+    capsys.readouterr()
+    cert = json.loads(open(cert_path).read())
+    edit(cert["sequence"]["steps"][1])
+    parsed = certificate_from_json(cert)
+    step = parsed.sequence.steps[1]
+    assert (_orbit_representative(step) is not step) == orbit
+    rep = verify_certificate(parsed)
+    assert [list(f) for f in rep.failures] == failures and not rep.ok
+    assert main(["verify", _write(tmp_path, "bad.json", cert)]) == 3
+    assert json.loads(capsys.readouterr().out) == {"ok": False, "failures": failures}

@@ -416,3 +416,46 @@ def _row_and_vector(draw):
 def test_one_row_coordinates_match_the_hermite_route(case):
     row, v = case
     assert coordinates_in_basis(v, (row,)) == _hermite_coordinates(v, (row,))
+
+
+def test_a_vector_of_the_wrong_length_is_refused():
+    g = UnimodularMap(((0, -1), (1, 0)))
+    with pytest.raises(ValueError):
+        g.apply((1, 2, 3))  # was (-2, 1), the third entry dropped
+    with pytest.raises(ValueError):
+        g.apply((1,))
+    with pytest.raises(ValueError):
+        g.apply_all([(1, 0), (1, 2, 3)])
+    with pytest.raises(ValueError):
+        g.apply_all([(1, 0), (1,)])
+    h = UnimodularMap(mat_identity(3))
+    with pytest.raises(ValueError):
+        h.apply_all([(1, 0, 0), (1, 0)])
+    assert g.apply((1, 2)) == (-2, 1)
+    assert g.apply_all([(1, 2), (0, 1)]) == ((-2, 1), (-1, 0))
+    assert g.apply_all([]) == ()
+    assert h.apply_all([(1, 2, 3)]) == ((1, 2, 3),)
+
+
+def _hermite_line_projection(f):
+    """The quotient projection along the line of f by the Hermite route every
+    dimension takes, or the ValueError message it raises."""
+    u, h, rank = _hermite_of_columns([f], 2)
+    if rank != 1:
+        return "fiber basis is not linearly independent"
+    if h[:1] != mat_identity(1):
+        return "fiber basis does not span a saturated sublattice"
+    return row_hermite(u[1:])[1]
+
+
+def test_planar_line_projection_is_the_hermite_one():
+    for f in product(range(-12, 13), repeat=2):
+        expected = _hermite_line_projection(f)
+        if isinstance(expected, str):
+            with pytest.raises(ValueError, match=expected):
+                quotient_projection([f], 2)
+            continue
+        pi = quotient_projection([f], 2)
+        assert pi.matrix == expected
+        assert pi.fiber_basis == (f,)
+        assert pi.apply(f) == (0,)

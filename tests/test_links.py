@@ -16,6 +16,9 @@ from fanoweb.links import (
     ElementaryLink,
     _candidate_links,
     _enumerate_links,
+    _link_table,
+    _relation_holds,
+    _step_failures,
     blowdown_link,
     box_primitives,
     conjugate,
@@ -30,15 +33,26 @@ from fanoweb.links import (
     sequence_panels,
     slide_link,
     standard_pairs,
+    step_record,
     validate_link,
     validate_sequence,
 )
-from fanoweb.polytopes import classify, hull
-from fanoweb.web import enumerate_class_polygons
+from fanoweb.polytopes import CLASS_NAMES, classify, hull, in_class
+from fanoweb.web import TOKENS, enumerate_class_polygons
 from test_memo import _clear_memos
 
 U_MAT = UnimodularMap(((-1, 0), (0, 1)))
 S_MAT = UnimodularMap(((0, -1), (1, 0)))
+
+# words in the GL(2,Z) generators of fanoweb.web and the maps they multiply to
+_GL_WORDS = st.lists(st.sampled_from(sorted(TOKENS)), max_size=4)
+
+
+def _gl_map(word):
+    g = UnimodularMap.identity(2)
+    for t in word:
+        g = g.compose(TOKENS[t])
+    return g
 
 
 def test_elementary_transform_m0_shape():
@@ -158,6 +172,21 @@ def test_conjugate_matches_hand_computation():
     moved = conjugate(U_MAT, elementary_transform(0))
     assert set(moved.left.points) == {(-1, 0), (0, 1), (1, 0), (0, -1)}
     assert set(moved.right.points) == {(-1, 0), (0, 1), (1, 0), (1, -1)}
+
+
+def test_conjugate_refuses_a_column_of_another_dimension():
+    octahedron = [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)]
+    c = Constituent(PrimGenSet(3, octahedron), ((0, 0, -1), (0, 0, 1)))
+    spatial = ElementaryLink("IV_s", c, None, c, "polytope")
+    # the 2x2 map used to give planar columns with (0, 0) twice
+    with pytest.raises(ValueError):
+        conjugate(S_MAT, spatial)
+    with pytest.raises(ValueError):
+        conjugate(UnimodularMap(((1, 0, 0), (0, 1, 0), (0, 0, 1))), elementary_transform(0))
+    planar = elementary_transform(0)
+    mixed = ElementaryLink(planar.kind, planar.left, c, planar.right, planar.mode)
+    with pytest.raises(ValueError):
+        conjugate(S_MAT, mixed)
 
 
 def test_sequence_validation_and_panels():
@@ -426,3 +455,77 @@ def test_base_relations_reject_corruption():
     )
     failed = {name for name, _, _ in validate_link(bad).failed()}
     assert {"left enlargement", "bases equal"} <= failed
+
+
+def _reference_record(link, cls):
+    """The step record as the link itself checks it, with no orbit
+    representative: the reference for step_record."""
+    panels, rels = link_panels(link)
+    hulls = [hull(c.points) for c in panels]
+    later = tuple(
+        (rel, witness, b, in_class(b, cls), _relation_holds(a, b, rel, witness))
+        for a, b, (rel, witness) in zip(hulls, hulls[1:], rels)
+    )
+    failures = _step_failures(link, cls)
+    if link.mode != "polytope":
+        failures += (f"link mode {link.mode} is not polytope",)
+    return failures, hulls[0], in_class(hulls[0], cls), later
+
+
+def _moved_point(c, old, new):
+    """Column c with its point old replaced by new, in its fiber too."""
+    points = [new if p == old else p for p in c.points]
+    return Constituent(PrimGenSet(2, points, _checked=True), [new if p == old else p for p in c.fiber])
+
+
+def _tampered_links(link):
+    """A moved middle point (the right one when there is no middle), the
+    left and right columns swapped, and a moved first witness."""
+    kind, left, middle, right, mode = link.kind, link.left, link.middle, link.right, link.mode
+    cols = [left, middle, right]
+    j = 1 if middle is not None else 2
+    p = next((q for q in cols[j].points if q not in left.points), cols[j].points[0])
+    cols[j] = _moved_point(cols[j], p, (p[0], p[1] + 1))
+    out = [ElementaryLink(kind, *cols, mode), ElementaryLink(kind, right, middle, left, mode)]
+    w = link_panels(link)[1][0][1]
+    if w is not None:
+        cols = [
+            c if c is None or w not in c.points else _moved_point(c, w, (w[0] + 1, w[1] + 1))
+            for c in (left, middle, right)
+        ]
+        out.append(ElementaryLink(kind, *cols, mode))
+    return out
+
+
+_TABLE_LINKS = tuple(
+    dict.fromkeys(link for cls in ("canonical", "terminal") for links in _link_table(cls).values() for link in links)
+)
+_ORBIT_LINKS = _TABLE_LINKS + tuple(t for link in _TABLE_LINKS for t in _tampered_links(link))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(i=st.integers(min_value=0), word=_GL_WORDS, cls=st.sampled_from(CLASS_NAMES))
+def test_step_record_of_an_image_is_the_direct_one(i, word, cls):
+    link = conjugate(_gl_map(word), _ORBIT_LINKS[i % len(_ORBIT_LINKS)])
+    try:
+        expected = _reference_record(link, cls)
+    except ValueError as e:
+        with pytest.raises(type(e)):
+            step_record(link, cls)
+        return
+    failures, first, first_in_class, later = step_record(link, cls)
+    assert failures == expected[0]
+    assert first == expected[1] and first.facets == expected[1].facets
+    assert first_in_class == expected[2]
+    assert len(later) == len(expected[3])
+    for got, want in zip(later, expected[3]):
+        assert got == want
+        assert got[2].facets == want[2].facets
+
+
+def test_the_orbit_links_cover_valid_and_invalid_records():
+    # the property test above sees both kinds of record
+    records = [step_record(link, "canonical") for link in _ORBIT_LINKS]
+    assert sum(not r[0] for r in records) >= len(_TABLE_LINKS) - 2
+    assert sum(bool(r[0]) for r in records) > len(_TABLE_LINKS)
+    assert any(not ok for r in records for *_, ok in r[3])

@@ -27,6 +27,7 @@ from fanoweb.polytopes import (
     primitive_points_in_hull,
     rational_polar_dual,
 )
+from fanoweb.web import enumerate_class_polygons
 from test_web import _GL_WORDS, _gl_map
 
 TRIANGLE = [(1, 0), (0, 1), (-1, -1)]          # plane polygon
@@ -360,6 +361,19 @@ def test_primitive_points_examples():
 def test_primitive_points_requires_fano():
     with pytest.raises(ValueError):
         primitive_points(hull([(2, 0), (0, 2), (-2, -2)]))
+
+
+def test_primitive_points_are_the_primitive_lattice_points():
+    # the canonical polygons of box 3, and Fano ones with more interior points
+    polys = list(enumerate_class_polygons(3, "canonical"))
+    polys += [hull([(1, 0), (0, 1), (-3, -2)]), hull([(3, 1), (-1, 3), (-3, -1), (1, -3)])]
+    for p in polys:
+        assert primitive_points(p) == tuple(q for q in lattice_points(p) if gcd(*q) == 1)
+    for vertices in ([(2, 0), (0, 2), (-2, -2)], [(1, 0), (0, 1), (1, 1)]):
+        p = hull(vertices)
+        assert lattice_points(p)  # its memo entry is made before the refusal
+        with pytest.raises(ValueError):
+            primitive_points(p)
 
 
 def test_primitive_points_in_hull_lower_dim():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fanoweb import web
+from fanoweb import genset, web
 from fanoweb.cli import main
 from fanoweb.genset import from_polytope, mori_fiber_structures, positively_spans
 from fanoweb.jsonio import certificate_from_json, certificate_to_json, dumps
@@ -18,6 +18,7 @@ from fanoweb.links import (
     Constituent,
     ElementaryLink,
     _enumerate_links,
+    _frame,
     _relation_holds,
     blowdown_link,
     box_primitives,
@@ -60,7 +61,7 @@ from fanoweb.web import (
     to_standard_form,
     verify_certificate,
 )
-from test_links import _box2_mori_states
+from test_links import _GL_WORDS, _box2_mori_states, _gl_map
 from test_memo import _clear_memos, _memos
 
 
@@ -645,16 +646,6 @@ def test_concat_cuts_loop_and_keeps_surrounding_steps():
     assert validate_sequence(seq).ok
 
 
-_GL_WORDS = st.lists(st.sampled_from(sorted(TOKENS)), max_size=4)
-
-
-def _gl_map(word):
-    g = UnimodularMap.identity(2)
-    for t in word:
-        g = g.compose(TOKENS[t])
-    return g
-
-
 def _gl_image(p, word):
     return hull(_gl_map(word).apply_all(p.vertices))
 
@@ -703,6 +694,31 @@ def _moved_certificate(g, cert):
         conjugate_sequence(g, cert.sequence),
         cert.class_constraint,
     )
+
+
+def test_images_with_corresponding_frames_share_one_check(monkeypatch):
+    # T^j moves the frame of every left column of this certificate to T^j
+    # after that frame, so the four images of its links have the same orbit
+    # representatives: only the first image builds fiber structures
+    cert = connect(hull([(1, 0), (0, 1), (-1, -1)]), hull([(0, 1), (-1, 0), (1, -1)]), "terminal")
+    maps = [_gl_map(["T"] * j) for j in range(4)]
+    for g in maps:
+        for step in cert.sequence.steps:
+            _, frame = _frame(step.left.points, step.left.fiber)
+            moved = conjugate(g, step).left
+            assert _frame(moved.points, moved.fiber)[1] == g.compose(frame)
+    images = [_moved_certificate(g, cert) for g in maps]
+    built = []
+    build = genset._build_fiber_structure
+    monkeypatch.setattr(genset, "_build_fiber_structure", lambda *a: built.append(a) or build(*a))
+    _clear_memos()
+    counts = []
+    for image in images:
+        before = len(built)
+        assert verify_certificate(image).ok
+        counts.append(len(built) - before)
+    assert counts[0] > 0
+    assert counts[1:] == [0, 0, 0]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
