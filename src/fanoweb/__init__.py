@@ -48,7 +48,6 @@ from .polytopes import (
     ClassFlags,
     DegenerateHullError,
     Polytope,
-    RationalPolytope,
     classify,
     hull,
     interior_lattice_points,

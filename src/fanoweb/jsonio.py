@@ -150,7 +150,6 @@ def sequence_to_json(seq):
     return {
         "class": seq.class_constraint,
         "steps": [link_to_json(s) for s in seq.steps],
-        "joints": [{"kind": j[0]} for j in seq.joints],
     }
 
 

@@ -4,7 +4,7 @@ Vectors are tuples of Python ints, matrices are tuples of row tuples.
 Everything runs on arbitrary-precision integers, so no overflow is possible
 anywhere downstream.  The workhorse is the row Hermite normal form: on the
 matrix whose columns are some vectors, its transform spans the integer
-vectors orthogonal to them, which gives saturated spans, quotient
+vectors orthogonal to them, which gives ranks, saturated spans, quotient
 projections with free cokernel and deterministic (HNF-normalized) bases;
 back-substitution on the Hermite form of a basis gives integer coordinates
 in it.  In the plane, saturated spans, span tests against one vector and
@@ -355,27 +355,9 @@ def pibar(pi, v):
     return primitivize(w)[0]
 
 
-def _rank_fraction(rows):
-    """Rank over Q, by fraction-free (Bareiss) elimination on Python ints.
-
-    After each pivot every remaining entry is a minor of the input, so the
-    division by the previous pivot is exact (Sylvester's identity).
-    """
-    work = [list(r) for r in rows]
-    rank, prev = 0, 1
-    for col in range(len(work[0]) if work else 0):
-        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        top = work[rank]
-        pv = top[col]
-        for i in range(rank + 1, len(work)):
-            f = work[i][col]
-            work[i] = [(pv * a - f * b) // prev for a, b in zip(work[i], top)]
-        prev = pv
-        rank += 1
-    return rank
+def matrix_rank(rows):
+    """Rank over Q: the number of nonzero rows of the row Hermite form."""
+    return sum(1 for row in row_hermite(rows)[1] if any(row))
 
 
 def in_span(v, basis):
@@ -387,7 +369,7 @@ def in_span(v, basis):
     if len(v) == 2 and len(basis) == 1:  # a determinant test in the plane
         b = basis[0]
         return any(b) and v[0] * b[1] == v[1] * b[0]
-    return _rank_fraction(list(basis)) == _rank_fraction(list(basis) + [v])
+    return matrix_rank(basis) == matrix_rank(list(basis) + [v])
 
 
 def coordinates_in_basis(v, basis):

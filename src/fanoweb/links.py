@@ -428,11 +428,10 @@ def ruling_swap(sign=1):
 
 
 class LinkSequence(_Frozen):
-    __slots__ = ("steps", "joints", "class_constraint")
+    __slots__ = ("steps", "class_constraint")
 
-    def __init__(self, steps, joints, class_constraint="none"):
+    def __init__(self, steps, class_constraint="none"):
         _set(self, "steps", steps)
-        _set(self, "joints", joints)
         _set(self, "class_constraint", class_constraint)
 
     def __len__(self):
@@ -440,9 +439,7 @@ class LinkSequence(_Frozen):
 
 
 def sequence_from_steps(steps, class_constraint="none"):
-    steps = tuple(steps)
-    joints = tuple(("equal",) for _ in range(max(0, len(steps) - 1)))
-    return LinkSequence(steps, joints, class_constraint)
+    return LinkSequence(tuple(steps), class_constraint)
 
 
 def reverse_sequence(seq):

@@ -3,10 +3,12 @@
 A Polytope stores its extremal vertices in canonical order and its facets as
 pairs (normal, level): the facet lies on {x : normal . x = -level}, the
 normal is primitive, and the interior satisfies normal . x > -level.  With
-the origin strictly inside, every level is a positive integer, and the polar
-dual has vertex normal/level for each facet.
+the origin strictly inside, every level is a positive integer, and
+polar_dual reads the polar dual off these data without a hull: a vertex
+normal/level for each facet and a facet for each vertex.  The dual is a
+Polytope too, with Fraction coordinates and levels.
 
-Everything is exact integer arithmetic.  Hulls use a monotone chain with
+Everything else is exact integer arithmetic.  Hulls use a monotone chain with
 inlined cross products in 2D and exhaustive supporting-plane enumeration in
 3D (inputs here are tiny, so the cubic scan is simpler and safer than an
 incremental hull).  lattice_points scans the widest axis of the bounding box
@@ -26,11 +28,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, combinations, permutations, product
-from math import gcd
+from math import gcd, lcm
 
 from .lattice import (
     _Frozen,
-    _rank_fraction,
     _set,
     bezout,
     coordinates_in_basis,
@@ -39,6 +40,7 @@ from .lattice import (
     is_primitive,
     mat_det,
     mat_vec,
+    matrix_rank,
     primitivize,
     row_hermite,
     saturate_span,
@@ -64,6 +66,12 @@ class DegenerateHullError(ValueError):
 
 
 class Polytope:
+    """Extremal vertices in hull's order and facets (normal, level).  The
+    coordinates are ints, except for a polar dual, whose coordinates and
+    levels are Fractions; equality and hashing read the dimension and the
+    vertices only, so a dual whose coordinates are integers equals the
+    lattice polytope with those vertices."""
+
     __slots__ = ("dim", "vertices", "facets", "_hash")
 
     def __init__(self, dim, vertices, facets):
@@ -103,7 +111,7 @@ def affine_dimension(points):
     rows = [vec_sub(p, base) for p in pts[1:]]
     if not rows:
         return 0
-    return _rank_fraction(rows)
+    return matrix_rank(rows)
 
 
 def hull(points):
@@ -202,7 +210,7 @@ def _hull3d(pts):
     vertices = []
     for p in pts:
         normals = [nv for nv, c in planes if dot(nv, p) == c]
-        if len(normals) >= 3 and _rank_fraction(normals) == 3:
+        if len(normals) >= 3 and matrix_rank(normals) == 3:
             vertices.append(p)
     return Polytope(3, tuple(sorted(vertices)), facets)
 
@@ -316,82 +324,40 @@ def in_hull(point, points):
     return point in lattice_points_in_hull(points)
 
 
-class RationalPolytope:
-    __slots__ = ("dim", "vertices", "facets", "_hash")
-
-    def __init__(self, dim, vertices, facets):
-        self.dim = dim
-        self.vertices = vertices
-        self.facets = facets
-        self._hash = hash((dim, vertices))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalPolytope)
-            and self.dim == other.dim
-            and self.vertices == other.vertices
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"RationalPolytope(dim={self.dim}, vertices={list(self.vertices)})"
-
-    def origin_interior(self):
-        return all(lv > 0 for _, lv in self.facets)
-
-
-# The four functions below import Fraction when called: only the dual path
-# reaches them, and importing fractions (with decimal and numbers) up front
-# would cost every process about 3 ms.
-def _rational_hull(points):
-    """Hull of rational points via integer scaling."""
-    from fractions import Fraction
-
-    frac_pts = [tuple(Fraction(x) for x in p) for p in points]
-    den = 1
-    for p in frac_pts:
-        for x in p:
-            den = den * x.denominator // gcd(den, x.denominator)
-    scaled = [tuple(int(x * den) for x in p) for p in frac_pts]
-    ip = hull(scaled)
-    vertices = tuple(tuple(Fraction(x, den) for x in v) for v in ip.vertices)
-    facets = tuple((n, Fraction(lv, den)) for n, lv in ip.facets)
-    return RationalPolytope(ip.dim, vertices, facets)
-
-
-def as_rational(p):
-    from fractions import Fraction
-
-    return RationalPolytope(
-        p.dim,
-        tuple(tuple(Fraction(x) for x in v) for v in p.vertices),
-        tuple((n, Fraction(lv)) for n, lv in p.facets),
-    )
-
-
 def polar_dual(p):
-    """Polar dual {u : <u, v> >= -1 on p}, exact rational vertices.
+    """Polar dual {u : <u, v> >= -1 on p} of an integer or rational p with
+    the origin strictly inside, as a Polytope with Fraction coordinates.
 
-    Requires the origin strictly inside p; the dual vertex for a facet
-    (normal, level) is normal/level.
+    Closed form, no hull.  Each facet (n, lv) of p gives the dual vertex
+    n / lv: in 2D the edge from v_i to v_{i+1} (counter-clockwise) gives the
+    i-th, and the list is rotated to start at the least (hull's order); in 3D
+    the vertices are sorted.  Each vertex v of p gives the dual facet
+    (n, level), n the primitive integer vector on the ray of v and
+    v == n / level.  Fraction is imported here: importing fractions (with
+    decimal and numbers) up front would cost every process about 3 ms.
     """
     from fractions import Fraction
 
     if not p.origin_interior():
         raise ValueError("polar dual requires the origin strictly inside")
-    verts = [tuple(Fraction(x, lv) for x in n) for n, lv in p.facets]
-    return _rational_hull(verts)
-
-
-def rational_polar_dual(q):
-    from fractions import Fraction
-
-    if not q.origin_interior():
-        raise ValueError("polar dual requires the origin strictly inside")
-    verts = [tuple(Fraction(x) / lv for x in n) for n, lv in q.facets]
-    return _rational_hull(verts)
+    if p.dim == 2:
+        vs = p.vertices
+        verts = []
+        for (ax, ay), (bx, by) in zip(vs, vs[1:] + vs[:1]):
+            # the edge's inward normal (ay - by, bx - ax) has level det(a, b)
+            det = ax * by - ay * bx
+            verts.append((Fraction(ay - by) / det, Fraction(bx - ax) / det))
+        k = verts.index(min(verts))
+        vertices = tuple(verts[k:] + verts[:k])
+    else:
+        vertices = tuple(sorted(tuple(Fraction(x) / lv for x in n) for n, lv in p.facets))
+    facets = []
+    for v in p.vertices:
+        den = lcm(*(x.denominator for x in v))
+        w = [x.numerator * (den // x.denominator) for x in v]
+        g = vec_gcd(w)
+        facets.append((tuple(x // g for x in w), Fraction(den, g)))
+    return Polytope(p.dim, vertices, tuple(sorted(facets)))
 
 
 class MavlyutovDual(_Frozen):

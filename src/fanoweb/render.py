@@ -10,7 +10,7 @@ byte-identical SVG.
 
 from __future__ import annotations
 
-from .lattice import _rank_fraction
+from .lattice import matrix_rank
 from .links import LinkSequence, sequence_panels
 from .polytopes import hull, lattice_points
 from .web import ConnectCertificate
@@ -98,7 +98,7 @@ def render_svg(obj, cell_size=24):
 
     for i, (poly, fiber, mori, rel) in enumerate(panels):
         pts = " ".join("%d,%d" % spot(i, v) for v in poly.vertices)
-        full_fiber = fiber is not None and _rank_fraction(list(fiber)) == 2
+        full_fiber = fiber is not None and matrix_rank(fiber) == 2
         if full_fiber:
             parts.append(f'<polygon points="{pts}" fill="#c0c0c0" stroke="#000000" stroke-width="2"/>')
         else:

@@ -189,13 +189,15 @@ def test_criterion_6_property_suites():
         PrimGenSet,
     )
     from fanoweb.lattice import UnimodularMap, mat_mul
-    from fanoweb.polytopes import as_rational, classify, polar_dual, rational_polar_dual
+    from fanoweb.polytopes import classify, polar_dual
+    from test_polytopes import _hull_route_dual
 
     problems = []
 
     refl = enumerate_class_polygons(2, "reflexive")
     for p in refl:
-        if rational_polar_dual(polar_dual(p)) != as_rational(p):
+        d = polar_dual(p)
+        if (d.vertices, d.facets) != _hull_route_dual(p) or polar_dual(d) != p:
             problems.append(("duality", p))
             break
 

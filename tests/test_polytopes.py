@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -12,7 +12,6 @@ from fanoweb.polytopes import (
     _pick_counts,
     _scan,
     affine_dimension,
-    as_rational,
     classify,
     hull,
     in_class,
@@ -25,7 +24,6 @@ from fanoweb.polytopes import (
     polar_dual,
     primitive_points,
     primitive_points_in_hull,
-    rational_polar_dual,
 )
 from fanoweb.web import enumerate_class_polygons
 from test_web import _GL_WORDS, _gl_map
@@ -270,7 +268,37 @@ def test_polar_dual_requires_interior_origin():
 def test_double_dual_is_identity():
     for pts in (TRIANGLE, SQUARE, QUAD1, QUAD2):
         p = hull(pts)
-        assert rational_polar_dual(polar_dual(p)) == as_rational(p)
+        assert polar_dual(polar_dual(p)) == p
+
+
+def _hull_route_dual(p):
+    """(vertices, facets) of the polar dual by the hull route, which shares
+    nothing with polar_dual's closed form: the points normal/level of p's
+    facets scaled to integers by their common denominator, hulled, and
+    scaled back."""
+    points = [tuple(Fraction(x) / lv for x in n) for n, lv in p.facets]
+    den = lcm(*(x.denominator for v in points for x in v))
+    q = hull([tuple(int(x * den) for x in v) for v in points])
+    return (
+        tuple(tuple(Fraction(x, den) for x in v) for v in q.vertices),
+        tuple((n, Fraction(lv, den)) for n, lv in q.facets),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pts=st.one_of(_points((6, 6), 8), _points((3, 3, 3), 8)))
+@example(pts=QUAD2)
+@example(pts=[(1, 0), (0, 1), (-3, -1)])  # a dual with non-integer vertices
+@example(pts=[(2, 1), (-1, 2), (-1, -3)])  # non-primitive vertices: levels below 1
+@example(pts=[(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)])
+def test_polar_dual_matches_the_hull_route(pts):
+    p = _hull_or_reject(pts)
+    assume(p.origin_interior())
+    d = polar_dual(p)
+    assert (d.vertices, d.facets) == _hull_route_dual(p)
+    dd = polar_dual(d)  # rational input
+    assert (dd.vertices, dd.facets) == _hull_route_dual(d)
+    assert (dd.vertices, dd.facets) == (p.vertices, p.facets)
 
 
 def test_mavlyutov_reflexive_is_polar():

@@ -67,9 +67,9 @@ CASES = {
     ),
     LinkReport: (("ok", "checks"), (True, ()), (False, (("left is Mori", False, "no"),))),
     LinkSequence: (
-        ("steps", "joints", "class_constraint"),
-        ((LINK,), (), "terminal"),
-        ((LINK,), (), "none"),
+        ("steps", "class_constraint"),
+        ((LINK,), "terminal"),
+        ((LINK,), "none"),
     ),
     SequenceReport: (("ok", "failures"), (True, ()), (False, ((0, "joint mismatch"),))),
     MavlyutovDual: (
@@ -90,8 +90,8 @@ CASES = {
     ),
     ConnectCertificate: (
         ("chain", "relations", "sequence", "class_constraint"),
-        ((TRI,), (), LinkSequence((), (), "terminal"), "terminal"),
-        ((SQUARE,), (), LinkSequence((), (), "canonical"), "canonical"),
+        ((TRI,), (), LinkSequence((), "terminal"), "terminal"),
+        ((SQUARE,), (), LinkSequence((), "canonical"), "canonical"),
     ),
     VerifyReport: (("ok", "failures"), (True, ()), (False, ((0, "chain and relation lengths disagree"),))),
 }
@@ -131,9 +131,9 @@ def test_constructor_defaults():
     link = ElementaryLink(LINK.kind, LINK.left, LINK.middle, LINK.right)
     assert link.mode == "set"
     assert link != LINK  # blowdown_link is a polytope-mode link
-    seq = LinkSequence((LINK,), ())
+    seq = LinkSequence((LINK,))
     assert seq.class_constraint == "none" and len(seq) == 1
-    assert len(LinkSequence((), ())) == 0
+    assert len(LinkSequence(())) == 0
 
 
 def test_construction_normalises_and_checks():
