@@ -356,8 +356,9 @@ def pibar(pi, v):
 
 
 def matrix_rank(rows):
-    """Rank over Q: the number of nonzero rows of the row Hermite form."""
-    return sum(1 for row in row_hermite(rows)[1] if any(row))
+    """Rank over Q, from the Hermite form of the transpose: its transform is
+    d x d for rows of length d, so many rows cost linear time and memory."""
+    return _hermite_of_columns(rows, len(rows[0]))[2] if rows else 0
 
 
 def in_span(v, basis):

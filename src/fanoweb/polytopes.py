@@ -6,7 +6,8 @@ normal is primitive, and the interior satisfies normal . x > -level.  With
 the origin strictly inside, every level is a positive integer, and
 polar_dual reads the polar dual off these data without a hull: a vertex
 normal/level for each facet and a facet for each vertex.  The dual is a
-Polytope too, with Fraction coordinates and levels.
+Polytope too, with Fraction coordinates and levels where they are not
+integers.
 
 Everything else is exact integer arithmetic.  Hulls use a monotone chain with
 inlined cross products in 2D and exhaustive supporting-plane enumeration in
@@ -67,10 +68,11 @@ class DegenerateHullError(ValueError):
 
 class Polytope:
     """Extremal vertices in hull's order and facets (normal, level).  The
-    coordinates are ints, except for a polar dual, whose coordinates and
-    levels are Fractions; equality and hashing read the dimension and the
-    vertices only, so a dual whose coordinates are integers equals the
-    lattice polytope with those vertices."""
+    coordinates are ints, except in a polar dual, where the non-integral
+    coordinates and levels are Fractions; only the facet methods,
+    origin_interior and polar_dual accept those.  A dual with integer
+    vertices has int values throughout, so it is the lattice polytope with
+    those vertices: equal, with the same hash, and valid everywhere."""
 
     __slots__ = ("dim", "vertices", "facets", "_hash")
 
@@ -326,7 +328,9 @@ def in_hull(point, points):
 
 def polar_dual(p):
     """Polar dual {u : <u, v> >= -1 on p} of an integer or rational p with
-    the origin strictly inside, as a Polytope with Fraction coordinates.
+    the origin strictly inside, as a Polytope whose coordinates and levels
+    are Fractions, each integral one given as an int: a dual with integer
+    vertices is then the lattice polytope itself, for every function.
 
     Closed form, no hull.  Each facet (n, lv) of p gives the dual vertex
     n / lv: in 2D the edge from v_i to v_{i+1} (counter-clockwise) gives the
@@ -338,6 +342,10 @@ def polar_dual(p):
     """
     from fractions import Fraction
 
+    def quotient(a, b):
+        q = Fraction(a) / b
+        return q.numerator if q.denominator == 1 else q
+
     if not p.origin_interior():
         raise ValueError("polar dual requires the origin strictly inside")
     if p.dim == 2:
@@ -346,17 +354,17 @@ def polar_dual(p):
         for (ax, ay), (bx, by) in zip(vs, vs[1:] + vs[:1]):
             # the edge's inward normal (ay - by, bx - ax) has level det(a, b)
             det = ax * by - ay * bx
-            verts.append((Fraction(ay - by) / det, Fraction(bx - ax) / det))
+            verts.append((quotient(ay - by, det), quotient(bx - ax, det)))
         k = verts.index(min(verts))
         vertices = tuple(verts[k:] + verts[:k])
     else:
-        vertices = tuple(sorted(tuple(Fraction(x) / lv for x in n) for n, lv in p.facets))
+        vertices = tuple(sorted(tuple(quotient(x, lv) for x in n) for n, lv in p.facets))
     facets = []
     for v in p.vertices:
         den = lcm(*(x.denominator for x in v))
         w = [x.numerator * (den // x.denominator) for x in v]
         g = vec_gcd(w)
-        facets.append((tuple(x // g for x in w), Fraction(den, g)))
+        facets.append((tuple(x // g for x in w), quotient(den, g)))
     return Polytope(p.dim, vertices, tuple(sorted(facets)))
 
 

@@ -301,6 +301,25 @@ def test_polar_dual_matches_the_hull_route(pts):
     assert (dd.vertices, dd.facets) == (p.vertices, p.facets)
 
 
+def test_an_integral_dual_is_the_lattice_polytope():
+    """A dual with integer vertices holds ints, not integral Fractions, so
+    the lattice functions (and the in_class memo, whichever of the two equal
+    polytopes reaches it first) treat it as the lattice polytope."""
+    for pts in (TRIANGLE, SQUARE, QUAD1, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]):
+        d = polar_dual(hull(pts))
+        values = [x for v in d.vertices for x in v] + [x for n, lv in d.facets for x in n + (lv,)]
+        assert all(type(x) is int for x in values)
+        in_class.cache_clear()
+        assert in_class(d, "reflexive")
+        twin = hull(d.vertices)
+        assert (d.vertices, d.facets) == (twin.vertices, twin.facets)
+        assert classify(d) == classify(twin)
+        assert lattice_points(d) == lattice_points(twin)
+        assert normal_form(d) == normal_form(twin)
+    d = polar_dual(hull([(1, 0), (0, 1), (-3, -1)]))
+    assert any(type(x) is Fraction for v in d.vertices for x in v)
+
+
 def test_mavlyutov_reflexive_is_polar():
     p = hull(QUAD1)
     md = mavlyutov_dual(p)
@@ -589,6 +608,29 @@ def test_affine_dimension():
     assert affine_dimension([(0, 0), (2, 2)]) == 1
     assert affine_dimension([(0, 0), (1, 0), (0, 1)]) == 2
     assert affine_dimension([V[1], V[2], V[3], V[4]]) == 2
+
+
+def test_rank_of_many_points_is_linear(monkeypatch):
+    """affine_dimension and the dual's lattice hull take the rank of one row
+    per point; the Hermite form behind it must stay d x d, not n x n (5,000
+    rows would need a 25-million-entry transform)."""
+    from fanoweb import lattice
+
+    real = lattice.row_hermite
+
+    def small_only(mat):
+        assert len(mat) <= 3, f"row_hermite of {len(mat)} rows"
+        return real(mat)
+
+    monkeypatch.setattr(lattice, "row_hermite", small_only)
+    assert affine_dimension([(i, 2 * i, -3 * i) for i in range(5000)]) == 1
+    assert affine_dimension([(i, i * i % 7) for i in range(5000)]) == 2
+    p = hull([(1, 0), (0, 1), (-1, -5000)])  # its dual has 5,006 lattice points
+    md = mavlyutov_dual(p)
+    assert (md.dim, len(md.points)) == (2, 5006)
+    assert classify(p).fano and not classify(p).canonical
+    with pytest.raises(DegenerateHullError):
+        hull([(i, 2 * i) for i in range(5000)])
 
 
 def test_facet_consistency_and_vertex_saturation():
