@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import jsonio
@@ -309,6 +310,18 @@ def _error(payload, code=1):
 
 def main(argv=None):
     try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout, so no report can reach it; pointing the
+        # descriptor at devnull keeps the flush at exit from failing too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _run(argv):
+    try:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except argparse.ArgumentError as e:
@@ -317,6 +330,8 @@ def main(argv=None):
         return _error({"type": "verification", "failures": [[i, msg] for i, msg in e.failures]}, 3)
     except (ValueError, KeyError) as e:
         return _error({"type": type(e).__name__, "message": str(e)})
+    except BrokenPipeError:
+        raise
     except OSError as e:
         return _error({"type": "io", "message": str(e)})
 

@@ -46,17 +46,7 @@ from .links import (
     standard_pairs,
     step_record,
 )
-from .polytopes import (
-    MEMO_SIZE,
-    _canonical_terminal,
-    _polygon,
-    hull,
-    in_class,
-    is_fano,
-    lattice_points,
-    normal_form,
-    primitive_points,
-)
+from .polytopes import MEMO_SIZE, _polygon, in_class, is_fano, primitive_points
 
 GEN_S = UnimodularMap(((0, -1), (1, 0)))
 GEN_T = UnimodularMap(((1, 1), (0, 1)))
@@ -626,17 +616,17 @@ def enumerate_class_polygons(box, class_constraint):
     placed in the box by every unimodular map that keeps it there
     (_placements); the other classes are not placed.
     """
-    polys = (p for _, ps in _class_placements(box, class_constraint) for p in ps)
-    return tuple(sorted(polys, key=lambda p: p.vertices))
+    images = (v for _, vs in _class_placements(box, class_constraint) for v in vs)
+    return tuple(map(_polygon, sorted(images)))
 
 
 def enumerate_fano(box, class_constraint, mfp_only=False):
     """Normal-form classes with concrete-representative counts, each the
     number of placements of its class; the filters run once per class."""
     return tuple(
-        (nf, len(polys))
-        for nf, polys in _class_placements(box, class_constraint)
-        if polys and (not mfp_only or mori_fiber_structures(from_polytope(nf)))
+        (nf, len(images))
+        for nf, images in _class_placements(box, class_constraint)
+        if images and (not mfp_only or mori_fiber_structures(from_polytope(nf)))
     )
 
 
@@ -647,51 +637,34 @@ def _class_placements(box, class_constraint):
     return _placements(box, tuple(nf for nf in _classes() if in_class(nf, class_constraint)))
 
 
-def _minimal_classes():
-    """Normal forms of the minimal canonical polygons: the triangles and the
-    parallelograms {+-u, +-v} (the planar case of Kasprzyk, Toric Fano
-    3-folds with terminal singularities, 2006).  A canonical polygon is
-    reflexive, so its boundary is a cycle of counter-clockwise level-one
-    edges u -> v, det(u, v) = gcd(v - u); these are the 3-cycles and the
-    4-cycles u, v, -u, -v in box 2, where all 16 classes have a member
-    (Poonen and Rodriguez-Villegas, 2000)."""
-    prims = box_primitives(2, 2)
-    succ = {
-        u: {v for v in prims if u[0] * v[1] - u[1] * v[0] == gcd(v[0] - u[0], v[1] - u[1]) > 0}
-        for u in prims
-    }
-    cycles = {frozenset((u, v, w)) for u in prims for v in succ[u] for w in succ[v] if u in succ[w]}
-    cycles |= {
-        frozenset((u, v, (-u[0], -u[1]), (-v[0], -v[1])))
-        for u in prims for v in succ[u] if (-u[0], -u[1]) in succ[v]
-    }
-    return {normal_form(hull(c)) for c in cycles}
+# The 16 reflexive polygons up to GL(2,Z), each as its normal_form's
+# vertices in hull's order, sorted (Poonen and Rodriguez-Villegas, Lattice
+# polygons and the number 12, 2000).  In the plane the canonical polygons are
+# exactly the reflexive ones; tests/test_web.py pins the table against the
+# growth search from the minimal classes.
+_CLASS_VERTICES = (
+    ((-3, -4), (1, 0), (1, 2)),
+    ((-3, -2), (1, 0), (0, 1)),
+    ((-3, -2), (1, 0), (1, 1), (0, 1)),
+    ((-3, -2), (1, 0), (2, 1), (0, 1)),
+    ((-2, -3), (1, 0), (1, 3)),
+    ((-2, -1), (-1, -1), (1, 0), (0, 1)),
+    ((-2, -1), (-1, -1), (1, 0), (1, 1), (0, 1)),
+    ((-2, -1), (-1, -1), (1, 0), (2, 1), (0, 1)),
+    ((-2, -1), (0, -1), (1, 0), (0, 1)),
+    ((-2, -1), (1, 0), (0, 1)),
+    ((-1, -2), (1, 0), (1, 2), (-1, 0)),
+    ((-1, -1), (0, -1), (1, 0), (0, 1)),
+    ((-1, -1), (0, -1), (1, 0), (0, 1), (-1, 0)),
+    ((-1, -1), (0, -1), (1, 0), (1, 1), (0, 1), (-1, 0)),
+    ((-1, -1), (1, 0), (0, 1)),
+    ((-1, 0), (0, -1), (1, 0), (0, 1)),
+)
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def _classes():
-    """Normal forms of all canonical polygons, grown from the minimal ones.
-
-    A canonical Q that is not minimal loses a vertex w to a canonical R, and
-    the edges of Q at w have independent normals n1, n2 in the dual of R (the
-    hull of its facet normals, R being reflexive) with <n1, w> = <n2, w> = -1.
-    The step commutes with GL(2,Z), so it runs on normal forms.
-    """
-    found = list(_minimal_classes())
-    for r in found:  # a worklist: the loop also visits what it appends
-        normals = [n for n in lattice_points(hull([n for n, _ in r.facets])) if n != (0, 0)]
-        for w in {
-            ((b - d) // det, (c - a) // det)
-            for a, b in normals
-            for c, d in normals
-            if (det := a * d - b * c) > 0 and (b - d) % det == (c - a) % det == 0
-        }:
-            q = hull(r.vertices + (w,))
-            if q != r and _canonical_terminal(q)[0]:
-                nf = normal_form(q)
-                if nf not in found:
-                    found.append(nf)
-    return tuple(sorted(found, key=lambda p: p.vertices))
+    """Normal forms of all canonical polygons, sorted by vertices."""
+    return tuple(map(_polygon, _CLASS_VERTICES))
 
 
 def _basis_partners(a, box):
@@ -710,8 +683,8 @@ def _basis_partners(a, box):
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _placements(box, classes):
-    """((class normal form, its distinct images in the box), ...) for the
-    given class normal forms and no other.
+    """((class normal form, the vertex tuples of its distinct images in the
+    box), ...) for the given class normal forms and no other.
 
     Consecutive boundary points u, v of a reflexive polygon form a lattice
     basis, so the maps [a b] [u v]^-1 over the pairs a, b of box primitives
@@ -740,7 +713,7 @@ def _placements(box, classes):
                     image.reverse()
                 i = image.index(min(image))
                 images.add(tuple(image[i:] + image[:i]))
-        out.append((nf, tuple(map(_polygon, images))))
+        out.append((nf, tuple(images)))
     return tuple(out)
 
 

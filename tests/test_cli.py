@@ -319,6 +319,36 @@ def test_connect_and_verify_stay_off_dataclasses_and_fractions(tmp_path):
     assert json.loads((tmp_path / "out.json").read_text())["flags"]["terminal"] is True
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["enumerate", "--class", "terminal", "--box", "2"], ["classify", "-"]],
+    ids=["output", "error report"],
+)
+def test_a_closed_stdout_exits_1_without_a_traceback(argv):
+    """Writing to a pipe whose reader has gone fails the command quietly,
+    whether it fails on the output or on the report of a malformed input."""
+    import os
+    import subprocess
+    import sys
+
+    import fanoweb
+
+    src = os.path.dirname(os.path.dirname(fanoweb.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fanoweb.cli", *argv],
+            env=env, stdin=subprocess.DEVNULL, stdout=w, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(w)
+    # a failed flush at exit prints "Exception ignored ... BrokenPipeError" with no traceback
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
+    assert proc.returncode == 1
+
+
 def _move_middle_point(middle):
     middle["points"][middle["points"].index([0, -1])] = [1, -1]
 

@@ -548,13 +548,6 @@ def _reference_normal_form(p):
     return best
 
 
-def _hull_or_reject(pts):
-    try:
-        return hull(pts)
-    except DegenerateHullError:
-        assume(False)
-
-
 _TRIANGLE_T50 = [(x + 50 * y, y) for x, y in TRIANGLE]
 
 

@@ -3,6 +3,7 @@ import json
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,7 +33,16 @@ from fanoweb.links import (
     sequence_from_steps,
     validate_sequence,
 )
-from fanoweb.polytopes import _polygon, classify, hull, in_class, normal_form, primitive_points
+from fanoweb.polytopes import (
+    _canonical_terminal,
+    _polygon,
+    classify,
+    hull,
+    in_class,
+    lattice_points,
+    normal_form,
+    primitive_points,
+)
 from fanoweb.web import (
     GEN_S,
     GEN_T,
@@ -46,7 +56,6 @@ from fanoweb.web import (
     Relation,
     _bfs_pairs,
     _classes,
-    _minimal_classes,
     _placements,
     bfs_connect,
     connect,
@@ -62,7 +71,7 @@ from fanoweb.web import (
     verify_certificate,
 )
 from test_links import _GL_WORDS, _box2_mori_states, _gl_map
-from test_memo import _clear_memos, _memos
+from test_memo import MODULES, _clear_memos, _memos
 
 
 def test_factor_generators():
@@ -455,24 +464,22 @@ def test_placed_polygons_are_their_hulls(box):
             assert (p.vertices, p.facets) == (h.vertices, h.facets)
 
 
-def test_a_query_places_only_its_classes(monkeypatch):
+def test_a_query_places_only_its_classes():
     _clear_memos()
-    placed = []
-
-    def spy(vertices):
-        placed.append(vertices)
-        return _polygon(vertices)
-
-    monkeypatch.setattr(web, "_polygon", spy)
     assert len(enumerate_fano(3, "terminal", mfp_only=True)) == 3
     assert _placements.cache_info().currsize == 1
-    terminal = {nf for nf in _classes() if in_class(nf, "terminal")}
+    terminal = tuple(nf for nf in _classes() if in_class(nf, "terminal"))
     assert len(terminal) == 5
-    assert {normal_form(hull(v)) for v in placed} == terminal
+    # the one memo entry is the terminal query's: reading it back is a hit
+    before = _placements.cache_info()
+    held = _placements(3, terminal)
+    assert _placements.cache_info()[:2] == (before.hits + 1, before.misses)
+    assert all(normal_form(hull(v)) == nf for nf, images in held for v in images)
+    assert {normal_form(hull(v)) for _, images in held for v in images} == set(terminal)
     # in the plane the canonical and the reflexive classes are the same 16
     enumerate_fano(3, "canonical")
     enumerate_class_polygons(3, "reflexive")
-    assert _placements.cache_info()[:2] == (1, 2)
+    assert _placements.cache_info()[:2] == (2, 2)
 
 
 @pytest.mark.parametrize("box", [2.0, 2.5, True, -1])
@@ -494,13 +501,88 @@ def test_a_box_that_is_no_nonnegative_int_is_refused_before_any_memo(box):
         assert [fn.cache_info() for _, fn in _memos()] == before
 
 
+def _minimal_classes():
+    """Normal forms of the minimal canonical polygons: the triangles and the
+    parallelograms {+-u, +-v} (the planar case of Kasprzyk, Toric Fano
+    3-folds with terminal singularities, 2006).  A canonical polygon is
+    reflexive, so its boundary is a cycle of counter-clockwise level-one
+    edges u -> v, det(u, v) = gcd(v - u); these are the 3-cycles and the
+    4-cycles u, v, -u, -v in box 2, where all 16 classes have a member
+    (Poonen and Rodriguez-Villegas, 2000)."""
+    prims = box_primitives(2, 2)
+    succ = {
+        u: {v for v in prims if u[0] * v[1] - u[1] * v[0] == gcd(v[0] - u[0], v[1] - u[1]) > 0}
+        for u in prims
+    }
+    cycles = {frozenset((u, v, w)) for u in prims for v in succ[u] for w in succ[v] if u in succ[w]}
+    cycles |= {
+        frozenset((u, v, (-u[0], -u[1]), (-v[0], -v[1])))
+        for u in prims for v in succ[u] if (-u[0], -u[1]) in succ[v]
+    }
+    return {normal_form(hull(c)) for c in cycles}
+
+
+@lru_cache(maxsize=None)
+def _grown_classes():
+    """Reference for web._classes: normal forms of all canonical polygons,
+    grown from the minimal ones.
+
+    A canonical Q that is not minimal loses a vertex w to a canonical R, and
+    the edges of Q at w have independent normals n1, n2 in the dual of R (the
+    hull of its facet normals, R being reflexive) with <n1, w> = <n2, w> = -1.
+    The step commutes with GL(2,Z), so it runs on normal forms.
+    """
+    found = list(_minimal_classes())
+    for r in found:  # a worklist: the loop also visits what it appends
+        normals = [n for n in lattice_points(hull([n for n, _ in r.facets])) if n != (0, 0)]
+        for w in {
+            ((b - d) // det, (c - a) // det)
+            for a, b in normals
+            for c, d in normals
+            if (det := a * d - b * c) > 0 and (b - d) % det == (c - a) % det == 0
+        }:
+            q = hull(r.vertices + (w,))
+            if q != r and _canonical_terminal(q)[0]:
+                nf = normal_form(q)
+                if nf not in found:
+                    found.append(nf)
+    return tuple(sorted(found, key=lambda p: p.vertices))
+
+
 def test_orbit_counts():
     # 5 triangles and 2 parallelograms are minimal; 5 of the 16 are terminal
     assert len(_minimal_classes()) == 7
-    classes = _classes()
+    classes = _grown_classes()
     assert len(classes) == 16
     assert all(normal_form(c) == c for c in classes)
     assert len([c for c in classes if in_class(c, "terminal")]) == 5
+
+
+def test_the_class_table_is_the_grown_list():
+    table = _classes()
+    grown = _grown_classes()
+    assert len(table) == len(grown)
+    for c, g in zip(table, grown):
+        assert (c.dim, c.vertices, c.facets) == (g.dim, g.vertices, g.facets)
+        h = hull(c.vertices)
+        assert (c.vertices, c.facets) == (h.vertices, h.facets)
+        nf = normal_form(c)
+        assert (nf.vertices, nf.facets) == (c.vertices, c.facets)
+
+
+def test_a_cold_enumeration_computes_no_normal_form(monkeypatch):
+    calls = []
+
+    def spy(p):
+        calls.append(p)
+        return normal_form(p)
+
+    for mod in MODULES:
+        if vars(mod).get("normal_form") is normal_form:
+            monkeypatch.setattr(mod, "normal_form", spy)
+    _clear_memos()
+    assert len(enumerate_fano(3, "canonical")) == 16
+    assert calls == []
 
 
 def test_bfs_connect_square_to_quad():
