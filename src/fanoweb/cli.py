@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import jsonio
-from .genset import fiber_structure_for, fiber_structures, from_polytope, mori_fiber_structures, polytope_reduction
+from .genset import fiber_structure_for, fiber_structures, from_polytope, mori_fibers, polytope_reduction
 from .links import Constituent, enumerate_links
 from .obstruction import run_suite
 from .polytopes import CLASS_NAMES, classify, lattice_points, interior_lattice_points, mavlyutov_dual, polar_dual, primitive_points
@@ -124,13 +124,13 @@ def cmd_links(args):
     p = _load_polytope(args)
     a = from_polytope(p)
     if args.fiber:
-        fs = fiber_structure_for(a, jsonio._points(json.loads(args.fiber), p.dim))
+        fiber = fiber_structure_for(a, jsonio._points(json.loads(args.fiber), p.dim)).fiber
     else:
-        mori = mori_fiber_structures(a)
-        if not mori:
+        fibers = mori_fibers(a)
+        if not fibers:
             raise ValueError("polytope has no Mori fiber structure")
-        fs = min(mori, key=lambda f: f.fiber)
-    start = Constituent(a, fs.fiber)
+        fiber = min(fibers)
+    start = Constituent(a, fiber)
     links = enumerate_links(start, args.cls, args.box, "polytope")
     _emit_json(args, {"links": [jsonio.link_to_json(l) for l in links]})
     return 0

@@ -275,6 +275,24 @@ def mori_fiber_structures(parent):
     return tuple(fs for fs in fiber_structures(parent) if fs.mori)
 
 
+def mori_fibers(parent):
+    """The fibers of mori_fiber_structures(parent), in its order.
+
+    A planar set builds no structure.  Three points are one Mori fiber, the
+    whole set.  Of four points, each antipodal pair {-f, f} is one: the
+    other two points span with it, so they lie on either side of its line
+    and project onto the base {-1, 1}.  More points have none.
+    """
+    if parent.dim != 2:
+        return tuple(fs.fiber for fs in mori_fiber_structures(parent))
+    pts = parent.points
+    if len(pts) == 3:
+        return (pts,)
+    if len(pts) > 4:
+        return ()
+    return tuple(sorted((q, p) for p in pts if (q := (-p[0], -p[1])) < p and q in pts))
+
+
 def reductions(parent):
     """All one-point removals leaving a PGS."""
     out = []

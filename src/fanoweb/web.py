@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .genset import from_polytope, mori_fiber_structures, polytope_reduction
+from .genset import PrimGenSet, from_polytope, mori_fibers, polytope_reduction
 from .lattice import UnimodularMap, _Frozen, _set, bezout, mat_det, mat_inverse_unimodular, mat_mul, mat_vec
 from .links import (
     STANDARD_SYMMETRIES,
@@ -46,7 +46,7 @@ from .links import (
     standard_pairs,
     step_record,
 )
-from .polytopes import MEMO_SIZE, _polygon, in_class, is_fano, primitive_points
+from .polytopes import MEMO_SIZE, _polygon, hull, in_class, is_fano, primitive_points
 
 GEN_S = UnimodularMap(((0, -1), (1, 0)))
 GEN_T = UnimodularMap(((1, 1), (0, 1)))
@@ -233,18 +233,22 @@ class MmpReduction(_Frozen):
 def mmp_reduce(p, class_constraint="canonical"):
     """Class-preserving vertex removals until a Mori fiber structure exists.
 
-    Removals pick the lexicographically smallest valid vertex.  In three
-    dimensions the walk may dead-end; that raises NoMoriFiberStructureError
-    since no Mori fiber structure is guaranteed to exist there.
+    Removals pick the lexicographically smallest valid vertex.  A canonical
+    polygon is reduced on its ring (_ring_reduce); every other polytope
+    here.  In three dimensions the walk may dead-end; that raises
+    NoMoriFiberStructureError since no Mori fiber structure is guaranteed
+    to exist there.
     """
     if not is_fano(p):
         raise ValueError("reduction starts from a Fano polytope")
+    if p.dim == 2 and in_class(p, "canonical"):
+        return _ring_reduce(p, class_constraint)
     cur = p
     chain = []
     while True:
-        mori = mori_fiber_structures(from_polytope(cur))
-        if mori:
-            return MmpReduction(cur, min(fs.fiber for fs in mori), tuple(chain))
+        fibers = mori_fibers(from_polytope(cur))
+        if fibers:
+            return MmpReduction(cur, min(fibers), tuple(chain))
         step = None
         for v in sorted(cur.vertices):
             res = polytope_reduction(cur, v)
@@ -252,12 +256,67 @@ def mmp_reduce(p, class_constraint="canonical"):
                 step = (v, res.polytope)
                 break
         if step is None:
-            raise NoMoriFiberStructureError(
-                "no Mori fiber structure and no class-preserving reduction; "
-                "open-problem instance"
-            )
+            raise _dead_end()
         chain.append(step)
         cur = step[1]
+
+
+def _ring_reduce(p, class_constraint):
+    """mmp_reduce of a canonical polygon, read off its ring.
+
+    Only the origin is inside, so the ring is the primitive points and no
+    vertex v lies in the hull of the other points.  The angle between ring
+    neighbours is below a half turn, so the rest of the ring spans exactly
+    when the one new angle, from v's neighbour u to its neighbour w, is:
+    det(u, w) > 0.  The hull of the rest is canonical again, and its ring
+    is the rest.
+    """
+    ring = _ring(p)
+    cur = p
+    chain = []
+    while True:
+        fibers = mori_fibers(PrimGenSet(2, ring, _checked=True))
+        if fibers:
+            return MmpReduction(cur, min(fibers), tuple(chain))
+        for v in sorted(cur.vertices):
+            i = ring.index(v)
+            (ux, uy), (wx, wy) = ring[i - 1], ring[(i + 1) % len(ring)]
+            if ux * wy > uy * wx:
+                rest = ring[:i] + ring[i + 1:]
+                smaller = hull(rest)
+                if in_class(smaller, class_constraint):
+                    break
+        else:
+            raise _dead_end()
+        chain.append((v, smaller))
+        ring = rest
+        cur = smaller
+
+
+def _dead_end():
+    return NoMoriFiberStructureError(
+        "no Mori fiber structure and no class-preserving reduction; open-problem instance"
+    )
+
+
+def _ring(p):
+    """The boundary lattice points of a polygon, counter-clockwise from its
+    least vertex: each edge in gcd steps."""
+    vs = p.vertices
+    ring = []
+    for (ax, ay), (bx, by) in zip(vs, vs[1:] + vs[:1]):
+        g = gcd(bx - ax, by - ay)
+        dx, dy = (bx - ax) // g, (by - ay) // g
+        ring.extend((ax + k * dx, ay + k * dy) for k in range(g))
+    return ring
+
+
+def _primitive_set(p):
+    """from_polytope(p); a canonical polygon's is its ring, read without a
+    scan."""
+    if p.dim == 2 and in_class(p, "canonical"):
+        return PrimGenSet(2, _ring(p), _checked=True)
+    return from_polytope(p)
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +685,7 @@ def enumerate_fano(box, class_constraint, mfp_only=False):
     return tuple(
         (nf, len(images))
         for nf, images in _class_placements(box, class_constraint)
-        if images and (not mfp_only or mori_fiber_structures(from_polytope(nf)))
+        if images and (not mfp_only or mori_fibers(_primitive_set(nf)))
     )
 
 
@@ -727,22 +786,34 @@ def bfs_connect(p, q, class_constraint="canonical", box=4):
 
     Both endpoints are first reduced to Mori fiber polygons; the search then
     walks link moves between fibered pairs, any Mori fiber structure of the
-    reduced endpoints being a valid source or target.
+    reduced endpoints being a valid source or target.  A target that no
+    link can reach (_in_reach) is answered None without a search.
     """
     check_box(box)
 
     def join(rp, rq):
-        steps = _bfs_pairs(
-            _mori_pairs(rp.polytope), _mori_pairs(rq.polytope), class_constraint, box
-        )
+        sources, targets = _mori_pairs(rp.polytope), _mori_pairs(rq.polytope)
+        if not _in_reach(sources, targets, box):
+            return None
+        steps = _bfs_pairs(sources, targets, class_constraint, box)
         return None if steps is None else sequence_from_steps(steps, class_constraint)
 
     return _certify(p, q, class_constraint, join)
 
 
 def _mori_pairs(p):
-    a = from_polytope(p)
-    return [Constituent(a, fs.fiber) for fs in mori_fiber_structures(a)]
+    a = _primitive_set(p)
+    return [Constituent(a, f) for f in mori_fibers(a)]
+
+
+def _in_reach(sources, targets, box):
+    """Whether some target has all its points in a source or in the box.
+    A link adds only points of the box (enumerate_links draws them from
+    it), so every state the search reaches has its points there."""
+    known = {x for s in sources for x in s.points}
+    return any(
+        all(x in known or max(map(abs, x)) <= box for x in t.points) for t in targets
+    )
 
 
 def _pair_key(c):

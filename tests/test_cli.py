@@ -218,6 +218,23 @@ def test_bfs_not_found_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_bfs_answers_an_out_of_reach_target_at_once(tmp_path, capsys):
+    tri = _write(tmp_path, "tri.json", {"dim": 2, "points": [[1, 0], [0, 1], [-1, -1]]})
+    far = _write(tmp_path, "far.json", {"dim": 2, "points": [[1, 0], [300, 1], [-301, -1]]})
+    assert main(["bfs", tri, far, "--class", "terminal", "--box", "80"]) == 2
+    assert capsys.readouterr().out.strip() == '{"box":80,"found":false}'
+
+
+def test_mmp_of_the_hexagon_is_pinned(tmp_path, capsys):
+    hexagon = _write(tmp_path, "hex.json", {"dim": 2, "points": [[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1]]})
+    assert main(["mmp", hexagon, "--class", "terminal"]) == 0
+    assert capsys.readouterr().out.strip() == (
+        '{"chain":[{"polytope":{"dim":2,"points":[[-1,0],[0,-1],[1,0],[1,1],[0,1]]},"removed":[-1,-1]},'
+        '{"polytope":{"dim":2,"points":[[-1,0],[0,-1],[1,0],[1,1]]},"removed":[0,1]}],'
+        '"fiber":[[-1,0],[1,0]],"result":{"dim":2,"points":[[-1,0],[0,-1],[1,0],[1,1]]}}'
+    )
+
+
 def test_verify_malformed_certificate_exit_1(tmp_path, capsys):
     a = _write(tmp_path, "a.json", {"dim": 2, "points": [[1, 0], [0, 1], [-1, -1]]})
     b = _write(tmp_path, "b.json", {"dim": 2, "points": [[0, 1], [-1, 0], [1, -1]]})

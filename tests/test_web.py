@@ -39,6 +39,7 @@ from fanoweb.polytopes import (
     classify,
     hull,
     in_class,
+    is_fano,
     lattice_points,
     normal_form,
     primitive_points,
@@ -129,6 +130,155 @@ def test_mmp_chain_strictly_decreases():
     ]
     assert sizes == sorted(sizes, reverse=True)
     assert all(a - b == 1 for a, b in zip(sizes, sizes[1:]))
+
+
+def _reference_mmp_reduce(p, cls):
+    """The general removal loop on fiber structures and hulled reductions:
+    (polytope, fiber, chain), or the type of the error it raises."""
+    cur = p
+    chain = []
+    try:
+        while True:
+            mori = mori_fiber_structures(from_polytope(cur))
+            if mori:
+                return cur, min(fs.fiber for fs in mori), tuple(chain)
+            for v in sorted(cur.vertices):
+                res = genset.polytope_reduction(cur, v)
+                if res.valid and in_class(res.polytope, cls):
+                    chain.append((v, res.polytope))
+                    cur = res.polytope
+                    break
+            else:
+                raise NoMoriFiberStructureError(cur)
+    except ValueError as e:
+        return type(e)
+
+
+def _mmp_reduce_or_error(p, cls):
+    try:
+        r = mmp_reduce(p, cls)
+    except ValueError as e:
+        return type(e)
+    return r.polytope, r.fiber, r.chain
+
+
+ALL_CLASSES = ("canonical", "terminal", "reflexive", "fano", "none")
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES)
+def test_ring_reduction_equals_the_general_loop(cls):
+    polys = enumerate_class_polygons(4, "canonical")
+    got = [_mmp_reduce_or_error(p, cls) for p in polys]
+    assert got == [_reference_mmp_reduce(p, cls) for p in polys]
+    assert {len(r[2]) for r in got if type(r) is tuple} >= {0, 1, 2, 3}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(i=st.integers(min_value=0), g=st.lists(st.sampled_from(sorted(TOKENS)), max_size=30),
+       cls=st.sampled_from(ALL_CLASSES))
+@example(i=0, g=["T"] * 200, cls="canonical")
+@example(i=13, g=["S", "T", "T"] * 40, cls="terminal")
+@example(i=7, g=["U"] + ["T^-1", "S"] * 60, cls="none")
+def test_ring_reduction_equals_the_general_loop_on_gl_images(i, g, cls):
+    polys = enumerate_class_polygons(2, "canonical")
+    p = _gl_image(polys[i % len(polys)], g)
+    assert _mmp_reduce_or_error(p, cls) == _reference_mmp_reduce(p, cls)
+
+
+def _noncanonical_fano_polygons():
+    """Seeded Fano polygons in box 3 with an interior point besides the
+    origin, and a triangle whose primitive points are four, one of them
+    interior and antipodal to a vertex."""
+    import random
+
+    rng = random.Random(3)
+    out = {hull([(1, 0), (-2, 1), (-2, -1)])}
+    while len(out) < 150:
+        pts = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(3, 6))]
+        try:
+            p = hull(pts)
+        except ValueError:
+            continue
+        if is_fano(p) and not in_class(p, "canonical"):
+            out.add(p)
+    return sorted(out, key=lambda p: p.vertices)
+
+
+def test_mori_pairs_equal_the_fiber_structure_route():
+    canonical = enumerate_class_polygons(3, "canonical")
+    others = _noncanonical_fano_polygons()
+    for p in canonical + tuple(others):
+        a = from_polytope(p)
+        assert web._mori_pairs(p) == [Constituent(a, fs.fiber) for fs in mori_fiber_structures(a)]
+    assert len({len(web._mori_pairs(p)) for p in others}) > 1
+
+
+def test_a_canonical_reduction_builds_no_structure_and_scans_nothing(monkeypatch):
+    from fanoweb import polytopes
+
+    calls = Counter()
+
+    def spy(mod, name):
+        real = getattr(mod, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(mod, name, wrapped)
+
+    spy(genset, "_build_fiber_structure")
+    spy(genset, "polytope_reduction")
+    spy(web, "polytope_reduction")
+    spy(polytopes, "_scan")
+    polys = enumerate_class_polygons(2, "canonical")
+    _clear_memos()
+    chains = 0
+    for cls in ("canonical", "terminal", "reflexive", "fano", "none"):
+        for p in polys:
+            r = _mmp_reduce_or_error(p, cls)
+            chains += len(r[2]) if type(r) is tuple else 0
+            web._mori_pairs(p)
+    assert chains > 0
+    assert calls == Counter()
+    # the general loop scans a polygon that is not canonical
+    mmp_reduce(hull([(1, 0), (-2, 1), (-2, -1)]), "fano")
+    assert calls["_scan"] == 1
+
+
+def _pruned(p, q, cls, box):
+    """(pruned, unpruned search result) of bfs_connect's join on p and q."""
+    sources = web._mori_pairs(mmp_reduce(p, cls).polytope)
+    targets = web._mori_pairs(mmp_reduce(q, cls).polytope)
+    return not web._in_reach(sources, targets, box), lambda: _bfs_pairs(sources, targets, cls, box)
+
+
+def test_the_reach_prune_only_drops_queries_the_search_cannot_answer():
+    import random
+
+    rng = random.Random(1)
+    queries = []
+    for cls in ("canonical", "terminal"):
+        for src in (3, 4):
+            polys = enumerate_class_polygons(src, cls)
+            for box in (1, 2, 3):
+                queries += [(rng.choice(polys), rng.choice(polys), cls, box) for _ in range(12)]
+    pruned = 0
+    for p, q, cls, box in queries:
+        cut, search = _pruned(p, q, cls, box)
+        if cut:
+            pruned += 1
+            assert search() is None, (p, q, cls, box)
+    assert 0 < pruned < len(queries)
+
+
+def test_an_unreachable_target_is_answered_without_a_search(monkeypatch):
+    tri, far = plane_polygon(), hull([(1, 0), (300, 1), (-301, -1)])
+    cut, search = _pruned(tri, far, "terminal", 10)
+    assert cut and search() is None
+    monkeypatch.setattr(web, "_bfs_pairs", lambda *args: pytest.fail("searched"))
+    for cls in ("terminal", "canonical"):
+        assert bfs_connect(tri, far, cls, 80) is None
 
 
 def test_match_standard_identity_and_images():
