@@ -678,9 +678,10 @@ def enumerate_links(start, class_constraint="none", box=4, mode="polytope"):
     Planar starts in polytope mode under the canonical or terminal class
     read a table: each such Mori pair is g(s) for one of four standard
     pairs s, links are GL(2,Z)-equivariant, so its links are g applied to
-    the links out of s, kept when their added points lie in the box.
-    Every other input (3D, set mode, the other classes) runs the candidate
-    loop; the table's box independence is shown for those two classes only.
+    the links out of s (_link_table, the named families), kept when their
+    added points lie in the box.  Every other input (3D, set mode, the
+    other classes) runs the candidate loop; that the named families are
+    all the links is shown for those two classes only.
     """
     if class_constraint not in CLASS_NAMES:
         raise ValueError(f"unknown class {class_constraint!r}")
@@ -694,6 +695,10 @@ def enumerate_links(start, class_constraint="none", box=4, mode="polytope"):
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _enumerate_links(start, class_constraint, box, mode):
+    """enumerate_links on checked arguments.  A start that reads the table
+    gets the table's links moved onto it, or none when it is a Mori pair
+    but no image of a standard pair; every other start runs the candidate
+    loop."""
     table = start.pgs.dim == 2 and mode == "polytope" and class_constraint in ("canonical", "terminal")
     if table:
         links = _table_links(start, class_constraint, box)
@@ -708,11 +713,29 @@ def _enumerate_links(start, class_constraint, box, mode):
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _link_table(class_constraint):
-    """The links out of each standard pair, by key.  Their added points all
-    lie in box 2: the tests find the same links at box 6."""
+    """The links out of each standard pair, by key, built from the named
+    families: the blow-down moved by the triangle's symmetries, the four
+    unit slides of each ruled state (0, -m), the ruling swap of the square
+    and the contraction of the first ruled polygon.  A link is kept when
+    its columns stay in the class and it validates, the filter of the
+    candidate loop; the tests show that the loop finds exactly these links
+    at boxes 2 and 6.  Validating here makes the table links the checked
+    orbit representatives of every link that _table_links moves."""
+    named = {
+        "P2": [conjugate(g, blowdown_link(1)) for g in STANDARD_SYMMETRIES["P2"]],
+        "F0": [ruling_swap(1)],
+        "F1": [blowdown_link(-1)],
+        "F2": [],
+    }
+    for m in range(3):
+        named[f"F{m}"] += [slide_link((0, -m), (a, b - m)) for a, b in ((1, 0), (-1, 0), (0, 1), (0, -1))]
     return {
-        key: _candidate_links(Constituent(from_polytope(p), fiber), class_constraint, 2, "polytope")
-        for key, (p, fiber) in standard_pairs().items()
+        key: tuple(sorted(
+            {link for link in links
+             if not _step_class_failures(link, class_constraint) and validate_link(link).ok},
+            key=ElementaryLink.key,
+        ))
+        for key, links in named.items()
     }
 
 
@@ -762,7 +785,8 @@ def _table_links(start, class_constraint, box):
 
 def _candidate_links(start, class_constraint, box, mode):
     """The links out of a Mori start, found by building and validating every
-    candidate; the table's source and its reference in the tests."""
+    candidate; the path for 3D, set mode and the other classes, and the
+    table's reference in the tests."""
     A = start.pgs
     fiber = start.fiber
     d = A.dim

@@ -23,7 +23,7 @@ from functools import lru_cache
 from math import gcd
 
 from .genset import PrimGenSet, from_polytope, mori_fibers, polytope_reduction
-from .lattice import UnimodularMap, _Frozen, _set, bezout, mat_det, mat_inverse_unimodular, mat_mul, mat_vec
+from .lattice import UnimodularMap, _Frozen, _set, bezout, mat_det, mat_inverse_unimodular, mat_vec
 from .links import (
     STANDARD_SYMMETRIES,
     Constituent,
@@ -62,6 +62,9 @@ TOKENS = {
 
 _INVERSE_TOKEN = {"S": "S^-1", "S^-1": "S", "T": "T^-1", "T^-1": "T", "U": "U"}
 
+# the matrix of each token's inverse, which factor_unimodular left-multiplies by
+_TOKEN_INVERSES = {name: g.inverse().matrix for name, g in TOKENS.items()}
+
 
 class NoMoriFiberStructureError(ValueError):
     """Reduction dead-ends at a polytope with no Mori fiber structure."""
@@ -92,35 +95,30 @@ def factor_unimodular(g):
 
     Euclidean reduction on the first column; words are not minimized.
     """
-    m = [list(r) for r in g.matrix]
+    (a, b), (c, d) = g.matrix
     tokens = []
 
-    def apply(name):
-        inv = TOKENS[name].inverse().matrix
-        new = mat_mul(inv, (tuple(m[0]), tuple(m[1])))
-        m[0], m[1] = list(new[0]), list(new[1])
-        tokens.append(name)
+    def apply(name, times=1):
+        nonlocal a, b, c, d
+        (p, q), (r, s) = _TOKEN_INVERSES[name]
+        for _ in range(times):
+            a, b, c, d = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
+        tokens.extend([name] * times)
 
-    while m[1][0] != 0:
-        a, c = m[0][0], m[1][0]
+    while c != 0:
         if a == 0 or abs(a) < abs(c):
             apply("S")
             continue
-        q = a // c
-        name = "T" if q > 0 else "T^-1"
-        for _ in range(abs(q)):
-            apply(name)
-    if m[0][0] < 0:
+        k = a // c
+        apply("T" if k > 0 else "T^-1", abs(k))
+    if a < 0:
         apply("U")
-    if m[1][1] < 0:
+    if d < 0:
         apply("U")
         apply("S")
         apply("S")
-    b = m[0][1]
-    name = "T" if b > 0 else "T^-1"
-    for _ in range(abs(b)):
-        apply(name)
-    if (tuple(m[0]), tuple(m[1])) != ((1, 0), (0, 1)):
+    apply("T" if b > 0 else "T^-1", abs(b))
+    if (a, b, c, d) != (1, 0, 0, 1):
         raise AssertionError("factorization did not terminate at the identity")
     # each step left-multiplied by a token's inverse, so ending at the
     # identity means the tokens multiply to g

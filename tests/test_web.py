@@ -13,7 +13,7 @@ from fanoweb import genset, web
 from fanoweb.cli import main
 from fanoweb.genset import from_polytope, mori_fiber_structures, positively_spans
 from fanoweb.jsonio import certificate_from_json, certificate_to_json, dumps
-from fanoweb.lattice import UnimodularMap, mat_mul
+from fanoweb.lattice import UnimodularMap, bezout, mat_det, mat_mul
 from fanoweb.links import (
     HORIZONTAL_FIBER,
     Constituent,
@@ -96,6 +96,66 @@ def test_factor_roundtrip_random():
         for t in word:
             prod = prod.compose(TOKENS[t])
         assert prod.matrix == g.matrix
+
+
+def _reference_factor(g):
+    """factor_unimodular by the matrix product: each step left-multiplies by
+    the inverse map of its token, on the same floor-division schedule."""
+    m = g.matrix
+    tokens = []
+
+    def apply(name):
+        nonlocal m
+        m = mat_mul(TOKENS[name].inverse().matrix, m)
+        tokens.append(name)
+
+    while m[1][0] != 0:
+        a, c = m[0][0], m[1][0]
+        if a == 0 or abs(a) < abs(c):
+            apply("S")
+            continue
+        q = a // c
+        for _ in range(abs(q)):
+            apply("T" if q > 0 else "T^-1")
+    if m[0][0] < 0:
+        apply("U")
+    if m[1][1] < 0:
+        for name in ("U", "S", "S"):
+            apply(name)
+    b = m[0][1]
+    for _ in range(abs(b)):
+        apply("T" if b > 0 else "T^-1")
+    assert m == ((1, 0), (0, 1))
+    return tuple(tokens)
+
+
+def _gl2_elements(n, bound, seed):
+    """n seeded elements of GL(2,Z) with entries at most bound in size,
+    about half of them of determinant -1."""
+    import random
+
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        a, c = rng.randint(-bound, bound), rng.randint(-bound, bound)
+        g, x, y = bezout(a, c)
+        if g != 1:
+            continue
+        # ((a, -y), (c, x)) has determinant 1; shearing its second column by
+        # the first keeps that, flipping the column's sign makes it -1
+        shears = [k for k in range(-2 * bound, 2 * bound + 1) if max(abs(k * a - y), abs(k * c + x)) <= bound]
+        k = rng.choice(shears)
+        sign = rng.choice((1, -1))
+        out.append(UnimodularMap(((a, sign * (k * a - y)), (c, sign * (k * c + x)))))
+    return out
+
+
+def test_factor_words_equal_the_matrix_product_route():
+    elements = _gl2_elements(500, 50, 28)
+    assert {mat_det(g.matrix) for g in elements} == {1, -1}
+    assert max(abs(x) for g in elements for row in g.matrix for x in row) == 50
+    for g in elements:
+        assert factor_unimodular(g) == _reference_factor(g), g.matrix
 
 
 def test_mmp_reduce_pentagon_rule():
@@ -732,6 +792,21 @@ def test_a_cold_enumeration_computes_no_normal_form(monkeypatch):
             monkeypatch.setattr(mod, "normal_form", spy)
     _clear_memos()
     assert len(enumerate_fano(3, "canonical")) == 16
+    assert calls == []
+
+
+def test_a_cold_bfs_builds_the_link_table_without_a_candidate_search(monkeypatch):
+    from fanoweb import links
+
+    calls = []
+    real = links._candidate_links
+    monkeypatch.setattr(links, "_candidate_links", lambda *args: calls.append(args) or real(*args))
+    _clear_memos()
+    for cls in ("canonical", "terminal"):
+        assert links._link_table(cls)["F0"]
+    tri, square = plane_polygon(), ruled_polygon(0)
+    assert bfs_connect(tri, hull(GEN_S.apply_all(tri.vertices)), "terminal", 2) is not None
+    assert bfs_connect(square, hull([(1, 0), (2, 1), (-1, 0), (-2, -1)]), "canonical", 2) is not None
     assert calls == []
 
 
