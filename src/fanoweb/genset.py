@@ -78,15 +78,23 @@ def is_pgs(points, dim=None):
 class PrimGenSet:
     __slots__ = ("dim", "points", "_hash")
 
-    def __init__(self, dim, points, _checked=False):
+    def __init__(self, dim, points):
         pts = tuple(sorted(tuple(p) for p in points))
-        if not _checked:
-            ok, reason = is_pgs(pts, dim)
-            if not ok:
-                raise ValueError(f"not a primitive generating set: {reason}")
+        ok, reason = is_pgs(pts, dim)
+        if not ok:
+            raise ValueError(f"not a primitive generating set: {reason}")
         self.dim = dim
         self.points = pts
         self._hash = hash((dim, self.points))
+
+    @classmethod
+    def of_sorted(cls, dim, points):
+        """The set of a sorted tuple of point tuples known to be a PGS, as it is."""
+        self = object.__new__(cls)
+        self.dim = dim
+        self.points = points
+        self._hash = hash((dim, points))
+        return self
 
     def __eq__(self, other):
         return (
@@ -112,7 +120,7 @@ EMPTY_PGS = PrimGenSet(0, ())
 
 
 def from_polytope(p):
-    return PrimGenSet(p.dim, primitive_points(p), _checked=True)
+    return PrimGenSet.of_sorted(p.dim, primitive_points(p))
 
 
 class FiberStructure(_Frozen):
@@ -192,7 +200,7 @@ def _build_fiber_structure(parent, fiber):
     ok, reason = is_pgs(base_pts, d - k)
     if not ok:
         raise AssertionError(f"base of a fiber structure must be a PGS ({reason})")
-    base = PrimGenSet(d - k, base_pts, _checked=True)
+    base = PrimGenSet.of_sorted(d - k, tuple(base_pts))
     irreducible = len(parent) == len(fiber) + len(base)
     mori = irreducible and len(fiber) == k + 1
     return FiberStructure(
@@ -299,7 +307,7 @@ def reductions(parent):
     for v in parent.points:
         rest = tuple(p for p in parent.points if p != v)
         if positively_spans(rest, parent.dim):
-            out.append((v, PrimGenSet(parent.dim, rest, _checked=True)))
+            out.append((v, PrimGenSet.of_sorted(parent.dim, rest)))
     return tuple(out)
 
 

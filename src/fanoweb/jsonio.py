@@ -1,7 +1,7 @@
 """JSON encodings for every domain type.
 
-All encodings are pure integer data and round-trip bit-exactly; dumps()
-fixes key order and separators so identical inputs serialize identically.
+All encodings are pure integer data, and those read back round-trip bit-exactly
+(fiber structures are only written); dumps() fixes key order and separators.
 Rational vertices (dual polygons) are encoded as [numerator, denominator]
 pairs.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from .genset import EMPTY_PGS, PrimGenSet, fiber_structure_for
+from .genset import EMPTY_PGS, PrimGenSet
 from .links import Constituent, ElementaryLink, sequence_from_steps
 from .polytopes import CLASS_NAMES, hull
 from .web import ConnectCertificate, Relation
@@ -99,14 +99,6 @@ def fiber_structure_to_json(fs):
         "irreducible": fs.irreducible,
         "mori": fs.mori,
     }
-
-
-def fiber_structure_from_json(data):
-    parent, fiber, projection = _fields(data, "fiber structure", "parent", "fiber", "projection")
-    fs = fiber_structure_for(pgs_from_json(parent), _points(fiber))
-    if [list(r) for r in fs.projection.matrix] != projection:
-        raise ValueError("projection matrix does not match the fiber")
-    return fs
 
 
 def _constituent_to_json(c):

@@ -299,10 +299,6 @@ class QuotientProjection(_Frozen):
         _set(self, "fiber_basis", fiber_basis)
         _set(self, "matrix", matrix)
 
-    @property
-    def target_dim(self):
-        return self.source_dim - len(self.fiber_basis)
-
     def apply(self, v):
         return tuple(dot(row, v) for row in self.matrix)
 

@@ -62,6 +62,15 @@ class Constituent(_Frozen):
         _set(self, "fiber", tuple(sorted(tuple(p) for p in fiber)))
         _set(self, "_hash", hash((pgs, self.fiber)))
 
+    @classmethod
+    def of_sorted(cls, pgs, fiber):
+        """The column of a fiber given as a sorted tuple of point tuples, as it is."""
+        self = object.__new__(cls)
+        _set(self, "pgs", pgs)
+        _set(self, "fiber", fiber)
+        _set(self, "_hash", hash((pgs, fiber)))
+        return self
+
     # written out, not the base's field tuple: a memo key in link enumeration
     # and in the bfs search
     def __eq__(self, other):
@@ -78,13 +87,6 @@ class Constituent(_Frozen):
 
     def structure(self):
         return fiber_structure_for(self.pgs, self.fiber)
-
-
-def constituent(points, fiber, dim=None):
-    pts = [tuple(p) for p in points]
-    if dim is None:
-        dim = len(pts[0])
-    return Constituent(PrimGenSet(dim, pts), fiber)
 
 
 class ElementaryLink(_Frozen):
@@ -296,20 +298,24 @@ def _purity_checks(link, add):
 
 
 def conjugate(g, link):
-    """Apply a unimodular map to every point of every constituent.  Raises
-    ValueError when a column's dimension is not the map's."""
+    """Apply a unimodular map to each distinct point of the link once, fiber
+    points included.  Raises ValueError when a column's dimension is not the map's."""
+    cols = (link.left, link.middle, link.right)
+    points = set()
+    for c in cols:
+        if c is not None:
+            if c.pgs.dim != g.dim:
+                raise ValueError(f"a map of dimension {g.dim} cannot move a column of dimension {c.pgs.dim}")
+            points.update(c.pgs.points, c.fiber)
+    image = dict(zip(points, g.apply_all(points))).__getitem__
 
     def move(c):
         if c is None:
             return None
-        if c.pgs.dim != g.dim:
-            raise ValueError(f"a map of dimension {g.dim} cannot move a column of dimension {c.pgs.dim}")
-        return Constituent(
-            PrimGenSet(c.pgs.dim, g.apply_all(c.pgs.points), _checked=True),
-            g.apply_all(c.fiber),
-        )
+        pgs = PrimGenSet.of_sorted(c.pgs.dim, tuple(sorted(map(image, c.pgs.points))))
+        return Constituent.of_sorted(pgs, tuple(sorted(map(image, c.fiber))))
 
-    return _link(link.kind, move(link.left), move(link.middle), move(link.right), link.mode)
+    return _link(link.kind, *map(move, cols), link.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -809,14 +815,14 @@ def _candidate_links(start, class_constraint, box, mode):
         rest = tuple(p for p in A.points if p != v)
         if not positively_spans(rest, d):
             continue
-        right = Constituent(PrimGenSet(d, rest, _checked=True), fiber)
+        right = Constituent(PrimGenSet.of_sorted(d, rest), fiber)
         keep(_try_link("I_d", start, None, right, mode, cls))
 
     # III_d: add a box point away from the fiber span
     for w in prims:
         if w in A.points or in_fiber_span[w]:
             continue
-        bigger = PrimGenSet(d, A.points + (w,), _checked=True)
+        bigger = PrimGenSet.of_sorted(d, tuple(sorted(A.points + (w,))))
         left2 = Constituent(bigger, fiber)
         keep(_try_link("III_d", start, None, left2, mode, cls))
 
@@ -824,7 +830,7 @@ def _candidate_links(start, class_constraint, box, mode):
     for w in prims:
         if w in A.points:
             continue
-        bigger = PrimGenSet(d, A.points + (w,), _checked=True)
+        bigger = PrimGenSet.of_sorted(d, tuple(sorted(A.points + (w,))))
         if not in_fiber_span[w]:
             mid = Constituent(bigger, fiber)
             for u in bigger.points:
@@ -833,7 +839,7 @@ def _candidate_links(start, class_constraint, box, mode):
                 rest = tuple(p for p in bigger.points if p != u)
                 if not positively_spans(rest, d):
                     continue
-                right = Constituent(PrimGenSet(d, rest, _checked=True), fiber)
+                right = Constituent(PrimGenSet.of_sorted(d, rest), fiber)
                 keep(_try_link("II_ni", start, mid, right, mode, cls))
         else:
             big_fiber = tuple(sorted(fiber + (w,)))
@@ -845,7 +851,7 @@ def _candidate_links(start, class_constraint, box, mode):
                 rest_fiber = tuple(p for p in big_fiber if p != u)
                 if not positively_spans(rest, d):
                     continue
-                right = Constituent(PrimGenSet(d, rest, _checked=True), rest_fiber)
+                right = Constituent(PrimGenSet.of_sorted(d, rest), rest_fiber)
                 keep(_try_link("II_irr", start, mid, right, mode, cls))
 
     # I_m: a tower inside some other fiber structure on the same set
@@ -860,14 +866,14 @@ def _candidate_links(start, class_constraint, box, mode):
             if not positively_spans(rest, d):
                 continue
             rest_fiber = tuple(p for p in tower.fiber if p != u)
-            right = Constituent(PrimGenSet(d, rest, _checked=True), rest_fiber)
+            right = Constituent(PrimGenSet.of_sorted(d, rest), rest_fiber)
             keep(_try_link("I_m", start, mid, right, mode, cls))
 
     # III_m: grow along the fiber span, then land on a new Mori pair
     for w in prims:
         if w in A.points or not in_fiber_span[w]:
             continue
-        bigger = PrimGenSet(d, A.points + (w,), _checked=True)
+        bigger = PrimGenSet.of_sorted(d, tuple(sorted(A.points + (w,))))
         big_fiber = tuple(sorted(fiber + (w,)))
         mid = Constituent(bigger, big_fiber)
         for fs2 in mori_fiber_structures(bigger):

@@ -60,8 +60,6 @@ TOKENS = {
     "U": GEN_U,
 }
 
-_INVERSE_TOKEN = {"S": "S^-1", "S^-1": "S", "T": "T^-1", "T^-1": "T", "U": "U"}
-
 # the matrix of each token's inverse, which factor_unimodular left-multiplies by
 _TOKEN_INVERSES = {name: g.inverse().matrix for name, g in TOKENS.items()}
 
@@ -203,7 +201,7 @@ def forward_sequence(token, key):
     every move's endpoints and validity.
     """
     if token in ("S^-1", "T^-1"):
-        base = forward_sequence(_INVERSE_TOKEN[token], key)
+        base = forward_sequence(token.removesuffix("^-1"), key)
         return conjugate_sequence(TOKENS[token], reverse_sequence(base))
     return _forward_builtin(token, key)
 
@@ -273,7 +271,7 @@ def _ring_reduce(p, class_constraint):
     cur = p
     chain = []
     while True:
-        fibers = mori_fibers(PrimGenSet(2, ring, _checked=True))
+        fibers = mori_fibers(PrimGenSet.of_sorted(2, tuple(sorted(ring))))
         if fibers:
             return MmpReduction(cur, min(fibers), tuple(chain))
         for v in sorted(cur.vertices):
@@ -313,7 +311,7 @@ def _primitive_set(p):
     """from_polytope(p); a canonical polygon's is its ring, read without a
     scan."""
     if p.dim == 2 and in_class(p, "canonical"):
-        return PrimGenSet(2, _ring(p), _checked=True)
+        return PrimGenSet.of_sorted(2, tuple(sorted(_ring(p))))
     return from_polytope(p)
 
 

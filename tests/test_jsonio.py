@@ -7,7 +7,6 @@ from fanoweb.jsonio import (
     certificate_from_json,
     certificate_to_json,
     dumps,
-    fiber_structure_from_json,
     fiber_structure_to_json,
     link_from_json,
     link_to_json,
@@ -21,7 +20,7 @@ from fanoweb.jsonio import (
 )
 from fanoweb.links import blowdown_link, elementary_transform, enumerate_links, sequence_from_steps
 from fanoweb.polytopes import hull, polar_dual
-from fanoweb.web import GEN_S, connect, enumerate_class_polygons, plane_polygon, ruled_polygon
+from fanoweb.web import GEN_S, connect, enumerate_class_polygons, plane_polygon
 from test_links import _box2_mori_states
 
 
@@ -43,27 +42,6 @@ def test_pgs_roundtrip():
     data = pgs_to_json(a)
     assert data["as"] == "pgs"
     assert pgs_from_json(data) == a
-
-
-def test_fiber_structure_roundtrip():
-    a = from_polytope(ruled_polygon(1))
-    fs = fiber_structure_for(a, [(-1, 0), (1, 0)])
-    data = fiber_structure_to_json(fs)
-    assert fiber_structure_from_json(data) == fs
-
-
-@pytest.mark.parametrize(
-    "key, value",
-    [("fiber", 5), ("fiber", [[-1, 0, 0]]), ("parent", {"points": [[1, 0], [0, 1], [-1, -1]]}), ("projection", None)],
-)
-def test_malformed_fiber_structure_rejected(key, value):
-    data = fiber_structure_to_json(fiber_structure_for(from_polytope(ruled_polygon(1)), [(-1, 0), (1, 0)]))
-    if value is None:
-        del data[key]
-    else:
-        data[key] = value
-    with pytest.raises(ValueError):
-        fiber_structure_from_json(data)
 
 
 def test_link_roundtrip():
@@ -89,6 +67,12 @@ def test_certificate_roundtrip():
     assert dumps(data) == dumps(certificate_to_json(back))
 
 
+def _fiber_structure_from_json(data):
+    """A fiber structure rebuilt from the parent and fiber of its JSON;
+    fiber structures are written only, so the reader lives here."""
+    return fiber_structure_for(pgs_from_json(data["parent"]), [tuple(v) for v in data["fiber"]])
+
+
 def test_box2_links_and_fiber_structures_round_trip_verbatim():
     """Every link from a box-2 Mori state and every fiber structure of a
     box-2 canonical polygon reads back to the same JSON, byte for byte."""
@@ -99,7 +83,7 @@ def test_box2_links_and_fiber_structures_round_trip_verbatim():
     assert links and structures
     for items, to_json, from_json in (
         (links, link_to_json, link_from_json),
-        (structures, fiber_structure_to_json, fiber_structure_from_json),
+        (structures, fiber_structure_to_json, _fiber_structure_from_json),
     ):
         for x in items:
             s = dumps(to_json(x))

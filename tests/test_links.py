@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanoweb.genset import InvalidFiberStructure, PrimGenSet, from_polytope, mori_fiber_structures
-from fanoweb.lattice import UnimodularMap, mat_det, mat_mul
+from fanoweb.lattice import UnimodularMap, is_primitive, mat_det, mat_mul
 from fanoweb.links import (
     HORIZONTAL_FIBER,
+    KINDS,
     STANDARD_SYMMETRIES,
     Constituent,
     ElementaryLink,
@@ -18,6 +19,7 @@ from fanoweb.links import (
     _enumerate_links,
     _link_table,
     _relation_holds,
+    _shared,
     _step_failures,
     blowdown_link,
     box_primitives,
@@ -187,6 +189,97 @@ def test_conjugate_refuses_a_column_of_another_dimension():
     mixed = ElementaryLink(planar.kind, planar.left, c, planar.right, planar.mode)
     with pytest.raises(ValueError):
         conjugate(S_MAT, mixed)
+
+
+def _conjugate_by_column(g, link):
+    """The reference for conjugate: each column moved on its own through the
+    checking constructors, which copy, sort and validate."""
+
+    def move(c):
+        if c is None:
+            return None
+        if c.pgs.dim != g.dim:
+            raise ValueError(f"a map of dimension {g.dim} cannot move a column of dimension {c.pgs.dim}")
+        return Constituent(PrimGenSet(c.pgs.dim, g.apply_all(c.pgs.points)), g.apply_all(c.fiber))
+
+    return ElementaryLink(link.kind, move(link.left), move(link.middle), move(link.right), link.mode)
+
+
+def _check_conjugate(g, link):
+    """conjugate agrees with the reference in value and hash, column by
+    column, hands back one shared object for equal links and columns, and
+    raises the reference's ValueError."""
+    try:
+        want = _conjugate_by_column(g, link)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            conjugate(g, link)
+        assert str(got.value) == str(e)
+        return
+    got = conjugate(g, link)
+    assert got == want and hash(got) == hash(want)
+    for c, w in zip((got.left, got.middle, got.right), (want.left, want.middle, want.right)):
+        if w is None:
+            assert c is None
+            continue
+        assert (c.pgs.dim, c.points, c.fiber) == (w.pgs.dim, w.points, w.fiber)
+        assert hash(c.pgs) == hash(w.pgs) and hash(c) == hash(w)
+        assert c is _shared(w)
+    assert conjugate(g, link) is got
+    assert _shared(want) is got
+
+
+_SIMPLICES = {2: ((1, 0), (0, 1), (-1, -1)), 3: ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1))}
+_GL3 = (((0, 1, 0), (1, 0, 0), (0, 0, 1)), ((1, 1, 0), (0, 1, 0), (0, 0, 1)),
+        ((1, 0, 0), (0, 0, 1), (0, 1, 0)), ((-1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
+def _vectors(dim):
+    return st.tuples(*[st.integers(-2, 2)] * dim)
+
+
+@st.composite
+def _columns(draw, dim):
+    """A simplex with up to three more primitive points, and a fiber of any
+    points, in the set or not."""
+    extra = draw(st.lists(_vectors(dim).filter(is_primitive), max_size=3))
+    fiber = draw(st.lists(_vectors(dim), max_size=4))
+    return Constituent(PrimGenSet(dim, set(_SIMPLICES[dim]) | set(extra)), fiber)
+
+
+@st.composite
+def _any_links(draw, dim):
+    col = _columns(dim)
+    kind = draw(st.sampled_from(KINDS))
+    mode = draw(st.sampled_from(("set", "polytope")))
+    return ElementaryLink(kind, draw(col), draw(st.none() | col), draw(col), mode)
+
+
+@st.composite
+def _maps(draw, dim):
+    if dim == 2:
+        return _gl_map(draw(_GL_WORDS))
+    g = UnimodularMap.identity(3)
+    for m in draw(st.lists(st.sampled_from(_GL3), max_size=5)):
+        g = g.compose(UnimodularMap(m))
+    return g
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data(), dim=st.sampled_from((2, 3)))
+def test_conjugate_matches_the_column_by_column_reference(data, dim):
+    link = data.draw(_any_links(dim))
+    _check_conjugate(data.draw(_maps(dim)), link)
+    _check_conjugate(data.draw(_maps(5 - dim)), link)
+
+
+def test_conjugate_moves_fiber_points_outside_the_set():
+    c = Constituent(PrimGenSet(2, _SIMPLICES[2]), ((2, 3), (1, 0), (-1, -2)))
+    right = Constituent(PrimGenSet(2, _SIMPLICES[2] + ((1, 1),)), ((3, -1),))
+    link = ElementaryLink("I_d", c, None, right, "set")
+    for g in (U_MAT, S_MAT, _gl_map(["T", "S", "T"])):
+        _check_conjugate(g, link)
+    _check_conjugate(UnimodularMap.identity(3), link)
 
 
 def test_sequence_validation_and_panels():
@@ -474,8 +567,8 @@ def _reference_record(link, cls):
 
 def _moved_point(c, old, new):
     """Column c with its point old replaced by new, in its fiber too."""
-    points = [new if p == old else p for p in c.points]
-    return Constituent(PrimGenSet(2, points, _checked=True), [new if p == old else p for p in c.fiber])
+    points = tuple(sorted(new if p == old else p for p in c.points))
+    return Constituent(PrimGenSet.of_sorted(2, points), [new if p == old else p for p in c.fiber])
 
 
 def _tampered_links(link):

@@ -925,7 +925,8 @@ def test_concat_cancels_link_and_inverse():
 
 
 def test_concat_cuts_loop_and_keeps_surrounding_steps():
-    from fanoweb.links import ElementaryLink, constituent, ruling_swap
+    from fanoweb.genset import PrimGenSet
+    from fanoweb.links import Constituent, ElementaryLink, ruling_swap
     from fanoweb.web import _concat
 
     # three II_ni links from (square, horizontal ruling) back to it, each
@@ -936,7 +937,7 @@ def test_concat_cuts_loop_and_keeps_surrounding_steps():
     a, b, c = (0, -1), (-1, -1), (1, -1)
 
     def pair(*lower):
-        return constituent(top + list(lower), fiber)
+        return Constituent(PrimGenSet(2, top + list(lower)), fiber)
 
     def swap(x, y):
         return ElementaryLink("II_ni", pair(x), pair(x, y), pair(y))
