@@ -3,7 +3,7 @@
 Pipeline: reduce a polygon to a Mori fiber polygon by class-preserving
 vertex removals, move that polygon to one of the four standard forms
 through a word of link sequences (one per GL(2,Z) generator and standard
-form), join the standard forms along the fixed ladder, and flatten
+form), join the standard forms along the ladder, and flatten
 everything into a certificate whose every relation, link, and class
 membership is re-checked from scratch (verify_certificate) before it is
 returned; that check is the one gate on what the builder produces.
@@ -12,9 +12,10 @@ The map onto a standard form is the link table's closed-form frame
 (links._frame) composed with a symmetry of the standard polygon: of those
 maps, the orientation-preserving one with the shortest generator word.
 
-A breadth-first oracle over the same link moves provides shortest
-certificates inside a coordinate box, and the exhaustive enumerator counts
-class polygons up to unimodular equivalence.
+A breadth-first oracle over the link table provides shortest certificates
+inside a coordinate box.  The generator words and the ladder are its
+shortest words between standard pairs, searched from the target.  The
+exhaustive enumerator counts class polygons up to unimodular equivalence.
 """
 
 from __future__ import annotations
@@ -30,19 +31,13 @@ from .links import (
     _frame,
     _relation_holds,
     _set_purity,
-    blowdown_link,
     box_primitives,
     check_box,
-    conjugate,
     conjugate_sequence,
-    elementary_transform,
     enumerate_links,
-    plane_polygon,
     reverse_sequence,
-    ruled_polygon,
     ruling_swap,
     sequence_from_steps,
-    slide_link,
     standard_pairs,
     step_record,
 )
@@ -124,86 +119,46 @@ def factor_unimodular(g):
 
 
 # ---------------------------------------------------------------------------
-# base sequences between a standard form and its generator images
+# words between a standard pair and its generator images, and the ladder
 # ---------------------------------------------------------------------------
 
 
-def _cremona_word():
-    """From the triangle to its quarter-turn image, four links."""
-    return sequence_from_steps(
-        [
-            blowdown_link(1),
-            elementary_transform(0, -1),
-            conjugate(GEN_U, elementary_transform(0, 1)),
-            conjugate(GEN_U, blowdown_link(-1)),
-        ]
-    )
+def _table_word(source, target):
+    """The breadth-first oracle's word from source to target, two Mori
+    pairs (polygon, fiber): searched from the target, then reversed.
 
-
-def _s_on_ruled_word(m):
-    """From the m-th ruled polygon to its quarter-turn image."""
-    steps = []
-    for j in range(m - 1, -1, -1):
-        steps.append(elementary_transform(j, -1))
-    steps.append(ruling_swap(1))
-    for j in range(m):
-        steps.append(conjugate(GEN_S, elementary_transform(j, 1)))
-    return sequence_from_steps(steps)
-
-
-def _slide_word(states):
-    """Slides through the ruled-set states (a, b) in order."""
-    return sequence_from_steps([slide_link(s, e) for s, e in zip(states, states[1:])])
-
-
-# The frame maps the triangle onto itself and frame.turn maps it onto
-# T(triangle), so the word from the triangle through the first ruled polygon
-# to turn(triangle), moved by the frame, ends at T(triangle).
-_T_ON_P2_FRAME = UnimodularMap(((-1, 0), (-1, 1)))
-_T_ON_P2_TURN = UnimodularMap(((-1, 2), (0, 1)))
-
-
-def _t_on_plane_word():
-    steps = [
-        blowdown_link(1),
-        slide_link((0, -1), (1, -1)),
-        slide_link((1, -1), (2, -1)),
-        conjugate(_T_ON_P2_TURN, blowdown_link(-1)),
-    ]
-    return sequence_from_steps([conjugate(_T_ON_P2_FRAME, s) for s in steps])
-
-
-def _forward_builtin(token, key):
-    if key == "P2":
-        if token == "T":
-            return _t_on_plane_word()
-        # S, and U: the mirror image of the triangle equals its quarter turn
-        return _cremona_word()
-    m = int(key[1])
-    if token == "S":
-        return _s_on_ruled_word(m)
-    if token == "T":
-        # T sends the state (0, -m) to (1, -m-1).  For m > 0 the top point
-        # must move first: the bottom point first would pass through the
-        # (m+1)-st ruled polygon, and F2 is not terminal, F3 not canonical.
-        if m == 0:
-            return _slide_word([(0, 0), (0, -1), (1, -1)])
-        return _slide_word([(0, -m), (1, -m), (1, -m - 1)])
-    # U sends the state (0, -m) to (0, m)
-    return _slide_word([(0, b) for b in range(-m, m + 1)])
+    The search reads the link table (links._link_table) in the box of the
+    largest coordinate of the two ends, under the terminal class when both
+    ends are terminal and the canonical class otherwise.  In the plane
+    terminal polygons are canonical and the canonical ones are the
+    reflexive ones, so the word stays in every class that connect accepts.
+    Searched from the target, the triangle's quarter turn is the paper's
+    Cremona word.
+    """
+    (p, f), (q, h) = source, target
+    cls = "terminal" if in_class(p, "terminal") and in_class(q, "terminal") else "canonical"
+    box = max(abs(x) for v in p.vertices + q.vertices for x in v)
+    steps = _bfs_pairs([Constituent(_primitive_set(q), h)], [Constituent(_primitive_set(p), f)], cls, box)
+    if steps is None:
+        raise AssertionError("no table word between two standard pairs")
+    return reverse_sequence(sequence_from_steps(steps))
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def forward_sequence(token, key):
     """Link sequence from (std, fiber) to (token.std, token.fiber).
 
-    Its links are validated when they enter a certificate; the tests pin
-    every move's endpoints and validity.
+    For S, T and U it is the oracle's shortest table word (_table_word);
+    an inverse token's is its token's word reversed and moved back.  Its
+    links are validated when they enter a certificate; the tests pin every
+    move's length, kinds, endpoints and validity.
     """
     if token in ("S^-1", "T^-1"):
         base = forward_sequence(token.removesuffix("^-1"), key)
         return conjugate_sequence(TOKENS[token], reverse_sequence(base))
-    return _forward_builtin(token, key)
+    std, fiber = standard_pairs()[key]
+    g = TOKENS[token]
+    return _table_word((std, fiber), (hull(g.apply_all(std.vertices)), g.apply_all(fiber)))
 
 
 def base_sequence(token, key):
@@ -387,28 +342,13 @@ def _concat(parts, class_constraint):
     return sequence_from_steps(out, class_constraint)
 
 
-def _ladder_steps(a, b):
-    """Steps joining two standard pairs along P2 - F1 - F0 and F1 - F2."""
-    if a == b:
-        return []
-    words = {
-        ("P2", "F1"): lambda: [blowdown_link(1)],
-        ("F1", "P2"): lambda: [blowdown_link(-1)],
-        ("F0", "F1"): lambda: [elementary_transform(0, 1)],
-        ("F1", "F0"): lambda: [elementary_transform(0, -1)],
-        ("F1", "F2"): lambda: [elementary_transform(1, 1)],
-        ("F2", "F1"): lambda: [elementary_transform(1, -1)],
-    }
-    if (a, b) in words:
-        return words[(a, b)]()
-    return _ladder_steps(a, "F1") + _ladder_steps("F1", b)
-
-
 @lru_cache(maxsize=MEMO_SIZE)
 def join_standard(a, b, class_constraint="canonical"):
+    """The table word between two standard pairs: P2 - F1 - F0 and F1 - F2."""
     if class_constraint == "terminal" and "F2" in (a, b):
         raise ClassViolationError("the F2 polygon is not terminal")
-    return sequence_from_steps(_ladder_steps(a, b), class_constraint)
+    pairs = standard_pairs()
+    return sequence_from_steps(_table_word(pairs[a], pairs[b]).steps, class_constraint)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,9 @@ from fanoweb.jsonio import (
     sequence_from_json,
     sequence_to_json,
 )
-from fanoweb.links import blowdown_link, elementary_transform, enumerate_links, sequence_from_steps
+from fanoweb.links import blowdown_link, elementary_transform, enumerate_links, plane_polygon, sequence_from_steps
 from fanoweb.polytopes import hull, polar_dual
-from fanoweb.web import GEN_S, connect, enumerate_class_polygons, plane_polygon
+from fanoweb.web import GEN_S, connect, enumerate_class_polygons
 from test_links import _box2_mori_states
 
 

@@ -2,10 +2,10 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from fanoweb.links import sequence_from_steps, elementary_transform
+from fanoweb.links import sequence_from_steps, elementary_transform, plane_polygon
 from fanoweb.polytopes import hull
 from fanoweb.render import render_svg
-from fanoweb.web import GEN_S, connect, plane_polygon
+from fanoweb.web import GEN_S, connect
 
 
 def _cremona_certificate():

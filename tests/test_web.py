@@ -477,31 +477,30 @@ def test_forward_sequences_all_tokens_all_keys():
             assert (hull(last.points), last.fiber) == end, (tok, key)
 
 
-def test_generator_moves_no_longer_than_bfs():
-    """The closed-form generator moves against the breadth-first oracle's
-    shortest words, searched in growing boxes."""
+def test_generator_and_ladder_words_are_pinned():
+    """The table words of the generator moves and of the ladder, by kind:
+    blow-down, slide, ruling swap and contraction."""
+    b, s, r, c = "III_m", "II_ni", "IV_m", "I_m"
     moves = {
-        ("T", "P2", "terminal"): ["III_m", "II_ni", "II_ni", "I_m"],
-        ("T", "F0", "terminal"): ["II_ni"] * 2,
-        ("T", "F1", "terminal"): ["II_ni"] * 2,
-        ("T", "F2", "canonical"): ["II_ni"] * 2,
-        ("U", "F1", "terminal"): ["II_ni"] * 2,
-        ("U", "F2", "canonical"): ["II_ni"] * 4,
+        "P2": {"S": [b, s, s, c], "T": [b, s, s, c], "U": [b, s, s, c]},
+        "F0": {"S": [r], "T": [s, s], "U": []},
+        "F1": {"S": [s, r, s], "T": [s, s], "U": [s, s]},
+        "F2": {"S": [s, s, r, s, s], "T": [s, s], "U": [s, s, s, s]},
     }
-    for (tok, key, cls), kinds in moves.items():
-        seq = forward_sequence(tok, key)
-        assert [s.kind for s in seq.steps] == kinds, (tok, key)
-        std, fiber = standard_pairs()[key]
-        g = TOKENS[tok]
-        source = Constituent(from_polytope(std), fiber)
-        target = Constituent(from_polytope(hull(g.apply_all(std.vertices))), g.apply_all(fiber))
-        shortest = None
-        for box in (2, 3, 4):
-            shortest = _bfs_pairs([source], [target], cls, box)
-            if shortest is not None:
-                break
-        assert shortest is not None, (tok, key)
-        assert len(seq.steps) <= len(shortest), (tok, key)
+    for key, words in moves.items():
+        for tok, kinds in words.items():
+            assert [x.kind for x in forward_sequence(tok, key).steps] == kinds, (tok, key)
+    ladder = {
+        ("P2", "F0"): [b, s], ("P2", "F1"): [b], ("P2", "F2"): [b, s],
+        ("F0", "F1"): [s], ("F0", "F2"): [s, s], ("F1", "F2"): [s],
+    }
+    for a in moves:
+        assert join_standard(a, a, "canonical").steps == ()
+    for (a, z), kinds in ladder.items():
+        assert [x.kind for x in join_standard(a, z, "canonical").steps] == kinds, (a, z)
+        assert [x.kind for x in join_standard(z, a, "canonical").steps] == [
+            {b: c}.get(k, k) for k in reversed(kinds)
+        ], (z, a)
 
 
 def test_join_standard_words():
@@ -796,17 +795,27 @@ def test_a_cold_enumeration_computes_no_normal_form(monkeypatch):
 
 
 def test_a_cold_bfs_builds_the_link_table_without_a_candidate_search(monkeypatch):
+    """Neither a cold bfs nor a cold connect, whose generator words and
+    ladder are table words, runs the candidate loop, under every class that
+    connect accepts."""
     from fanoweb import links
 
-    calls = []
-    real = links._candidate_links
+    calls, tokens = [], set()
+    real, forward = links._candidate_links, web.forward_sequence
     monkeypatch.setattr(links, "_candidate_links", lambda *args: calls.append(args) or real(*args))
+    monkeypatch.setattr(web, "forward_sequence", lambda tok, key: tokens.add(tok) or forward(tok, key))
     _clear_memos()
     for cls in ("canonical", "terminal"):
         assert links._link_table(cls)["F0"]
     tri, square = plane_polygon(), ruled_polygon(0)
     assert bfs_connect(tri, hull(GEN_S.apply_all(tri.vertices)), "terminal", 2) is not None
     assert bfs_connect(square, hull([(1, 0), (2, 1), (-1, 0), (-2, -1)]), "canonical", 2) is not None
+    # the word onto F1 of this image is T^-1 T^-1 S U U S S
+    p = hull(UnimodularMap(((2, 1), (-1, 0))).apply_all(ruled_polygon(1).vertices))
+    for cls in ("canonical", "terminal", "reflexive"):
+        _clear_memos()
+        connect(p, tri, cls)
+    assert {"S", "T^-1", "U"} <= tokens
     assert calls == []
 
 
@@ -1345,18 +1354,21 @@ def test_classify_is_gl_invariant(i, g):
 
 
 def _patch_cremona_move(monkeypatch, edit):
-    """Replace the steps of the S and U moves on the triangle (the Cremona
-    word) by edit(steps); memos are cleared around it."""
-    builtin = web._forward_builtin
+    """Replace the steps of the table word from the triangle to its quarter
+    turn (the Cremona word, the S and U moves on the triangle) by
+    edit(steps); memos are cleared around it."""
+    tri = plane_polygon()
+    turned = hull(GEN_S.apply_all(tri.vertices))
+    table_word = web._table_word
 
-    def faulty(token, key):
-        seq = builtin(token, key)
-        if key != "P2" or token == "T":
+    def faulty(source, target):
+        seq = table_word(source, target)
+        if (source[0], target[0]) != (tri, turned):
             return seq
         return sequence_from_steps(edit(seq.steps))
 
     _clear_memos()
-    monkeypatch.setattr(web, "_forward_builtin", faulty)
+    monkeypatch.setattr(web, "_table_word", faulty)
     yield
     _clear_memos()
 
