@@ -12,10 +12,11 @@ integers.
 Everything else is exact integer arithmetic.  Hulls use a monotone chain with
 inlined cross products in 2D and exhaustive supporting-plane enumeration in
 3D (inputs here are tiny, so the cubic scan is simpler and safer than an
-incremental hull).  lattice_points scans the widest axis of the bounding box
-last: it walks every prefix of the other coordinates and takes the exact
-interval of that axis from the facets, so it never tests a cell of the box
-and visits the fewest prefixes.  lattice_points_in_hull finds the lattice
+incremental hull).  lattice_points reads a canonical polygon's points off
+its boundary ring.  It scans any other polytope, the widest axis of the
+bounding box last: it walks every prefix of the other coordinates and takes
+the exact interval of that axis from the facets, so it never tests a cell of
+the box and visits the fewest prefixes.  lattice_points_in_hull finds the lattice
 points of a hull of any affine dimension: a segment steps by its primitive
 direction, and a polygon in space is counted in integer coordinates of the
 saturated lattice of its plane, where its hull is full-dimensional, and
@@ -226,11 +227,27 @@ def lattice_points(p):
 def _point_lists(p):
     """(lattice points, primitive lattice points) of the polytope, each
     sorted lexicographically: one memo entry serves lattice_points and
-    primitive_points."""
-    lo = [min(axis) for axis in zip(*p.vertices)]
-    hi = [max(axis) for axis in zip(*p.vertices)]
-    points = _scan(p.facets, lo, hi)
+    primitive_points.  Only the origin is inside a canonical polygon, so its
+    points are its ring and the origin, read without a scan."""
+    if p.dim == 2 and _canonical_terminal(p)[0]:
+        points = tuple(sorted(_ring(p) + [(0, 0)]))
+    else:
+        lo = [min(axis) for axis in zip(*p.vertices)]
+        hi = [max(axis) for axis in zip(*p.vertices)]
+        points = _scan(p.facets, lo, hi)
     return points, tuple(q for q in points if vec_gcd(q) == 1)
+
+
+def _ring(p):
+    """The boundary lattice points of a polygon, counter-clockwise from its
+    least vertex: each edge in gcd steps."""
+    vs = p.vertices
+    out = []
+    for (ax, ay), (bx, by) in zip(vs, vs[1:] + vs[:1]):
+        g = gcd(bx - ax, by - ay)
+        dx, dy = (bx - ax) // g, (by - ay) // g
+        out.extend((ax + k * dx, ay + k * dy) for k in range(g))
+    return out
 
 
 def _scan(facets, lo, hi):

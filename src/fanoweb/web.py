@@ -12,16 +12,21 @@ The map onto a standard form is the link table's closed-form frame
 (links._frame) composed with a symmetry of the standard polygon: of those
 maps, the orientation-preserving one with the shortest generator word.
 
+The generator words and the ladder are literal link-table choices
+(_MOVES, _LADDER), replayed by moving table links, so nothing is searched.
+A word onto a standard form is cut on its moved states before any of its
+links is built.
+
 A breadth-first oracle over the link table provides shortest certificates
-inside a coordinate box.  The generator words and the ladder are its
-shortest words between standard pairs, searched from the target.  The
-exhaustive enumerator counts class polygons up to unimodular equivalence.
+inside a coordinate box.  The exhaustive enumerator counts class polygons
+up to unimodular equivalence.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
+from operator import attrgetter
 
 from .genset import PrimGenSet, from_polytope, mori_fibers, polytope_reduction
 from .lattice import UnimodularMap, _Frozen, _set, bezout, mat_det, mat_inverse_unimodular, mat_vec
@@ -29,19 +34,22 @@ from .links import (
     STANDARD_SYMMETRIES,
     Constituent,
     _frame,
+    _link_table,
     _relation_holds,
     _set_purity,
     box_primitives,
     check_box,
+    conjugate,
     conjugate_sequence,
     enumerate_links,
+    inverse,
     reverse_sequence,
     ruling_swap,
     sequence_from_steps,
     standard_pairs,
     step_record,
 )
-from .polytopes import MEMO_SIZE, _polygon, hull, in_class, is_fano, primitive_points
+from .polytopes import MEMO_SIZE, _polygon, _ring, hull, in_class, is_fano, primitive_points
 
 GEN_S = UnimodularMap(((0, -1), (1, 0)))
 GEN_T = UnimodularMap(((1, 1), (0, 1)))
@@ -123,47 +131,56 @@ def factor_unimodular(g):
 # ---------------------------------------------------------------------------
 
 
-def _table_word(source, target):
-    """The breadth-first oracle's word from source to target, two Mori
-    pairs (polygon, fiber): searched from the target, then reversed.
+# The generator moves, (token, standard pair) -> word, and the ladder,
+# (standard pair, standard pair) -> word, () from a pair to itself.  Each
+# step is an index into links._link_table("canonical")[k], read in the frame
+# (k, g) of the current state (_replay).  They are the breadth-first
+# oracle's shortest table words, searched from the target, so the
+# triangle's quarter turn is the paper's Cremona word; tests/test_web.py
+# searches them again.  The ladder words without F2 are the terminal
+# table's words too, so each word stays in every class that connect accepts.
+_MOVES = {
+    ("S", "P2"): (1, 3, 1, 4), ("T", "P2"): (1, 2, 3, 4), ("U", "P2"): (1, 3, 1, 4),
+    ("S", "F0"): (4,), ("T", "F0"): (3, 2), ("U", "F0"): (),
+    ("S", "F1"): (3, 4, 3), ("T", "F1"): (2, 3), ("U", "F1"): (3, 1),
+    ("S", "F2"): (1, 3, 4, 3, 1), ("T", "F2"): (0, 1), ("U", "F2"): (1, 3, 1, 1),
+}
+_LADDER = {
+    ("P2", "F0"): (1, 3), ("P2", "F1"): (1,), ("P2", "F2"): (1, 1),
+    ("F0", "P2"): (3, 4), ("F0", "F1"): (3,), ("F0", "F2"): (3, 1),
+    ("F1", "P2"): (4,), ("F1", "F0"): (3,), ("F1", "F2"): (1,),
+    ("F2", "P2"): (1, 4), ("F2", "F0"): (1, 3), ("F2", "F1"): (1,),
+}
 
-    The search reads the link table (links._link_table) in the box of the
-    largest coordinate of the two ends, under the terminal class when both
-    ends are terminal and the canonical class otherwise.  In the plane
-    terminal polygons are canonical and the canonical ones are the
-    reflexive ones, so the word stays in every class that connect accepts.
-    Searched from the target, the triangle's quarter turn is the paper's
-    Cremona word.
-    """
-    (p, f), (q, h) = source, target
-    cls = "terminal" if in_class(p, "terminal") and in_class(q, "terminal") else "canonical"
-    box = max(abs(x) for v in p.vertices + q.vertices for x in v)
-    steps = _bfs_pairs([Constituent(_primitive_set(q), h)], [Constituent(_primitive_set(p), f)], cls, box)
-    if steps is None:
-        raise AssertionError("no table word between two standard pairs")
-    return reverse_sequence(sequence_from_steps(steps))
+
+def _replay(key, word):
+    """The links of a literal word from the standard pair key: one frame and
+    one moved table link per step, each starting where the last one ends."""
+    table = _link_table("canonical")
+    std, fiber = standard_pairs()[key]
+    state = Constituent(from_polytope(std), fiber)
+    steps = []
+    for i in word:
+        k, g = _frame(state.points, state.fiber)
+        link = conjugate(g, table[k][i])
+        steps.append(link)
+        state = link.right
+    return steps
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def forward_sequence(token, key):
     """Link sequence from (std, fiber) to (token.std, token.fiber).
 
-    For S, T and U it is the oracle's shortest table word (_table_word);
-    an inverse token's is its token's word reversed and moved back.  Its
-    links are validated when they enter a certificate; the tests pin every
-    move's length, kinds, endpoints and validity.
+    For S, T and U it replays the literal table word (_MOVES); an inverse
+    token's is its token's word reversed and moved back.  Its links are
+    validated when they enter a certificate; the tests pin every move's
+    links against the search, and its kinds, endpoints and validity.
     """
     if token in ("S^-1", "T^-1"):
         base = forward_sequence(token.removesuffix("^-1"), key)
         return conjugate_sequence(TOKENS[token], reverse_sequence(base))
-    std, fiber = standard_pairs()[key]
-    g = TOKENS[token]
-    return _table_word((std, fiber), (hull(g.apply_all(std.vertices)), g.apply_all(fiber)))
-
-
-def base_sequence(token, key):
-    """From (token.std, token.fiber) back to (std, fiber)."""
-    return reverse_sequence(forward_sequence(token, key))
+    return sequence_from_steps(_replay(key, _MOVES[token, key]))
 
 
 # ---------------------------------------------------------------------------
@@ -250,26 +267,6 @@ def _dead_end():
     )
 
 
-def _ring(p):
-    """The boundary lattice points of a polygon, counter-clockwise from its
-    least vertex: each edge in gcd steps."""
-    vs = p.vertices
-    ring = []
-    for (ax, ay), (bx, by) in zip(vs, vs[1:] + vs[:1]):
-        g = gcd(bx - ax, by - ay)
-        dx, dy = (bx - ax) // g, (by - ay) // g
-        ring.extend((ax + k * dx, ay + k * dy) for k in range(g))
-    return ring
-
-
-def _primitive_set(p):
-    """from_polytope(p); a canonical polygon's is its ring, read without a
-    scan."""
-    if p.dim == 2 and in_class(p, "canonical"):
-        return PrimGenSet.of_sorted(2, tuple(sorted(_ring(p))))
-    return from_polytope(p)
-
-
 # ---------------------------------------------------------------------------
 # standard form and the connecting ladder
 # ---------------------------------------------------------------------------
@@ -292,7 +289,13 @@ def to_standard_form(p, fiber, class_constraint="canonical"):
 def _to_standard_form(p, fiber, class_constraint):
     """(key, u, seq, seq reversed): the reversed word is kept with the word,
     so connect's q-side reuses its inverse links, which hit the link memos
-    by identity."""
+    by identity.
+
+    Each step of the word is the inverse of a generator move's link l moved
+    by a prefix m of the generator word, from m(l.right) to m(l.left).
+    Loops are cut on those states (_cut_loops) before any link is built;
+    conjugate(m, l) is then the reversed word's step, and its inverse the
+    word's, since conjugate commutes with inverse."""
     key, g = _frame(primitive_points(p), fiber)
     std, f_std = standard_pairs().get(key, (None, None))
     if (
@@ -311,16 +314,25 @@ def _to_standard_form(p, fiber, class_constraint):
             word = factor_unimodular(h)
             ranked.append((len(word), word, h.inverse().matrix, h))
     _, word, _, g = min(ranked)
-    parts = []
+    pairs = []  # (m, l): the step inverse(conjugate(m, l))
     if fiber != tuple(sorted(g.apply_all(f_std))):  # only the square has two rulings
-        parts.append(conjugate_sequence(g, sequence_from_steps([ruling_swap(-1)])))
+        pairs.append((g, ruling_swap(1)))
     prefixes = [UnimodularMap.identity(2)]
     for t in word:
         prefixes.append(prefixes[-1].compose(TOKENS[t]))
     for i in range(len(word), 0, -1):
-        parts.append(conjugate_sequence(prefixes[i - 1], base_sequence(word[i - 1], key)))
-    seq = _concat(parts, class_constraint)
-    return key, g.inverse(), seq, reverse_sequence(seq)
+        pairs += [(prefixes[i - 1], l) for l in reversed(forward_sequence(word[i - 1], key).steps)]
+    start = _moved(pairs[0][0], pairs[0][1].right) if pairs else None
+    ends = [_moved(m, l.left) for m, l in pairs]
+    kept = _cut_loops(start, range(len(pairs)), ends.__getitem__)
+    back = [conjugate(*pairs[j]) for j in reversed(kept)]
+    seq = sequence_from_steps([inverse(l) for l in reversed(back)], class_constraint)
+    return key, g.inverse(), seq, sequence_from_steps(back, class_constraint)
+
+
+def _moved(m, c):
+    """The state m(c) as (points, fiber), sorted, with no column built."""
+    return tuple(sorted(m.apply_all(c.points))), tuple(sorted(m.apply_all(c.fiber)))
 
 
 def _concat(parts, class_constraint):
@@ -328,27 +340,38 @@ def _concat(parts, class_constraint):
     state, the Constituent a joint compares: the joints
     still chain verbatim, the endpoints stay and no link is new."""
     steps = [s for part in parts for s in part.steps]
-    out = []
-    seen = {steps[0].left: 0} if steps else {}  # state -> len(out) there
+    kept = _cut_loops(steps[0].left if steps else None, steps, _right)
+    return sequence_from_steps(kept, class_constraint)
+
+
+_right = attrgetter("right")
+
+
+def _cut_loops(start, steps, end):
+    """The steps of a chained walk from the state start that stay when each
+    loop is cut back to the first visit of its state; end(step) is the
+    state that a step ends at."""
+    kept = []
+    seen = {start: 0}  # state -> len(kept) there
     for step in steps:
-        at = seen.get(step.right)
+        state = end(step)
+        at = seen.get(state)
         if at is None:
-            out.append(step)
-            seen[step.right] = len(out)
+            kept.append(step)
+            seen[state] = len(kept)
         else:
-            for cut in out[at:]:
-                del seen[cut.right]
-            del out[at:]
-    return sequence_from_steps(out, class_constraint)
+            for cut in kept[at:]:
+                del seen[end(cut)]
+            del kept[at:]
+    return kept
 
 
 @lru_cache(maxsize=MEMO_SIZE)
 def join_standard(a, b, class_constraint="canonical"):
-    """The table word between two standard pairs: P2 - F1 - F0 and F1 - F2."""
+    """The literal table word between two standard pairs (_LADDER)."""
     if class_constraint == "terminal" and "F2" in (a, b):
         raise ClassViolationError("the F2 polygon is not terminal")
-    pairs = standard_pairs()
-    return sequence_from_steps(_table_word(pairs[a], pairs[b]).steps, class_constraint)
+    return sequence_from_steps(_replay(a, _LADDER.get((a, b), ())), class_constraint)
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +644,7 @@ def enumerate_fano(box, class_constraint, mfp_only=False):
     return tuple(
         (nf, len(images))
         for nf, images in _class_placements(box, class_constraint)
-        if images and (not mfp_only or mori_fibers(_primitive_set(nf)))
+        if images and (not mfp_only or mori_fibers(from_polytope(nf)))
     )
 
 
@@ -738,7 +761,7 @@ def bfs_connect(p, q, class_constraint="canonical", box=4):
 
 
 def _mori_pairs(p):
-    a = _primitive_set(p)
+    a = from_polytope(p)
     return [Constituent(a, f) for f in mori_fibers(a)]
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import ceil, floor, gcd, lcm
@@ -6,10 +7,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fanoweb.lattice import mat_det, mat_vec, row_hermite
+from fanoweb.lattice import bezout, mat_det, mat_vec, row_hermite
 from fanoweb.polytopes import (
     DegenerateHullError,
     _pick_counts,
+    _point_lists,
     _scan,
     affine_dimension,
     classify,
@@ -26,7 +28,7 @@ from fanoweb.polytopes import (
     primitive_points_in_hull,
 )
 from fanoweb.web import enumerate_class_polygons
-from test_web import _GL_WORDS, _gl_map
+from test_web import _GL_WORDS, _classes, _gl_map
 
 TRIANGLE = [(1, 0), (0, 1), (-1, -1)]          # plane polygon
 SQUARE = [(1, 0), (0, 1), (-1, 0), (0, -1)]    # the two-ruling polygon
@@ -431,6 +433,50 @@ def test_primitive_points_in_hull_lower_dim():
 
 def test_primitive_points_in_hull_of_no_points():
     assert primitive_points_in_hull([]) == ()
+
+
+def _scanned_point_lists(p):
+    """The scan route of _point_lists, the reference for its ring route."""
+    lo = [min(axis) for axis in zip(*p.vertices)]
+    hi = [max(axis) for axis in zip(*p.vertices)]
+    points = _scan(p.facets, lo, hi)
+    return points, tuple(q for q in points if gcd(*q) == 1)
+
+
+def test_canonical_point_lists_equal_the_scan():
+    polys = list(enumerate_class_polygons(3, "canonical"))
+    assert len(polys) == 828
+    # 300 images under maps [[a, b], [c, d]] with a primitive first column
+    # of entries up to 100 and det 1: b, d from a Bezout pair, then sheared
+    rng = random.Random(7)
+    classes = _classes()
+    while len(polys) < 828 + 300:
+        a, c = rng.randint(-100, 100), rng.randint(-100, 100)
+        g, x, y = bezout(a, c)
+        if g != 1:
+            continue
+        t = rng.randint(-3, 3)
+        b, d = -y + t * a, x + t * c
+        polys.append(hull([(a * u + b * v, c * u + d * v) for u, v in rng.choice(classes).vertices]))
+    for p in polys:
+        assert _point_lists.__wrapped__(p) == _scanned_point_lists(p), p
+
+
+def test_a_canonical_polygon_is_read_off_its_ring(monkeypatch):
+    from fanoweb import polytopes
+
+    calls = []
+    real = polytopes._scan
+    monkeypatch.setattr(polytopes, "_scan", lambda *args: calls.append(args) or real(*args))
+    n = 10**5
+    image = hull([(n * x + (n + 1) * y, (n - 1) * x + n * y) for x, y in TRIANGLE])
+    assert _point_lists.__wrapped__(image) == (tuple(sorted(image.vertices + ((0, 0),))), tuple(sorted(image.vertices)))
+    assert calls == []
+    # a Fano polygon that is not canonical is still scanned
+    fano = hull([(1, 0), (-2, 1), (-2, -1)])
+    assert not in_class(fano, "canonical")
+    assert _point_lists.__wrapped__(fano)[0] == ((-2, -1), (-2, 0), (-2, 1), (-1, 0), (0, 0), (1, 0))
+    assert len(calls) == 1
 
 
 def test_large_coordinates_scan_few_prefixes():

@@ -29,7 +29,9 @@ from fanoweb.links import (
     elementary_transform,
     inverse,
     plane_polygon,
+    reverse_sequence,
     ruled_polygon,
+    ruling_swap,
     sequence_from_steps,
     validate_sequence,
 )
@@ -430,6 +432,46 @@ def test_to_standard_form_map_is_the_searched_one(i, g):
     assert (key, u.matrix) == (ref_key, ref_u.matrix)
 
 
+def _reference_standard_form(p, fiber, cls):
+    """The reference for _to_standard_form's word and reversed word: the
+    searched map (_searched_standard_form), each generator move's word
+    reversed and moved whole by the prefix before it, the square's second
+    ruling swapped back first, and the parts joined by _concat."""
+    key, u = _searched_standard_form(p)
+    g = u.inverse()
+    word = factor_unimodular(g)
+    std, f_std = standard_pairs()[key]
+    parts = []
+    if tuple(sorted(fiber)) != tuple(sorted(g.apply_all(f_std))):
+        parts.append(conjugate_sequence(g, sequence_from_steps([ruling_swap(-1)])))
+    prefixes = [UnimodularMap.identity(2)]
+    for t in word:
+        prefixes.append(prefixes[-1].compose(TOKENS[t]))
+    for i in range(len(word), 0, -1):
+        back = reverse_sequence(forward_sequence(word[i - 1], key))
+        parts.append(conjugate_sequence(prefixes[i - 1], back))
+    seq = web._concat(parts, cls)
+    return seq, reverse_sequence(seq)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    key=st.sampled_from(("P2", "F0", "F0 second ruling", "F1", "F2")),
+    g=_GL_WORDS,
+    cls=st.sampled_from(("canonical", "terminal", "reflexive")),
+)
+@example(key="P2", g=["T"] * 12, cls="terminal")
+@example(key="F0 second ruling", g=["S", "T", "T"] * 4, cls="canonical")
+@example(key="F2", g=["T^-1", "U", "S^-1"] * 4, cls="reflexive")
+def test_to_standard_form_matches_the_concat_reference(key, g, cls):
+    pairs = dict(standard_pairs(), **{"F0 second ruling": (ruled_polygon(0), ((0, -1), (0, 1)))})
+    std, fiber = pairs[key]
+    m = _gl_map(g)
+    p, moved = hull(m.apply_all(std.vertices)), tuple(sorted(m.apply_all(fiber)))
+    _, _, seq, back = web._to_standard_form(p, moved, cls)
+    assert (seq, back) == _reference_standard_form(p, moved, cls)
+
+
 def test_to_standard_form_mirrored_square_is_trivial():
     # the mirror fixes the square and its horizontal ruling pointwise
     std, fiber = standard_pairs()["F0"]
@@ -501,6 +543,42 @@ def test_generator_and_ladder_words_are_pinned():
         assert [x.kind for x in join_standard(z, a, "canonical").steps] == [
             {b: c}.get(k, k) for k in reversed(kinds)
         ], (z, a)
+
+
+def _table_word(source, target):
+    """The reference for the literal words: the breadth-first oracle's word
+    from source to target, two Mori pairs (polygon, fiber), searched from
+    the target and reversed, in the box of the largest coordinate of the
+    two ends, over the terminal table when both ends are terminal and the
+    canonical one otherwise."""
+    (p, f), (q, h) = source, target
+    cls = "terminal" if in_class(p, "terminal") and in_class(q, "terminal") else "canonical"
+    box = max(abs(x) for v in p.vertices + q.vertices for x in v)
+    steps = _bfs_pairs([Constituent(from_polytope(q), h)], [Constituent(from_polytope(p), f)], cls, box)
+    assert steps is not None, "no table word between two standard pairs"
+    return reverse_sequence(sequence_from_steps(steps)).steps
+
+
+def test_literal_words_are_the_searched_table_words():
+    """Each replayed generator move and ladder word is the search's word,
+    link by link.  The search reads the terminal table between terminal
+    pairs, so the ladder words without F2, replayed from the canonical
+    table, are the terminal table's words too."""
+    pairs = standard_pairs()
+    moves = [(tok, key) for tok in ("S", "T", "U") for key in pairs]
+    assert sorted(web._MOVES) == sorted(moves)
+    for tok, key in moves:
+        std, fiber = pairs[key]
+        g = TOKENS[tok]
+        want = _table_word((std, fiber), (hull(g.apply_all(std.vertices)), g.apply_all(fiber)))
+        assert forward_sequence(tok, key).steps == want, (tok, key)
+    assert sorted(web._LADDER) == sorted((a, b) for a in pairs for b in pairs if a != b)
+    for a in pairs:
+        for b in pairs:
+            got = join_standard(a, b, "canonical").steps
+            assert got == _table_word(pairs[a], pairs[b]), (a, b)
+            if "F2" not in (a, b):
+                assert join_standard(a, b, "terminal").steps == got, (a, b)
 
 
 def test_join_standard_words():
@@ -795,27 +873,36 @@ def test_a_cold_enumeration_computes_no_normal_form(monkeypatch):
 
 
 def test_a_cold_bfs_builds_the_link_table_without_a_candidate_search(monkeypatch):
-    """Neither a cold bfs nor a cold connect, whose generator words and
-    ladder are table words, runs the candidate loop, under every class that
-    connect accepts."""
+    """Neither a cold bfs nor a cold connect runs the candidate loop, under
+    every class that connect accepts, and a cold connect, whose generator
+    words and ladder are literal table words, runs no breadth-first search
+    and builds the canonical table only."""
     from fanoweb import links
 
-    calls, tokens = [], set()
-    real, forward = links._candidate_links, web.forward_sequence
+    calls, searches, tables, tokens = [], [], set(), set()
+    real, forward, search, table = links._candidate_links, web.forward_sequence, web._bfs_pairs, web._link_table
     monkeypatch.setattr(links, "_candidate_links", lambda *args: calls.append(args) or real(*args))
     monkeypatch.setattr(web, "forward_sequence", lambda tok, key: tokens.add(tok) or forward(tok, key))
+    monkeypatch.setattr(web, "_bfs_pairs", lambda *args: searches.append(args) or search(*args))
+    monkeypatch.setattr(web, "_link_table", lambda cls: tables.add(cls) or table(cls))
     _clear_memos()
     for cls in ("canonical", "terminal"):
         assert links._link_table(cls)["F0"]
     tri, square = plane_polygon(), ruled_polygon(0)
     assert bfs_connect(tri, hull(GEN_S.apply_all(tri.vertices)), "terminal", 2) is not None
     assert bfs_connect(square, hull([(1, 0), (2, 1), (-1, 0), (-2, -1)]), "canonical", 2) is not None
+    assert len(searches) == 2
+    assert calls == []
     # the word onto F1 of this image is T^-1 T^-1 S U U S S
     p = hull(UnimodularMap(((2, 1), (-1, 0))).apply_all(ruled_polygon(1).vertices))
+    searches.clear()
     for cls in ("canonical", "terminal", "reflexive"):
         _clear_memos()
         connect(p, tri, cls)
+        assert links._link_table.cache_info().misses == 1
     assert {"S", "T^-1", "U"} <= tokens
+    assert tables == {"canonical"}
+    assert searches == []
     assert calls == []
 
 
@@ -1354,21 +1441,18 @@ def test_classify_is_gl_invariant(i, g):
 
 
 def _patch_cremona_move(monkeypatch, edit):
-    """Replace the steps of the table word from the triangle to its quarter
-    turn (the Cremona word, the S and U moves on the triangle) by
-    edit(steps); memos are cleared around it."""
-    tri = plane_polygon()
-    turned = hull(GEN_S.apply_all(tri.vertices))
-    table_word = web._table_word
+    """Replace the replayed steps of the table word from the triangle to
+    its quarter turn (the Cremona word; the S and U moves on the triangle
+    share it) by edit(steps); memos are cleared around it."""
+    replay, cremona = web._replay, ("P2", web._MOVES["S", "P2"])
+    assert web._MOVES["U", "P2"] == cremona[1]
 
-    def faulty(source, target):
-        seq = table_word(source, target)
-        if (source[0], target[0]) != (tri, turned):
-            return seq
-        return sequence_from_steps(edit(seq.steps))
+    def faulty(key, word):
+        steps = replay(key, word)
+        return edit(steps) if (key, word) == cremona else steps
 
     _clear_memos()
-    monkeypatch.setattr(web, "_table_word", faulty)
+    monkeypatch.setattr(web, "_replay", faulty)
     yield
     _clear_memos()
 
