@@ -232,7 +232,6 @@ def intrinsic_pgs(points):
     return PrimGenSet(len(basis), intr), basis
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def fiber_structures(parent):
     """All fiber structures, one per linear span, deterministic order.
 

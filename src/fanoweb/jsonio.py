@@ -1,7 +1,8 @@
 """JSON encodings for every domain type.
 
 All encodings are pure integer data, and those read back round-trip bit-exactly
-(fiber structures are only written); dumps() fixes key order and separators.
+(generating sets and fiber structures are only written); dumps() fixes key
+order and separators.
 Rational vertices (dual polygons) are encoded as [numerator, denominator]
 pairs.
 """
@@ -83,11 +84,6 @@ def rational_polytope_to_json(q):
 
 def pgs_to_json(a):
     return {"dim": a.dim, "points": [list(v) for v in a.points], "as": "pgs"}
-
-
-def pgs_from_json(data):
-    dim, _ = _fields(data, "generating set", "dim", "points")
-    return PrimGenSet(strict_int(dim), _points_from_json(data))
 
 
 def fiber_structure_to_json(fs):

@@ -448,18 +448,6 @@ def sequence_from_steps(steps, class_constraint="none"):
     return LinkSequence(tuple(steps), class_constraint)
 
 
-def reverse_sequence(seq):
-    return sequence_from_steps(
-        tuple(inverse(s) for s in reversed(seq.steps)), seq.class_constraint
-    )
-
-
-def conjugate_sequence(g, seq):
-    return sequence_from_steps(
-        tuple(conjugate(g, s) for s in seq.steps), seq.class_constraint
-    )
-
-
 class SequenceReport(_Frozen):
     __slots__ = ("ok", "failures")
 
@@ -468,7 +456,6 @@ class SequenceReport(_Frozen):
         _set(self, "failures", failures)
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def _step_class_failures(link, class_constraint):
     """The columns of the link whose sets leave the class."""
     if class_constraint == "none":
@@ -476,7 +463,7 @@ def _step_class_failures(link, class_constraint):
     return tuple(
         label
         for label, c in zip(("left", "middle", "right"), (link.left, link.middle, link.right))
-        if c is not None and not in_class(hull(c.points), class_constraint)
+        if c is not None and not in_class(_hull(c.points), class_constraint)
     )
 
 
@@ -854,8 +841,10 @@ def _candidate_links(start, class_constraint, box, mode):
                 right = Constituent(PrimGenSet.of_sorted(d, rest), rest_fiber)
                 keep(_try_link("II_irr", start, mid, right, mode, cls))
 
+    structures = fiber_structures(A)
+
     # I_m: a tower inside some other fiber structure on the same set
-    for tower in fiber_structures(A):
+    for tower in structures:
         if tower.fiber == fiber:
             continue
         if not set(fiber) < set(tower.fiber):
@@ -883,10 +872,10 @@ def _candidate_links(start, class_constraint, box, mode):
             keep(_try_link("III_m", start, mid, right, mode, cls))
 
     # IV_m: another ruling through a common enclosing fiber structure
-    for other in mori_fiber_structures(A):
-        if other.fiber == fiber:
+    for other in structures:
+        if not other.mori or other.fiber == fiber:
             continue
-        for tower in fiber_structures(A):
+        for tower in structures:
             if set(fiber) <= set(tower.fiber) and set(other.fiber) <= set(tower.fiber):
                 mid = Constituent(A, tower.fiber)
                 right = Constituent(A, other.fiber)

@@ -53,9 +53,10 @@ from .lattice import (
 
 # The one bound on every memo (functools.lru_cache) in fanoweb, so that no
 # memo grows with the number of distinct inputs a process sees.  The largest
-# memo of the `sweep`, `bfs` and `cli` benchmark workloads (fiber structures
-# on `bfs`) holds about 2,000 entries: at 1,024 that workload thrashes, at
-# 4,096 all three keep every hit.
+# memos after one seed-1 round of the benchmark workloads hold under 1,000
+# entries: `links._shared` 775 on `bfs`, `links._relation_holds` 490 and
+# `_hull` 431 on `sweep`, and `links._shared` at most 99 in a `cli` process.
+# At 4,096 every workload keeps every hit, with room for larger inputs.
 MEMO_SIZE = 4096
 
 
@@ -226,16 +227,18 @@ def lattice_points(p):
 @lru_cache(maxsize=MEMO_SIZE)
 def _point_lists(p):
     """(lattice points, primitive lattice points) of the polytope, each
-    sorted lexicographically: one memo entry serves lattice_points and
-    primitive_points.  Only the origin is inside a canonical polygon, so its
-    points are its ring and the origin, read without a scan."""
+    sorted lexicographically, the primitive points None unless the polytope
+    is Fano: one memo entry serves lattice_points and primitive_points and
+    holds the Fano verdict.  Only the origin is inside a canonical polygon,
+    so its points are its ring and the origin, read without a scan."""
     if p.dim == 2 and _canonical_terminal(p)[0]:
         points = tuple(sorted(_ring(p) + [(0, 0)]))
     else:
         lo = [min(axis) for axis in zip(*p.vertices)]
         hi = [max(axis) for axis in zip(*p.vertices)]
         points = _scan(p.facets, lo, hi)
-    return points, tuple(q for q in points if vec_gcd(q) == 1)
+    prims = tuple(q for q in points if vec_gcd(q) == 1) if is_fano(p) else None
+    return points, prims
 
 
 def _ring(p):
@@ -506,9 +509,10 @@ def in_class(p, name):
 
 def primitive_points(p):
     """All primitive lattice points of a Fano polytope (the origin excluded)."""
-    if not is_fano(p):
+    prims = _point_lists(p)[1]
+    if prims is None:
         raise ValueError("primitive point set is defined for Fano polytopes only")
-    return _point_lists(p)[1]
+    return prims
 
 
 def primitive_points_in_hull(points):

@@ -12,10 +12,11 @@ The map onto a standard form is the link table's closed-form frame
 (links._frame) composed with a symmetry of the standard polygon: of those
 maps, the orientation-preserving one with the shortest generator word.
 
-The generator words and the ladder are literal link-table choices
-(_MOVES, _LADDER), replayed by moving table links, so nothing is searched.
-A word onto a standard form is cut on its moved states before any of its
-links is built.
+The generator words, inverse tokens included, and the ladder are literal
+link-table choices (_MOVES, _LADDER), replayed by moving table links, so
+nothing is searched; one memo (_replay) holds each replayed word.  A word
+onto a standard form is cut on its moved states before any of its links is
+built.
 
 A breadth-first oracle over the link table provides shortest certificates
 inside a coordinate box.  The exhaustive enumerator counts class polygons
@@ -40,10 +41,8 @@ from .links import (
     box_primitives,
     check_box,
     conjugate,
-    conjugate_sequence,
     enumerate_links,
     inverse,
-    reverse_sequence,
     ruling_swap,
     sequence_from_steps,
     standard_pairs,
@@ -134,16 +133,22 @@ def factor_unimodular(g):
 # The generator moves, (token, standard pair) -> word, and the ladder,
 # (standard pair, standard pair) -> word, () from a pair to itself.  Each
 # step is an index into links._link_table("canonical")[k], read in the frame
-# (k, g) of the current state (_replay).  They are the breadth-first
-# oracle's shortest table words, searched from the target, so the
-# triangle's quarter turn is the paper's Cremona word; tests/test_web.py
-# searches them again.  The ladder words without F2 are the terminal
-# table's words too, so each word stays in every class that connect accepts.
+# (k, g) of the current state (_replay).  The S, T and U words and the
+# ladder are the breadth-first oracle's shortest table words, searched from
+# the target, so the triangle's quarter turn is the paper's Cremona word;
+# the S^-1 and T^-1 words are those of S and T reversed and moved back by
+# the token.  tests/test_web.py derives every word again.  The ladder words
+# without F2 are the terminal table's words too, so each word stays in
+# every class that connect accepts.
 _MOVES = {
     ("S", "P2"): (1, 3, 1, 4), ("T", "P2"): (1, 2, 3, 4), ("U", "P2"): (1, 3, 1, 4),
     ("S", "F0"): (4,), ("T", "F0"): (3, 2), ("U", "F0"): (),
     ("S", "F1"): (3, 4, 3), ("T", "F1"): (2, 3), ("U", "F1"): (3, 1),
     ("S", "F2"): (1, 3, 4, 3, 1), ("T", "F2"): (0, 1), ("U", "F2"): (1, 3, 1, 1),
+    ("S^-1", "P2"): (2, 2, 0, 4), ("T^-1", "P2"): (1, 3, 2, 4),
+    ("S^-1", "F0"): (4,), ("T^-1", "F0"): (2, 3),
+    ("S^-1", "F1"): (3, 4, 0), ("T^-1", "F1"): (3, 2),
+    ("S^-1", "F2"): (1, 3, 4, 0, 0), ("T^-1", "F2"): (1, 0),
 }
 _LADDER = {
     ("P2", "F0"): (1, 3), ("P2", "F1"): (1,), ("P2", "F2"): (1, 1),
@@ -153,9 +158,11 @@ _LADDER = {
 }
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def _replay(key, word):
     """The links of a literal word from the standard pair key: one frame and
-    one moved table link per step, each starting where the last one ends."""
+    one moved table link per step, each starting where the last one ends.
+    The one memo of the generator moves and the ladder."""
     table = _link_table("canonical")
     std, fiber = standard_pairs()[key]
     state = Constituent(from_polytope(std), fiber)
@@ -165,21 +172,15 @@ def _replay(key, word):
         link = conjugate(g, table[k][i])
         steps.append(link)
         state = link.right
-    return steps
+    return tuple(steps)
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def forward_sequence(token, key):
-    """Link sequence from (std, fiber) to (token.std, token.fiber).
-
-    For S, T and U it replays the literal table word (_MOVES); an inverse
-    token's is its token's word reversed and moved back.  Its links are
+    """Link sequence from (std, fiber) to (token.std, token.fiber): the
+    literal table word of the move (_MOVES), replayed.  Its links are
     validated when they enter a certificate; the tests pin every move's
-    links against the search, and its kinds, endpoints and validity.
+    links against their reference, and its kinds, endpoints and validity.
     """
-    if token in ("S^-1", "T^-1"):
-        base = forward_sequence(token.removesuffix("^-1"), key)
-        return conjugate_sequence(TOKENS[token], reverse_sequence(base))
     return sequence_from_steps(_replay(key, _MOVES[token, key]))
 
 
@@ -366,7 +367,6 @@ def _cut_loops(start, steps, end):
     return kept
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def join_standard(a, b, class_constraint="canonical"):
     """The literal table word between two standard pairs (_LADDER)."""
     if class_constraint == "terminal" and "F2" in (a, b):
@@ -699,7 +699,6 @@ def _basis_partners(a, box):
                 yield b
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def _placements(box, classes):
     """((class normal form, the vertex tuples of its distinct images in the
     box), ...) for the given class normal forms and no other.

@@ -265,7 +265,6 @@ def _builds(monkeypatch, fn, a):
         return build(parent, fiber)
 
     genset._fiber_structure.cache_clear()
-    fiber_structures.cache_clear()
     monkeypatch.setattr(genset, "_build_fiber_structure", spy)
     fn(a)
     return built

@@ -10,8 +10,6 @@ from fanoweb.jsonio import (
     fiber_structure_to_json,
     link_from_json,
     link_to_json,
-    pgs_from_json,
-    pgs_to_json,
     polytope_from_json,
     polytope_to_json,
     rational_polytope_to_json,
@@ -35,13 +33,6 @@ def test_polytope_roundtrip_and_hull_on_load():
 def test_polytope_json_dim_mismatch():
     with pytest.raises(ValueError):
         polytope_from_json({"dim": 3, "points": [[1, 0], [0, 1], [-1, -1]]})
-
-
-def test_pgs_roundtrip():
-    a = PrimGenSet(2, [(1, 0), (0, 1), (-1, -1)])
-    data = pgs_to_json(a)
-    assert data["as"] == "pgs"
-    assert pgs_from_json(data) == a
 
 
 def test_link_roundtrip():
@@ -69,8 +60,22 @@ def test_certificate_roundtrip():
 
 def _fiber_structure_from_json(data):
     """A fiber structure rebuilt from the parent and fiber of its JSON;
-    fiber structures are written only, so the reader lives here."""
-    return fiber_structure_for(pgs_from_json(data["parent"]), [tuple(v) for v in data["fiber"]])
+    fiber structures and generating sets are written only, so the reader
+    lives here."""
+    parent = data["parent"]
+    assert parent["as"] == "pgs"
+    pgs = PrimGenSet(parent["dim"], [tuple(v) for v in parent["points"]])
+    return fiber_structure_for(pgs, [tuple(v) for v in data["fiber"]])
+
+
+def _with_left_column(data):
+    """The JSON of a valid link with its left column replaced by data; a
+    column object keeps the valid fiber."""
+    link = link_to_json(blowdown_link(1))
+    assert link_from_json(link) == blowdown_link(1)
+    fiber = link["left"]["fiber"]
+    link["left"] = dict(data, fiber=fiber) if isinstance(data, dict) else data
+    return link
 
 
 def test_box2_links_and_fiber_structures_round_trip_verbatim():
@@ -108,7 +113,7 @@ def test_non_integer_coordinates_rejected(points):
     with pytest.raises(ValueError):
         polytope_from_json({"dim": 2, "points": points})
     with pytest.raises(ValueError):
-        pgs_from_json({"dim": 2, "points": points})
+        link_from_json(_with_left_column({"dim": 2, "points": points}))
 
 
 @pytest.mark.parametrize(
@@ -124,9 +129,8 @@ def test_non_integer_coordinates_rejected(points):
 def test_malformed_point_lists_rejected(data):
     with pytest.raises(ValueError):
         polytope_from_json(data)
-    if isinstance(data, dict) and "dim" in data:
-        with pytest.raises(ValueError):
-            pgs_from_json(data)
+    with pytest.raises(ValueError):
+        link_from_json(_with_left_column(data))
 
 
 def test_certificate_with_non_integer_witness_rejected():

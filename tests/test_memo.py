@@ -50,6 +50,25 @@ def test_every_memo_has_the_shared_finite_bound():
     assert unbounded == []
 
 
+def test_the_memos_are_these():
+    """The memo list, pinned: a memo added or deleted shows in this test."""
+    assert sorted(name for name, _ in _memos()) == [
+        "fanoweb.genset._fiber_structure",
+        "fanoweb.links._enumerate_links",
+        "fanoweb.links._link_table",
+        "fanoweb.links._relation_holds",
+        "fanoweb.links._shared",
+        "fanoweb.links.step_record",
+        "fanoweb.links.validate_link",
+        "fanoweb.polytopes._hull",
+        "fanoweb.polytopes._point_lists",
+        "fanoweb.polytopes.in_class",
+        "fanoweb.web._replay",
+        "fanoweb.web._to_standard_form",
+        "fanoweb.web.mmp_reduce",
+    ]
+
+
 def _box2_certificates():
     canon = enumerate_class_polygons(2, "canonical")
     term = enumerate_class_polygons(2, "terminal")

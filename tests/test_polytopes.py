@@ -425,6 +425,24 @@ def test_primitive_points_are_the_primitive_lattice_points():
             primitive_points(p)
 
 
+def test_a_warm_primitive_points_checks_fano_no_more(monkeypatch):
+    """The Fano verdict is held in the polytope's point-list memo entry, so
+    only a cold call checks it, and a warm refusal is the same refusal."""
+    from fanoweb import polytopes
+
+    calls = []
+    real = polytopes.is_fano
+    monkeypatch.setattr(polytopes, "is_fano", lambda p: calls.append(p) or real(p))
+    fano, other = hull([(1, 0), (0, 1), (-3, -2)]), hull([(2, 0), (0, 2), (-2, -2)])
+    _point_lists.cache_clear()
+    for expected_calls in ([fano, other], []):
+        assert primitive_points(fano) == tuple(q for q in lattice_points(fano) if gcd(*q) == 1)
+        with pytest.raises(ValueError, match="defined for Fano polytopes only"):
+            primitive_points(other)
+        assert calls == expected_calls
+        calls.clear()
+
+
 def test_primitive_points_in_hull_lower_dim():
     assert primitive_points_in_hull([(1, 0, 0), (-1, 0, 0)]) == ((-1, 0, 0), (1, 0, 0))
     quad = [V[1], V[2], V[3], V[4]]

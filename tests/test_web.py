@@ -24,12 +24,10 @@ from fanoweb.links import (
     blowdown_link,
     box_primitives,
     conjugate,
-    conjugate_sequence,
     enumerate_links,
     elementary_transform,
     inverse,
     plane_polygon,
-    reverse_sequence,
     ruled_polygon,
     ruling_swap,
     sequence_from_steps,
@@ -59,7 +57,6 @@ from fanoweb.web import (
     Relation,
     _bfs_pairs,
     _classes,
-    _placements,
     bfs_connect,
     connect,
     enumerate_class_polygons,
@@ -75,6 +72,16 @@ from fanoweb.web import (
 )
 from test_links import _GL_WORDS, _box2_mori_states, _gl_map
 from test_memo import MODULES, _clear_memos, _memos
+
+
+def reverse_sequence(seq):
+    """The sequence walked backwards: its steps' inverses, last first."""
+    return sequence_from_steps(tuple(inverse(s) for s in reversed(seq.steps)), seq.class_constraint)
+
+
+def conjugate_sequence(g, seq):
+    """The image of the sequence under g, step by step."""
+    return sequence_from_steps(tuple(conjugate(g, s) for s in seq.steps), seq.class_constraint)
 
 
 def test_factor_generators():
@@ -560,17 +567,21 @@ def _table_word(source, target):
 
 
 def test_literal_words_are_the_searched_table_words():
-    """Each replayed generator move and ladder word is the search's word,
+    """Each replayed S, T and U move and ladder word is the search's word,
+    and each S^-1 and T^-1 move is its token's word reversed and moved back,
     link by link.  The search reads the terminal table between terminal
     pairs, so the ladder words without F2, replayed from the canonical
     table, are the terminal table's words too."""
     pairs = standard_pairs()
-    moves = [(tok, key) for tok in ("S", "T", "U") for key in pairs]
-    assert sorted(web._MOVES) == sorted(moves)
-    for tok, key in moves:
-        std, fiber = pairs[key]
-        g = TOKENS[tok]
-        want = _table_word((std, fiber), (hull(g.apply_all(std.vertices)), g.apply_all(fiber)))
+    assert sorted(web._MOVES) == sorted((tok, key) for tok in TOKENS for key in pairs)
+    for tok, key in web._MOVES:
+        if tok.endswith("^-1"):
+            base = forward_sequence(tok.removesuffix("^-1"), key)
+            want = conjugate_sequence(TOKENS[tok], reverse_sequence(base)).steps
+        else:
+            std, fiber = pairs[key]
+            g = TOKENS[tok]
+            want = _table_word((std, fiber), (hull(g.apply_all(std.vertices)), g.apply_all(fiber)))
         assert forward_sequence(tok, key).steps == want, (tok, key)
     assert sorted(web._LADDER) == sorted((a, b) for a in pairs for b in pairs if a != b)
     for a in pairs:
@@ -751,22 +762,21 @@ def test_placed_polygons_are_their_hulls(box):
             assert (p.vertices, p.facets) == (h.vertices, h.facets)
 
 
-def test_a_query_places_only_its_classes():
-    _clear_memos()
+def test_a_query_places_only_its_classes(monkeypatch):
+    placed = []
+    real = web._placements
+    monkeypatch.setattr(web, "_placements", lambda box, classes: placed.append(real(box, classes)) or placed[-1])
     assert len(enumerate_fano(3, "terminal", mfp_only=True)) == 3
-    assert _placements.cache_info().currsize == 1
-    terminal = tuple(nf for nf in _classes() if in_class(nf, "terminal"))
-    assert len(terminal) == 5
-    # the one memo entry is the terminal query's: reading it back is a hit
-    before = _placements.cache_info()
-    held = _placements(3, terminal)
-    assert _placements.cache_info()[:2] == (before.hits + 1, before.misses)
-    assert all(normal_form(hull(v)) == nf for nf, images in held for v in images)
-    assert {normal_form(hull(v)) for _, images in held for v in images} == set(terminal)
     # in the plane the canonical and the reflexive classes are the same 16
     enumerate_fano(3, "canonical")
     enumerate_class_polygons(3, "reflexive")
-    assert _placements.cache_info()[:2] == (2, 2)
+    terminal = tuple(nf for nf in _classes() if in_class(nf, "terminal"))
+    assert len(terminal) == 5 and len(_classes()) == 16
+    assert [tuple(nf for nf, _ in held) for held in placed] == [terminal, _classes(), _classes()]
+    assert placed[1] == placed[2]
+    for held in placed[:2]:
+        assert all(images for _, images in held)
+        assert all(normal_form(hull(v)) == nf for nf, images in held for v in images)
 
 
 @pytest.mark.parametrize("box", [2.0, 2.5, True, -1])
