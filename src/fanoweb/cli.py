@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 from . import jsonio
 from .genset import fiber_structure_for, fiber_structures, from_polytope, mori_fibers, polytope_reduction
@@ -227,79 +228,82 @@ class _Parser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, f"{self.prog}: {message}")
 
 
-def build_parser():
-    ap = _Parser(prog="fanoweb", description=__doc__)
-    sp = ap.add_subparsers(dest="command", required=True)
-
-    s = sp.add_parser("classify", help="classification flags of a polytope")
-    _add_io(s)
-    s.set_defaults(func=cmd_classify)
-
-    s = sp.add_parser("dual", help="polar dual and the hull of its lattice points")
-    _add_io(s)
-    s.set_defaults(func=cmd_dual)
-
-    s = sp.add_parser("points", help="lattice, interior, and primitive points")
-    _add_io(s)
-    s.set_defaults(func=cmd_points)
-
-    s = sp.add_parser("reduce", help="all single-vertex reductions")
-    _add_io(s)
-    s.set_defaults(func=cmd_reduce)
-
-    s = sp.add_parser("fibers", help="all fiber structures of the primitive point set")
-    _add_io(s)
-    s.set_defaults(func=cmd_fibers)
-
-    s = sp.add_parser("links", help="enumerate links from a Mori fiber structure")
+def _add_links(s):
     _add_io(s)
     s.add_argument("--class", dest="cls", default="none", choices=["none"] + _CLASSES)
     s.add_argument("--box", type=int, default=4)
     s.add_argument("--fiber", help="fiber points as JSON, e.g. [[1,0],[-1,0]]")
-    s.set_defaults(func=cmd_links)
 
-    s = sp.add_parser("mmp", help="reduce to a Mori fiber polytope")
+
+def _add_mmp(s):
     _add_io(s)
     s.add_argument("--class", dest="cls", default="canonical", choices=_CLASSES)
-    s.set_defaults(func=cmd_mmp)
 
-    s = sp.add_parser("connect", help="certificate joining two polygons")
+
+def _add_connect(s):
     s.add_argument("first")
     s.add_argument("second")
     s.add_argument("--class", dest="cls", default="canonical", choices=_CLASSES)
     _add_io(s, polytope=False)
-    s.set_defaults(func=cmd_connect)
 
-    s = sp.add_parser("bfs", help="shortest certificate within a box")
+
+def _add_bfs(s):
     s.add_argument("first")
     s.add_argument("second")
     s.add_argument("--class", dest="cls", default="canonical", choices=_CLASSES)
     s.add_argument("--box", type=int, default=4)
     _add_io(s, polytope=False)
-    s.set_defaults(func=cmd_bfs)
 
-    s = sp.add_parser("verify", help="re-check a certificate from scratch")
+
+def _add_verify(s):
     s.add_argument("certificate")
     _add_io(s, polytope=False)
-    s.set_defaults(func=cmd_verify)
 
-    s = sp.add_parser("enumerate", help="class polygons in a box, up to unimodular maps")
+
+def _add_enumerate(s):
     s.add_argument("--class", dest="cls", default="reflexive", choices=_CLASSES)
     s.add_argument("--box", type=int, default=3)
     s.add_argument("--mfp", action="store_true", help="keep Mori fiber polygons only")
     _add_io(s, polytope=False)
-    s.set_defaults(func=cmd_enumerate)
 
-    s = sp.add_parser("render", help="SVG diagram of a sequence or certificate")
+
+def _add_render(s):
     s.add_argument("input", help="certificate or sequence JSON file, or - for stdin")
     s.add_argument("--cell-size", type=int, default=24)
     _add_io(s, polytope=False)
-    s.set_defaults(func=cmd_render)
 
-    s = sp.add_parser("example37", help="run the three-dimensional fixture suite")
-    _add_io(s, polytope=False)
-    s.set_defaults(func=cmd_example37)
 
+# name -> (help, function, adds the arguments), in the order of the usage text
+_COMMANDS = {
+    "classify": ("classification flags of a polytope", cmd_classify, _add_io),
+    "dual": ("polar dual and the hull of its lattice points", cmd_dual, _add_io),
+    "points": ("lattice, interior, and primitive points", cmd_points, _add_io),
+    "reduce": ("all single-vertex reductions", cmd_reduce, _add_io),
+    "fibers": ("all fiber structures of the primitive point set", cmd_fibers, _add_io),
+    "links": ("enumerate links from a Mori fiber structure", cmd_links, _add_links),
+    "mmp": ("reduce to a Mori fiber polytope", cmd_mmp, _add_mmp),
+    "connect": ("certificate joining two polygons", cmd_connect, _add_connect),
+    "bfs": ("shortest certificate within a box", cmd_bfs, _add_bfs),
+    "verify": ("re-check a certificate from scratch", cmd_verify, _add_verify),
+    "enumerate": ("class polygons in a box, up to unimodular maps", cmd_enumerate, _add_enumerate),
+    "render": ("SVG diagram of a sequence or certificate", cmd_render, _add_render),
+    "example37": ("run the three-dimensional fixture suite", cmd_example37, partial(_add_io, polytope=False)),
+}
+
+
+def build_parser(argv=()):
+    """The parser of a command line argv.  When argv's first word names a
+    command, only that command's subparser is built; otherwise (help, an
+    unknown or missing command) all of them are, so that every usage text
+    and error lists them all."""
+    ap = _Parser(prog="fanoweb", description=__doc__)
+    sp = ap.add_subparsers(dest="command", required=True)
+    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    for name in names:
+        help_text, func, add = _COMMANDS[name]
+        s = sp.add_parser(name, help=help_text)
+        add(s)
+        s.set_defaults(func=func)
     return ap
 
 
@@ -321,8 +325,10 @@ def main(argv=None):
 
 
 def _run(argv):
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         return args.func(args)
     except argparse.ArgumentError as e:
         return _error({"type": "usage", "message": str(e)})

@@ -109,6 +109,10 @@ def mat_vec(m, v):
 
 
 def mat_mul(a, b):
+    if len(a) == 2 == len(b) == len(a[0]) == len(b[0]):  # the planar case, in closed form
+        (p, q), (r, s) = a
+        (w, x), (y, z) = b
+        return ((p * w + q * y, p * x + q * z), (r * w + s * y, r * x + s * z))
     cols = tuple(zip(*b))
     return tuple(tuple(dot(row, col) for col in cols) for row in a)
 

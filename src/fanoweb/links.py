@@ -308,14 +308,20 @@ def conjugate(g, link):
                 raise ValueError(f"a map of dimension {g.dim} cannot move a column of dimension {c.pgs.dim}")
             points.update(c.pgs.points, c.fiber)
     image = dict(zip(points, g.apply_all(points))).__getitem__
+    return _link(link.kind, *(_move(image, c) for c in cols), link.mode)
 
-    def move(c):
-        if c is None:
-            return None
-        pgs = PrimGenSet.of_sorted(c.pgs.dim, tuple(sorted(map(image, c.pgs.points))))
-        return Constituent.of_sorted(pgs, tuple(sorted(map(image, c.fiber))))
 
-    return _link(link.kind, *map(move, cols), link.mode)
+def _move(image, c):
+    """Column c, or None, with each point sent through image, its fiber too."""
+    if c is None:
+        return None
+    pgs = PrimGenSet.of_sorted(c.pgs.dim, tuple(sorted(map(image, c.pgs.points))))
+    return Constituent.of_sorted(pgs, tuple(sorted(map(image, c.fiber))))
+
+
+def _moved(g, c):
+    """The state g(c) as (points, fiber), sorted, with no column built."""
+    return tuple(sorted(g.apply_all(c.points))), tuple(sorted(g.apply_all(c.fiber)))
 
 
 # ---------------------------------------------------------------------------
@@ -500,12 +506,19 @@ def step_record(link, class_constraint):
     relation holds) for each later panel, the relation being the one from
     the panel before.
 
-    The hulls and witnesses are the link's own.  The failures, the classes
-    and whether each relation holds are those of its orbit representative
-    (_orbit_representative), one check that the link shares with each of
-    its images whose left column's frame is the image of its own."""
+    The hulls and witnesses are the link's own.  When the link is an image
+    of another link T of the canonical table (_table_link_of), its
+    failures, classes and relation verdicts are those of T's record, one
+    check that T shares with all its images; every other link is checked
+    directly (_orbit_checks)."""
     hulls, rels = _panel_hulls(link)
-    failures, classes, holds = _orbit_checks(_orbit_representative(link), class_constraint)
+    table_link = _table_link_of(link)
+    if table_link is None:
+        failures, classes, holds = _orbit_checks(link, class_constraint, hulls, rels)
+    else:
+        failures, _, first_in_class, later = step_record(table_link, class_constraint)
+        classes = (first_in_class, *(x[3] for x in later))
+        holds = tuple(x[4] for x in later)
     later = tuple(
         (rel, witness, b, in_cls, ok)
         for (rel, witness), b, in_cls, ok in zip(rels, hulls[1:], classes[1:], holds)
@@ -519,11 +532,11 @@ def _panel_hulls(link):
     return [_hull(c.points) for c in panels], rels
 
 
-def _orbit_checks(link, class_constraint):
+def _orbit_checks(link, class_constraint, hulls, rels):
     """(failures, the class of each panel, whether each panel relation
-    holds) of the link, checked directly: the part of its step record that
-    a unimodular map keeps."""
-    hulls, rels = _panel_hulls(link)
+    holds) of the link with panel hulls and relations (_panel_hulls),
+    checked directly: the part of its step record that a unimodular map
+    keeps."""
     failures = _step_failures(link, class_constraint)
     if link.mode != "polytope":
         failures += (f"link mode {link.mode} is not polytope",)
@@ -532,16 +545,24 @@ def _orbit_checks(link, class_constraint):
     return failures, classes, holds
 
 
-def _orbit_representative(link):
-    """g^-1(link) for g the frame of the link's left column (_frame) when
-    every column is planar and that frame exists, else the link itself.
-    Every check of _orbit_checks is invariant under any unimodular map (the
-    README's Guarantees give the argument), so a frame that misses is sound
-    and only costs memo hits."""
-    if any(c is not None and c.pgs.dim != 2 for c in (link.left, link.middle, link.right)):
-        return link
-    _, g = _frame(link.left.points, link.left.fiber)
-    return link if g is None else conjugate(g.inverse(), link)
+def _table_link_of(link):
+    """The link T of the canonical table with link == g(T), g the frame of
+    the link's left column (_frame), when there is one and T is not the link
+    itself; else None.  The link's key is moved by g^-1, with no column
+    built, and compared with the links of the frame's row, which hold those
+    of the terminal table too.  A link out of a standard pair is left to
+    the direct check: its frame may be a symmetry of the pair, which moves
+    the pair's table links onto each other."""
+    cols = (link.left, link.middle, link.right)
+    if link.mode != "polytope" or any(c is not None and c.pgs.dim != 2 for c in cols):
+        return None
+    key, g = _frame(link.left.points, link.left.fiber)
+    row = [t for t in _link_table("canonical").get(key, ()) if t.kind == link.kind]
+    if not row or link.left == row[0].left:
+        return None
+    h = g.inverse()
+    moved = (link.kind, link.mode, *(None if c is None else _moved(h, c) for c in cols))
+    return next((t for t in row if t.key() == moved), None)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -712,8 +733,8 @@ def _link_table(class_constraint):
     and the contraction of the first ruled polygon.  A link is kept when
     its columns stay in the class and it validates, the filter of the
     candidate loop; the tests show that the loop finds exactly these links
-    at boxes 2 and 6.  Validating here makes the table links the checked
-    orbit representatives of every link that _table_links moves."""
+    at boxes 2 and 6.  Each image of a table link shares the table link's
+    step record (step_record, _table_link_of)."""
     named = {
         "P2": [conjugate(g, blowdown_link(1)) for g in STANDARD_SYMMETRIES["P2"]],
         "F0": [ruling_swap(1)],
@@ -736,7 +757,8 @@ def _frame(points, fiber):
     """(key, g) with g mapping the standard pair key onto (points, fiber)
     whenever that pair is an image of one.  Otherwise it gives (None, None)
     or a map that misses, so each caller checks the map: _table_links
-    through the links it moves, web._to_standard_form before it uses it.
+    and web._to_standard_form on the standard pair it moves, _table_link_of
+    through the moved key.
 
     g sends e1 to a fiber point f and e2 to the point t with det(f, t) = 1,
     which is all for P2.  For F_m the fourth point is then g(k, -1), so
@@ -761,18 +783,25 @@ def _frame(points, fiber):
 
 
 def _table_links(start, class_constraint, box):
-    """The links of start's standard pair moved onto start, kept when their
-    added points lie in the box."""
+    """The links of start's standard pair s moved onto start by its frame g,
+    kept when their added points lie in the box.  g(s) == start is checked
+    once; start is the left column of every link, and only the middle and
+    right columns of the kept links are built."""
     key, g = _frame(start.points, start.fiber)
-    moved = [conjugate(g, link) for link in _link_table(class_constraint).get(key, ())]
-    # every table link starts at the standard pair: this checks g(s) == start
-    if moved and moved[0].left != start:
+    row = _link_table(class_constraint).get(key, ())
+    if not row:
         return ()
+    s = row[0].left
+    if _moved(g, s) != (start.points, start.fiber):
+        return ()
+    points = {p for t in row for c in (t.middle, t.right) if c is not None for p in c.points}
+    image = dict(zip(points, g.apply_all(points))).__getitem__
     kept = []
-    for link in moved:
-        added = {p for c in (link.middle, link.right) if c is not None for p in c.points}
-        if all(abs(x) <= box for p in added.difference(start.points) for x in p):
-            kept.append(link)
+    for t in row:
+        cols = (t.middle, t.right)
+        added = {p for c in cols if c is not None for p in c.points}.difference(s.points)
+        if all(abs(x) <= box for p in added for x in image(p)):
+            kept.append(_link(t.kind, start, *(_move(image, c) for c in cols), t.mode))
     return tuple(sorted(kept, key=ElementaryLink.key))
 
 

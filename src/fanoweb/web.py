@@ -36,6 +36,7 @@ from .links import (
     Constituent,
     _frame,
     _link_table,
+    _moved,
     _relation_holds,
     _set_purity,
     box_primitives,
@@ -329,11 +330,6 @@ def _to_standard_form(p, fiber, class_constraint):
     back = [conjugate(*pairs[j]) for j in reversed(kept)]
     seq = sequence_from_steps([inverse(l) for l in reversed(back)], class_constraint)
     return key, g.inverse(), seq, sequence_from_steps(back, class_constraint)
-
-
-def _moved(m, c):
-    """The state m(c) as (points, fiber), sorted, with no column built."""
-    return tuple(sorted(m.apply_all(c.points))), tuple(sorted(m.apply_all(c.fiber)))
 
 
 def _concat(parts, class_constraint):

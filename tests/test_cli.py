@@ -1,10 +1,12 @@
+import argparse
 import json
 
 import pytest
 
+from fanoweb import cli
 from fanoweb.cli import main
 from fanoweb.jsonio import certificate_from_json
-from fanoweb.links import _orbit_representative
+from fanoweb.links import _link_table, _table_link_of
 from fanoweb.web import verify_certificate
 
 
@@ -268,6 +270,50 @@ def test_help_exits_0(capsys):
     assert "--mfp" in capsys.readouterr().out
 
 
+# one command line per command, each parsed by its own parser
+ONE_ARGV_PER_COMMAND = [
+    ["classify", "p.json", "--seed", "3"],
+    ["dual", "-", "--out", "d.json"],
+    ["points", "p.json"],
+    ["reduce", "p.json"],
+    ["fibers", "p.json"],
+    ["links", "p.json", "--class", "terminal", "--box", "2", "--fiber", "[[1,0],[-1,0]]"],
+    ["mmp", "p.json", "--class", "terminal"],
+    ["connect", "p.json", "q.json", "--class", "terminal"],
+    ["bfs", "p.json", "q.json", "--box", "2"],
+    ["verify", "cert.json"],
+    ["enumerate", "--class", "canonical", "--box", "2", "--mfp"],
+    ["render", "cert.json", "--cell-size", "10"],
+    ["example37"],
+]
+
+
+def test_one_argv_per_command_covers_every_command():
+    assert sorted(a[0] for a in ONE_ARGV_PER_COMMAND) == sorted(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("argv", ONE_ARGV_PER_COMMAND, ids=lambda a: a[0])
+def test_a_command_builds_only_its_own_parser(argv):
+    parser = cli.build_parser(argv)
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(subparsers.choices) == [argv[0]]
+    assert parser.parse_args(argv) == cli.build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bogus", "p.json"], ["connect", "p.json"], ["connect", "p.json", "q.json", "--class", "fano"],
+     ["bfs", "p.json", "q.json", "--box", "two"], ["--box", "2"], []],
+)
+def test_usage_errors_match_the_full_parser(argv, capsys, monkeypatch):
+    assert main(argv) == 1
+    own = capsys.readouterr()
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=(): full())
+    assert main(argv) == 1
+    assert capsys.readouterr() == own
+
+
 def test_negative_box_exit_1(tmp_path, capsys):
     tri = _write(tmp_path, "tri.json", {"dim": 2, "points": [[1, 0], [0, 1], [-1, -1]]})
     tri90 = _write(tmp_path, "tri90.json", {"dim": 2, "points": [[0, 1], [-1, 0], [1, -1]]})
@@ -371,12 +417,11 @@ def _move_middle_point(middle):
 
 
 # Edits of step 1 of the README certificate (tri.json to tri90.json, terminal),
-# whose left column is an image of the standard F1 pair, whether the edited
-# link is checked on its orbit representative, and the reports that checking
-# every link directly gives.
+# a link of the canonical table out of the standard F1 pair, and the reports
+# that checking every link directly gives.  No edited link is an image of a
+# table link, so each is checked directly.
 MALFORMED_STEPS = {
     "spatial middle": (
-        False,
         lambda step: step.update(middle={
             "dim": 3,
             "points": [[1, 0, 0], [0, 1, 0], [-1, -1, 0], [0, 0, 1], [0, 0, -1]],
@@ -386,20 +431,17 @@ MALFORMED_STEPS = {
          [3, "panel does not match the chain"]],
     ),
     "empty right fiber": (
-        True,
         lambda step: step["right"].update(fiber=[]),
         [[1, "sequence: link invalid: right fiber structure; right Mori; fibers equal"],
          [1, "sequence: joint mismatch between consecutive steps"]],
     ),
     # a left fiber of three of the four points has no frame
     "left column without a frame": (
-        False,
         lambda step: step["left"].update(fiber=[[-1, 0], [0, 1], [1, 0]]),
         [[0, "sequence: joint mismatch between consecutive steps"],
          [1, "sequence: link invalid: left fiber structure; left Mori; fibers equal"]],
     ),
     "moved middle point": (
-        True,
         lambda step: _move_middle_point(step["middle"]),
         [[1, "sequence: link invalid: right reduction; middle set purity"],
          [1, "sequence: middle constituent leaves class terminal"],
@@ -410,17 +452,17 @@ MALFORMED_STEPS = {
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_STEPS))
 def test_verify_reports_of_malformed_links(tmp_path, capsys, name):
-    orbit, edit, failures = MALFORMED_STEPS[name]
+    edit, failures = MALFORMED_STEPS[name]
     a = _write(tmp_path, "tri.json", {"dim": 2, "points": [[1, 0], [0, 1], [-1, -1]]})
     b = _write(tmp_path, "tri90.json", {"dim": 2, "points": [[0, 1], [-1, 0], [1, -1]]})
     cert_path = str(tmp_path / "cert.json")
     assert main(["connect", a, b, "--class", "terminal", "--out", cert_path]) == 0
     capsys.readouterr()
     cert = json.loads(open(cert_path).read())
+    assert certificate_from_json(cert).sequence.steps[1] in _link_table("canonical")["F1"]
     edit(cert["sequence"]["steps"][1])
     parsed = certificate_from_json(cert)
-    step = parsed.sequence.steps[1]
-    assert (_orbit_representative(step) is not step) == orbit
+    assert _table_link_of(parsed.sequence.steps[1]) is None
     rep = verify_certificate(parsed)
     assert [list(f) for f in rep.failures] == failures and not rep.ok
     assert main(["verify", _write(tmp_path, "bad.json", cert)]) == 3

@@ -377,6 +377,17 @@ def test_mat_vec_matches_the_dot_form(d, entries):
     assert mat_vec(m, v) == tuple(dot(row, v) for row in m)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    d=st.sampled_from((2, 3)),
+    entries=st.lists(st.integers(-10**6, 10**6), min_size=18, max_size=18),
+)
+def test_mat_mul_matches_the_dot_form(d, entries):
+    a = tuple(tuple(entries[d * i:d * i + d]) for i in range(d))
+    b = tuple(tuple(entries[9 + d * i:9 + d * i + d]) for i in range(d))
+    assert mat_mul(a, b) == tuple(tuple(dot(row, col) for col in zip(*b)) for row in a)
+
+
 def _hermite_coordinates(v, basis):
     """Integer coordinates by back-substitution on the row Hermite form,
     the route coordinates_in_basis takes for a basis of several rows."""

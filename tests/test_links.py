@@ -2,11 +2,13 @@ import random
 import re
 from functools import lru_cache
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fanoweb import links
 from fanoweb.genset import InvalidFiberStructure, PrimGenSet, from_polytope, mori_fiber_structures
 from fanoweb.lattice import UnimodularMap, is_primitive, mat_det, mat_mul
 from fanoweb.links import (
@@ -17,10 +19,13 @@ from fanoweb.links import (
     ElementaryLink,
     _candidate_links,
     _enumerate_links,
+    _frame,
     _link_table,
     _relation_holds,
     _shared,
     _step_failures,
+    _table_link_of,
+    _table_links,
     blowdown_link,
     box_primitives,
     conjugate,
@@ -434,6 +439,53 @@ def test_table_links_equal_the_candidate_loop(box):
         assert _keys(enumerate_links(c, cls, box)) == _keys(_candidate_links(c, cls, box, "polytope"))
 
 
+def _reference_table_links(start, cls, box):
+    """Each table link of start's frame moved by conjugate, kept when its
+    added points lie in the box; () when a moved link leaves from elsewhere."""
+    key, g = _frame(start.points, start.fiber)
+    moved = [conjugate(g, link) for link in _link_table(cls).get(key, ())]
+    if any(link.left != start for link in moved):
+        return ()
+    kept = [
+        link for link in moved
+        if all(abs(x) <= box for c in (link.middle, link.right) if c is not None
+               for p in c.points if p not in start.points for x in p)
+    ]
+    return tuple(sorted(kept, key=ElementaryLink.key))
+
+
+# the standard pairs, then pairs that are no image of one: a triangle whose
+# frame misses, F3, whose frame has no row, and a 4-point set whose frame
+# has the F1 row and misses
+_TABLE_STARTS = tuple((p.vertices, fiber) for p, fiber in standard_pairs().values()) + (
+    (((-1, 0), (0, -1), (2, 1)), ((-1, 0), (0, -1), (2, 1))),
+    (ruled_polygon(3).vertices, HORIZONTAL_FIBER),
+    (((1, 0), (-1, 0), (0, -1), (1, 2)), HORIZONTAL_FIBER),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    i=st.integers(0, len(_TABLE_STARTS) - 1),
+    word=_GL_WORDS,
+    cls=st.sampled_from(["canonical", "terminal"]),
+    box=st.integers(0, 6),
+)
+def test_table_links_move_no_link_and_equal_the_conjugate_route(i, word, cls, box):
+    g = _gl_map(word)
+    points, fiber = _TABLE_STARTS[i]
+    start = Constituent(PrimGenSet(2, g.apply_all(points)), g.apply_all(fiber))
+    _link_table(cls)
+    with mock.patch.object(links, "conjugate", wraps=conjugate) as spy:
+        got = _table_links(start, cls, box)
+    assert spy.call_count == 0
+    want = _reference_table_links(start, cls, box)
+    assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
+    if i >= len(standard_pairs()):
+        assert got == ()
+    assert all(link.left == start for link in got)
+
+
 @pytest.mark.parametrize("cls, counts", [("canonical", (3, 5, 5, 2)), ("terminal", (3, 5, 3, 0))])
 def test_links_out_of_the_standard_pairs_do_not_depend_on_the_box(cls, counts):
     got = []
@@ -622,3 +674,27 @@ def test_the_orbit_links_cover_valid_and_invalid_records():
     assert sum(not r[0] for r in records) >= len(_TABLE_LINKS) - 2
     assert sum(bool(r[0]) for r in records) > len(_TABLE_LINKS)
     assert any(not ok for r in records for *_, ok in r[3])
+
+
+def test_images_of_a_table_link_share_its_check(monkeypatch):
+    # a cold record of an image moves no link and checks its table link
+    # once per class; a later image of the same table link checks nothing
+    _clear_memos()
+    maps = [_gl_map(w) for w in (["T"], ["T", "T"], ["S", "T"], ["U", "T", "S"])]
+    images = [conjugate(g, link) for row in _link_table("canonical").values() for link in row for g in maps]
+    table_links = [_table_link_of(image) for image in images]
+    assert None not in table_links
+    step_record.cache_clear()
+    moved, checked = [], []
+    monkeypatch.setattr(links, "conjugate", lambda *a: moved.append(a) or conjugate(*a))
+    orbit_checks = links._orbit_checks
+    monkeypatch.setattr(links, "_orbit_checks", lambda *a: checked.append(a[:2]) or orbit_checks(*a))
+    seen = set()
+    for cls in ("canonical", "terminal"):
+        for image, table_link in zip(images, table_links):
+            before = len(checked)
+            step_record(image, cls)
+            assert checked[before:] == ([] if (table_link, cls) in seen else [(table_link, cls)])
+            seen.add((table_link, cls))
+    assert moved == []
+    assert len(checked) == len(seen) < 2 * len(images)
