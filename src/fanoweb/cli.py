@@ -223,9 +223,13 @@ def _add_io(sub, *, polytope=True):
 _CLASSES = ["terminal", "canonical", "reflexive"]
 
 
+class _UsageError(Exception):
+    """Raised past argparse, whose parsers would prefix its message again."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # not argparse's exit 2, the code of "not found"
-        raise argparse.ArgumentError(None, f"{self.prog}: {message}")
+        raise _UsageError(f"{self.prog}: {message}")
 
 
 def _add_links(s):
@@ -330,7 +334,7 @@ def _run(argv):
     try:
         args = build_parser(argv).parse_args(argv)
         return args.func(args)
-    except argparse.ArgumentError as e:
+    except _UsageError as e:
         return _error({"type": "usage", "message": str(e)})
     except CertificateVerificationError as e:
         return _error({"type": "verification", "failures": [[i, msg] for i, msg in e.failures]}, 3)

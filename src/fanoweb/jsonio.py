@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from .genset import EMPTY_PGS, PrimGenSet
+from .genset import PrimGenSet
 from .links import Constituent, ElementaryLink, sequence_from_steps
 from .polytopes import CLASS_NAMES, hull
 from .web import ConnectCertificate, Relation
@@ -91,7 +91,7 @@ def fiber_structure_to_json(fs):
         "parent": pgs_to_json(fs.parent),
         "fiber": [list(v) for v in fs.fiber],
         "projection": [list(r) for r in fs.projection.matrix],
-        "base": pgs_to_json(fs.base) if fs.base is not EMPTY_PGS else {"dim": 0, "points": [], "as": "pgs"},
+        "base": pgs_to_json(fs.base),
         "irreducible": fs.irreducible,
         "mori": fs.mori,
     }

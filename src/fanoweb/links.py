@@ -731,10 +731,10 @@ def _link_table(class_constraint):
     families: the blow-down moved by the triangle's symmetries, the four
     unit slides of each ruled state (0, -m), the ruling swap of the square
     and the contraction of the first ruled polygon.  A link is kept when
-    its columns stay in the class and it validates, the filter of the
-    candidate loop; the tests show that the loop finds exactly these links
-    at boxes 2 and 6.  Each image of a table link shares the table link's
-    step record (step_record, _table_link_of)."""
+    its columns stay in the class, the candidate loop's filter since every
+    named link validates; the tests show that the loop finds exactly these
+    links at boxes 2 and 6.  A table link is validated in its step record,
+    which its images share (step_record, _table_link_of)."""
     named = {
         "P2": [conjugate(g, blowdown_link(1)) for g in STANDARD_SYMMETRIES["P2"]],
         "F0": [ruling_swap(1)],
@@ -745,8 +745,7 @@ def _link_table(class_constraint):
         named[f"F{m}"] += [slide_link((0, -m), (a, b - m)) for a, b in ((1, 0), (-1, 0), (0, 1), (0, -1))]
     return {
         key: tuple(sorted(
-            {link for link in links
-             if not _step_class_failures(link, class_constraint) and validate_link(link).ok},
+            {link for link in links if not _step_class_failures(link, class_constraint)},
             key=ElementaryLink.key,
         ))
         for key, links in named.items()

@@ -23,7 +23,7 @@ saturated lattice of its plane, where its hull is full-dimensional, and
 mapped back.  In 2D the canonical and terminal predicates come from Pick's
 theorem, 2I = 2A - B + 2, evaluated on the vertices alone (_pick_counts); in
 3D they count lattice points.  normal_form names a GL(d,Z)-orbit by Hermite
-maps over ordered vertex subsets, in 2D in closed form (extended Euclid).
+maps over ordered vertex subsets.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from math import gcd, lcm
 from .lattice import (
     _Frozen,
     _set,
-    bezout,
     coordinates_in_basis,
     cross3,
     dot,
@@ -523,53 +522,19 @@ def primitive_points_in_hull(points):
 def normal_form(p):
     """Canonical representative of the GL(d,Z)-orbit of p.
 
-    Over all ordered d-subsets of vertices with nonzero determinant, apply
-    the unique unimodular map u putting the subset matrix in Hermite form and
-    keep the lexicographically smallest image in canonical vertex order.  The
-    result is constant on unimodular orbits.  A unimodular map sends vertices
-    to vertices, so each candidate is ordered without a hull and only the
-    winner is hulled.
+    Over all ordered d-subsets of vertices with nonzero determinant, map
+    the vertices by the unique unimodular u putting the subset matrix in
+    Hermite form (row_hermite) and keep the hull whose vertex tuple is
+    least.  The result is constant on unimodular orbits.
     """
-    image = _planar_image if p.dim == 2 else _spatial_image
-    best = min(
-        filter(None, (image(cols, p.vertices) for cols in permutations(p.vertices, p.dim))),
-        default=None,
-    )
+    best = None
+    for cols in permutations(p.vertices, p.dim):
+        m = tuple(zip(*cols))
+        if mat_det(m):
+            u = row_hermite(m)[0]
+            image = hull([mat_vec(u, v) for v in p.vertices])
+            if best is None or image.vertices < best.vertices:
+                best = image
     if best is None:
         raise ValueError("polytope has no spanning vertex subset")
-    return hull(best)
-
-
-def _planar_image(cols, verts):
-    """u(verts) counter-clockwise from the lexicographic minimum (the order of
-    hull), or None when the columns (a, b), (c, e) are dependent.
-
-    u has the closed form: row 0 a Bezout pair (x, y) of (a, b), row 1 the
-    primitive vector orthogonal to (a, b) with positive product on (c, e),
-    and row 0 reduced by that row so the Hermite entry above the second pivot
-    lies in [0, pivot).  For a nonsingular matrix u is unique, so it equals
-    the transform row_hermite finds.  u reverses orientation when det < 0.
-    """
-    (a, b), (c, e) = cols
-    det = a * e - b * c
-    if det == 0:
-        return None
-    g, x, y = bezout(a, b)
-    s, t = (-b // g, a // g) if det > 0 else (b // g, -a // g)
-    q = (x * c + y * e) // (abs(det) // g)
-    x, y = x - q * s, y - q * t
-    moved = [(x * vx + y * vy, s * vx + t * vy) for vx, vy in verts]
-    if det < 0:
-        moved.reverse()
-    k = moved.index(min(moved))
-    return tuple(moved[k:] + moved[:k])
-
-
-def _spatial_image(cols, verts):
-    """u(verts) sorted (the order of hull), u the row Hermite transform of the
-    matrix with columns cols, or None when they are dependent."""
-    m = tuple(zip(*cols))
-    if mat_det(m) == 0:
-        return None
-    u, _ = row_hermite(m)
-    return tuple(sorted(mat_vec(u, v) for v in verts))
+    return best

@@ -12,7 +12,7 @@ The map onto a standard form is the link table's closed-form frame
 (links._frame) composed with a symmetry of the standard polygon: of those
 maps, the orientation-preserving one with the shortest generator word.
 
-The generator words, inverse tokens included, and the ladder are literal
+The generator words, T^-1 included, and the ladder are literal
 link-table choices (_MOVES, _LADDER), replayed by moving table links, so
 nothing is searched; one memo (_replay) holds each replayed word.  A word
 onto a standard form is cut on its moved states before any of its links is
@@ -137,19 +137,17 @@ def factor_unimodular(g):
 # (k, g) of the current state (_replay).  The S, T and U words and the
 # ladder are the breadth-first oracle's shortest table words, searched from
 # the target, so the triangle's quarter turn is the paper's Cremona word;
-# the S^-1 and T^-1 words are those of S and T reversed and moved back by
-# the token.  tests/test_web.py derives every word again.  The ladder words
-# without F2 are the terminal table's words too, so each word stays in
-# every class that connect accepts.
+# the T^-1 words are those of T reversed and moved back by the token (no
+# word spells S^-1: factor_unimodular never emits it).  tests/test_web.py
+# derives every word again.  The ladder words without F2 are the terminal
+# table's words too, so each word stays in every class that connect accepts.
 _MOVES = {
     ("S", "P2"): (1, 3, 1, 4), ("T", "P2"): (1, 2, 3, 4), ("U", "P2"): (1, 3, 1, 4),
     ("S", "F0"): (4,), ("T", "F0"): (3, 2), ("U", "F0"): (),
     ("S", "F1"): (3, 4, 3), ("T", "F1"): (2, 3), ("U", "F1"): (3, 1),
     ("S", "F2"): (1, 3, 4, 3, 1), ("T", "F2"): (0, 1), ("U", "F2"): (1, 3, 1, 1),
-    ("S^-1", "P2"): (2, 2, 0, 4), ("T^-1", "P2"): (1, 3, 2, 4),
-    ("S^-1", "F0"): (4,), ("T^-1", "F0"): (2, 3),
-    ("S^-1", "F1"): (3, 4, 0), ("T^-1", "F1"): (3, 2),
-    ("S^-1", "F2"): (1, 3, 4, 0, 0), ("T^-1", "F2"): (1, 0),
+    ("T^-1", "P2"): (1, 3, 2, 4), ("T^-1", "F0"): (2, 3),
+    ("T^-1", "F1"): (3, 2), ("T^-1", "F2"): (1, 0),
 }
 _LADDER = {
     ("P2", "F0"): (1, 3), ("P2", "F1"): (1,), ("P2", "F2"): (1, 1),
@@ -308,14 +306,14 @@ def _to_standard_form(p, fiber, class_constraint):
         raise NotInStandardOrbitError("pair is not an image of a standard Mori fiber pair")
     # the maps from std onto p are g.a over the symmetries a of std; the
     # orientation-preserving one with the shortest word wins, ties broken
-    # by the word and then by the matrix of its inverse u
+    # by the word; equal words multiply to equal maps, so h never decides
     ranked = []
     for a in STANDARD_SYMMETRIES[key]:
         h = g.compose(a)
         if mat_det(h.matrix) == 1:
             word = factor_unimodular(h)
-            ranked.append((len(word), word, h.inverse().matrix, h))
-    _, word, _, g = min(ranked)
+            ranked.append((len(word), word, h))
+    _, word, g = min(ranked)
     pairs = []  # (m, l): the step inverse(conjugate(m, l))
     if fiber != tuple(sorted(g.apply_all(f_std))):  # only the square has two rulings
         pairs.append((g, ruling_swap(1)))

@@ -314,6 +314,20 @@ def test_usage_errors_match_the_full_parser(argv, capsys, monkeypatch):
     assert capsys.readouterr() == own
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["connect", "p.json"], "fanoweb connect: the following arguments are required: second"),
+        (["bfs", "a", "b", "--box", "x"], "fanoweb bfs: argument --box: invalid int value: 'x'"),
+        (["bogus"], "fanoweb: argument command: invalid choice: 'bogus' (choose from "
+         + ", ".join(map(repr, cli._COMMANDS)) + ")"),
+    ],
+)
+def test_a_usage_error_is_prefixed_once_by_the_parser_that_refused(argv, message, capsys):
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": {"type": "usage", "message": message}}
+
+
 def test_negative_box_exit_1(tmp_path, capsys):
     tri = _write(tmp_path, "tri.json", {"dim": 2, "points": [[1, 0], [0, 1], [-1, -1]]})
     tri90 = _write(tmp_path, "tri90.json", {"dim": 2, "points": [[0, 1], [-1, 0], [1, -1]]})

@@ -498,6 +498,22 @@ def test_links_out_of_the_standard_pairs_do_not_depend_on_the_box(cls, counts):
     assert tuple(got) == counts
 
 
+def test_the_link_table_is_filtered_by_class_alone():
+    # a table link is validated by its step record when a certificate reads it
+    _clear_memos()
+    with mock.patch.object(links, "validate_link", wraps=validate_link) as spy:
+        for cls in ("canonical", "terminal"):
+            _link_table(cls)
+    assert spy.call_count == 0
+
+
+def test_every_table_link_validates():
+    for cls in ("canonical", "terminal"):
+        for row in _link_table(cls).values():
+            for link in row:
+                assert validate_link(link).ok, (cls, link.key())
+
+
 def test_standard_symmetries_are_the_groups_of_the_standard_polygons():
     """Against a search over the matrices with entries in [-2, 2]: e1 and e2
     are vertices of each standard polygon, so a symmetry's columns are too."""

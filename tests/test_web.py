@@ -510,7 +510,8 @@ def test_to_standard_form_ruling_normalization():
 
 
 def test_forward_sequences_all_tokens_all_keys():
-    for tok in TOKENS:
+    # factor_unimodular spells a map with S, T, T^-1 and U only
+    for tok in ("S", "T", "T^-1", "U"):
         g = TOKENS[tok]
         for key, (std, fiber) in standard_pairs().items():
             seq = forward_sequence(tok, key)
@@ -568,12 +569,12 @@ def _table_word(source, target):
 
 def test_literal_words_are_the_searched_table_words():
     """Each replayed S, T and U move and ladder word is the search's word,
-    and each S^-1 and T^-1 move is its token's word reversed and moved back,
-    link by link.  The search reads the terminal table between terminal
-    pairs, so the ladder words without F2, replayed from the canonical
-    table, are the terminal table's words too."""
+    and each T^-1 move is the T word reversed and moved back, link by link.
+    The search reads the terminal table between terminal pairs, so the
+    ladder words without F2, replayed from the canonical table, are the
+    terminal table's words too."""
     pairs = standard_pairs()
-    assert sorted(web._MOVES) == sorted((tok, key) for tok in TOKENS for key in pairs)
+    assert sorted(web._MOVES) == sorted((tok, key) for tok in ("S", "T", "T^-1", "U") for key in pairs)
     for tok, key in web._MOVES:
         if tok.endswith("^-1"):
             base = forward_sequence(tok.removesuffix("^-1"), key)
@@ -1112,10 +1113,12 @@ def _moved_certificate(g, cert):
 
 def test_images_with_corresponding_frames_share_one_check(monkeypatch):
     # T^j moves the frame of every left column of this certificate to T^j
-    # after that frame, so the four images of its links have the same orbit
-    # representatives: only the first image builds fiber structures
+    # after that frame, so the four images of its links read the same table
+    # links' records: only the first image builds fiber structures.  T^0
+    # would hold the table's own links out of the triangle, which are
+    # checked directly, so the images start at T^1
     cert = connect(hull([(1, 0), (0, 1), (-1, -1)]), hull([(0, 1), (-1, 0), (1, -1)]), "terminal")
-    maps = [_gl_map(["T"] * j) for j in range(4)]
+    maps = [_gl_map(["T"] * j) for j in range(1, 5)]
     for g in maps:
         for step in cert.sequence.steps:
             _, frame = _frame(step.left.points, step.left.fiber)
@@ -1523,3 +1526,42 @@ def test_assemble_refuses_a_sequence_that_misses_the_reductions():
     ):
         with pytest.raises(CertificateVerificationError, match=message):
             web._assemble(tri, square, rp, rq, seq, "terminal")
+
+
+def test_the_general_reduction_loop_equals_its_reference():
+    # polygons that are not canonical are reduced by the general loop
+    polys = _noncanonical_fano_polygons()
+    got = [_mmp_reduce_or_error(p, cls) for cls in ALL_CLASSES for p in polys]
+    assert got == [_reference_mmp_reduce(p, cls) for cls in ALL_CLASSES for p in polys]
+    assert sum(len(r[2]) for r in got if type(r) is tuple) > 0
+    assert any(type(r) is type for r in got)
+
+
+def test_verify_reads_a_panel_class_from_the_step_record():
+    # relabelled terminal, the F2 polygon (the first panel, chain member 0)
+    # and the next panel leave the class; both are read from step records
+    cert = connect(ruled_polygon(2), plane_polygon(), "canonical")
+    seq = sequence_from_steps(cert.sequence.steps, "terminal")
+    rep = verify_certificate(ConnectCertificate(cert.chain, cert.relations, seq, "terminal"))
+    members = [i for i, msg in rep.failures if msg == "chain member leaves class terminal"]
+    assert members == [i for i, p in enumerate(cert.chain) if not in_class(p, "terminal")] == [0, 1]
+
+
+def test_verify_reads_the_panels_of_an_edited_link_from_its_record():
+    # the README certificate with step 1's middle point (0,-1) moved to (1,-1),
+    # and the chain assembled from the edited sequence, so the walk matches
+    # the panels and reads their classes and relations from the step record
+    tri, tri90 = hull([(1, 0), (0, 1), (-1, -1)]), hull([(0, 1), (-1, 0), (1, -1)])
+    data = certificate_to_json(connect(tri, tri90, "terminal"))
+    middle = data["sequence"]["steps"][1]["middle"]
+    middle["points"][middle["points"].index([0, -1])] = [1, -1]
+    seq = certificate_from_json(data).sequence
+    rp, rq = mmp_reduce(tri, "terminal"), mmp_reduce(tri90, "terminal")
+    rep = verify_certificate(web._assemble(tri, tri90, rp, rq, seq, "terminal"))
+    assert sorted(rep.failures) == [
+        (1, "sequence: link invalid: right reduction; middle set purity"),
+        (1, "sequence: middle constituent leaves class terminal"),
+        (2, "relation subset_dot fails"),
+        (3, "chain member leaves class terminal"),
+        (3, "relation supset_dot fails"),
+    ]
