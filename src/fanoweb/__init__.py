@@ -53,7 +53,6 @@ from .polytopes import (
     interior_lattice_points,
     lattice_points,
     mavlyutov_dual,
-    normal_form,
     polar_dual,
     primitive_points,
 )

@@ -48,9 +48,6 @@ def _emit(args, text):
 
 
 def _emit_json(args, payload):
-    if getattr(args, "seed", None) is not None:
-        payload = dict(payload)
-        payload["seed"] = args.seed
     _emit(args, jsonio.dumps(payload))
 
 
@@ -216,7 +213,6 @@ def _add_io(sub, *, polytope=True):
     if polytope:
         sub.add_argument("polytope", help="polytope JSON file, or - for stdin")
     sub.add_argument("--out", help="write output to this file instead of stdout")
-    sub.add_argument("--seed", type=int, default=None, help="seed echoed into the output")
 
 
 # the classes a certificate or an enumeration can be constrained to

@@ -818,10 +818,8 @@ def _candidate_links(start, class_constraint, box, mode):
         if link is not None:
             found.setdefault(link.key(), link)
 
-    prims = box_primitives(box, d)
     fiber_set = set(fiber)
     basis = saturate_span(fiber)
-    in_fiber_span = {p: in_span(p, basis) for p in prims}
 
     # I_d: drop a point away from the fiber
     for v in A.points:
@@ -833,21 +831,17 @@ def _candidate_links(start, class_constraint, box, mode):
         right = Constituent(PrimGenSet.of_sorted(d, rest), fiber)
         keep(_try_link("I_d", start, None, right, mode, cls))
 
-    # III_d: add a box point away from the fiber span
-    for w in prims:
-        if w in A.points or in_fiber_span[w]:
-            continue
-        bigger = PrimGenSet.of_sorted(d, tuple(sorted(A.points + (w,))))
-        left2 = Constituent(bigger, fiber)
-        keep(_try_link("III_d", start, None, left2, mode, cls))
-
-    # II types: grow by one point, then drop another
-    for w in prims:
+    # II and III: grow by one box point w.  Away from the fiber span the
+    # grown pair is III_d's right column and II_ni's middle column, from
+    # which II_ni drops another point; inside it II_irr drops a fiber point
+    # and III_m lands on a new Mori pair.
+    for w in box_primitives(box, d):
         if w in A.points:
             continue
         bigger = PrimGenSet.of_sorted(d, tuple(sorted(A.points + (w,))))
-        if not in_fiber_span[w]:
+        if not in_span(w, basis):
             mid = Constituent(bigger, fiber)
+            keep(_try_link("III_d", start, None, mid, mode, cls))
             for u in bigger.points:
                 if u == w or u in fiber_set:
                     continue
@@ -856,18 +850,21 @@ def _candidate_links(start, class_constraint, box, mode):
                     continue
                 right = Constituent(PrimGenSet.of_sorted(d, rest), fiber)
                 keep(_try_link("II_ni", start, mid, right, mode, cls))
-        else:
-            big_fiber = tuple(sorted(fiber + (w,)))
-            mid = Constituent(bigger, big_fiber)
-            for u in big_fiber:
-                if u == w:
-                    continue
-                rest = tuple(p for p in bigger.points if p != u)
-                rest_fiber = tuple(p for p in big_fiber if p != u)
-                if not positively_spans(rest, d):
-                    continue
-                right = Constituent(PrimGenSet.of_sorted(d, rest), rest_fiber)
-                keep(_try_link("II_irr", start, mid, right, mode, cls))
+            continue
+        big_fiber = tuple(sorted(fiber + (w,)))
+        mid = Constituent(bigger, big_fiber)
+        for u in big_fiber:
+            if u == w:
+                continue
+            rest = tuple(p for p in bigger.points if p != u)
+            rest_fiber = tuple(p for p in big_fiber if p != u)
+            if not positively_spans(rest, d):
+                continue
+            right = Constituent(PrimGenSet.of_sorted(d, rest), rest_fiber)
+            keep(_try_link("II_irr", start, mid, right, mode, cls))
+        for fs2 in mori_fiber_structures(bigger):
+            if set(fs2.fiber) <= set(big_fiber):
+                keep(_try_link("III_m", start, mid, Constituent(bigger, fs2.fiber), mode, cls))
 
     structures = fiber_structures(A)
 
@@ -885,19 +882,6 @@ def _candidate_links(start, class_constraint, box, mode):
             rest_fiber = tuple(p for p in tower.fiber if p != u)
             right = Constituent(PrimGenSet.of_sorted(d, rest), rest_fiber)
             keep(_try_link("I_m", start, mid, right, mode, cls))
-
-    # III_m: grow along the fiber span, then land on a new Mori pair
-    for w in prims:
-        if w in A.points or not in_fiber_span[w]:
-            continue
-        bigger = PrimGenSet.of_sorted(d, tuple(sorted(A.points + (w,))))
-        big_fiber = tuple(sorted(fiber + (w,)))
-        mid = Constituent(bigger, big_fiber)
-        for fs2 in mori_fiber_structures(bigger):
-            if not set(fs2.fiber) <= set(big_fiber):
-                continue
-            right = Constituent(bigger, fs2.fiber)
-            keep(_try_link("III_m", start, mid, right, mode, cls))
 
     # IV_m: another ruling through a common enclosing fiber structure
     for other in structures:

@@ -22,14 +22,14 @@ direction, and a polygon in space is counted in integer coordinates of the
 saturated lattice of its plane, where its hull is full-dimensional, and
 mapped back.  In 2D the canonical and terminal predicates come from Pick's
 theorem, 2I = 2A - B + 2, evaluated on the vertices alone (_pick_counts); in
-3D they count lattice points.  normal_form names a GL(d,Z)-orbit by Hermite
-maps over ordered vertex subsets.
+3D they count lattice points.  No normal form is computed here: web names
+the reflexive classes from a literal table.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, combinations, permutations, product
+from itertools import chain, combinations, product
 from math import gcd, lcm
 
 from .lattice import (
@@ -39,11 +39,8 @@ from .lattice import (
     cross3,
     dot,
     is_primitive,
-    mat_det,
-    mat_vec,
     matrix_rank,
     primitivize,
-    row_hermite,
     saturate_span,
     vec_gcd,
     vec_sub,
@@ -53,8 +50,8 @@ from .lattice import (
 # The one bound on every memo (functools.lru_cache) in fanoweb, so that no
 # memo grows with the number of distinct inputs a process sees.  The largest
 # memos after one seed-1 round of the benchmark workloads hold under 1,000
-# entries: `links._shared` 775 on `bfs`, `links._relation_holds` 490 and
-# `_hull` 431 on `sweep`, and `links._shared` at most 99 in a `cli` process.
+# entries: `links._shared` 583 on `bfs`, `links._relation_holds` 490 and
+# `_hull` 431 on `sweep`, and `links._shared` at most 181 in a `cli` process.
 # At 4,096 every workload keeps every hit, with room for larger inputs.
 MEMO_SIZE = 4096
 
@@ -517,24 +514,3 @@ def primitive_points(p):
 def primitive_points_in_hull(points):
     """Primitive lattice points of conv(points), any affine dimension."""
     return tuple(q for q in lattice_points_in_hull(points) if vec_gcd(q) == 1)
-
-
-def normal_form(p):
-    """Canonical representative of the GL(d,Z)-orbit of p.
-
-    Over all ordered d-subsets of vertices with nonzero determinant, map
-    the vertices by the unique unimodular u putting the subset matrix in
-    Hermite form (row_hermite) and keep the hull whose vertex tuple is
-    least.  The result is constant on unimodular orbits.
-    """
-    best = None
-    for cols in permutations(p.vertices, p.dim):
-        m = tuple(zip(*cols))
-        if mat_det(m):
-            u = row_hermite(m)[0]
-            image = hull([mat_vec(u, v) for v in p.vertices])
-            if best is None or image.vertices < best.vertices:
-                best = image
-    if best is None:
-        raise ValueError("polytope has no spanning vertex subset")
-    return best

@@ -633,8 +633,9 @@ def enumerate_class_polygons(box, class_constraint):
 
 
 def enumerate_fano(box, class_constraint, mfp_only=False):
-    """Normal-form classes with concrete-representative counts, each the
-    number of placements of its class; the filters run once per class."""
+    """The classes of the table (_CLASS_VERTICES) with concrete-representative
+    counts, each the number of placements of its class; the filters run
+    once per class."""
     return tuple(
         (nf, len(images))
         for nf, images in _class_placements(box, class_constraint)
@@ -649,11 +650,13 @@ def _class_placements(box, class_constraint):
     return _placements(box, tuple(nf for nf in _classes() if in_class(nf, class_constraint)))
 
 
-# The 16 reflexive polygons up to GL(2,Z), each as its normal_form's
+# The 16 reflexive polygons up to GL(2,Z), each as its normal form's
 # vertices in hull's order, sorted (Poonen and Rodriguez-Villegas, Lattice
 # polygons and the number 12, 2000).  In the plane the canonical polygons are
-# exactly the reflexive ones; tests/test_web.py pins the table against the
-# growth search from the minimal classes.
+# exactly the reflexive ones.  No module here computes a normal form: the
+# tests hold one (tests/normal_forms.py), pin the table with it against the
+# growth search from the minimal classes, and check it with an independent
+# orbit key.
 _CLASS_VERTICES = (
     ((-3, -4), (1, 0), (1, 2)),
     ((-3, -2), (1, 0), (0, 1)),
@@ -694,8 +697,8 @@ def _basis_partners(a, box):
 
 
 def _placements(box, classes):
-    """((class normal form, the vertex tuples of its distinct images in the
-    box), ...) for the given class normal forms and no other.
+    """((class, the vertex tuples of its distinct images in the box), ...)
+    for the given classes of the table and no other.
 
     Consecutive boundary points u, v of a reflexive polygon form a lattice
     basis, so the maps [a b] [u v]^-1 over the pairs a, b of box primitives

@@ -14,7 +14,7 @@ from fanoweb.obstruction import (
     points,
     pure_sequence,
 )
-from fanoweb.polytopes import hull, in_class, in_hull, normal_form
+from fanoweb.polytopes import hull, in_class, in_hull
 from fanoweb.web import (
     GEN_S,
     GEN_U,
@@ -24,6 +24,7 @@ from fanoweb.web import (
     fano_purity_report,
     verify_certificate,
 )
+from normal_forms import normal_form
 
 
 def _report(num, ok, text):

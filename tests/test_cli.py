@@ -203,13 +203,6 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
     assert out["flags"]["reflexive"] is True
 
 
-def test_seed_echoed(tmp_path, capsys):
-    path = _write(tmp_path, "p.json", _quad2_json())
-    assert main(["classify", path, "--seed", "7"]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["seed"] == 7
-
-
 def test_bfs_not_found_exit_2(tmp_path, capsys):
     square = _write(tmp_path, "sq.json", {"dim": 2, "points": [[1, 0], [0, 1], [-1, 0], [0, -1]]})
     sheared = _write(tmp_path, "t2.json", {"dim": 2, "points": [[1, 0], [2, 1], [-1, 0], [-2, -1]]})
@@ -263,6 +256,15 @@ def test_usage_errors_exit_1_with_json(argv, capsys):
     assert captured.err == ""
 
 
+def test_seed_is_no_option(tmp_path, capsys):
+    # no command uses randomness, so none takes a seed
+    path = _write(tmp_path, "p.json", _quad2_json())
+    assert main(["classify", path, "--seed", "7"]) == 1
+    assert capsys.readouterr().out == (
+        '{"error":{"message":"fanoweb: unrecognized arguments: --seed 7","type":"usage"}}\n'
+    )
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--help"])
@@ -272,7 +274,7 @@ def test_help_exits_0(capsys):
 
 # one command line per command, each parsed by its own parser
 ONE_ARGV_PER_COMMAND = [
-    ["classify", "p.json", "--seed", "3"],
+    ["classify", "p.json", "--out", "c.json"],
     ["dual", "-", "--out", "d.json"],
     ["points", "p.json"],
     ["reduce", "p.json"],

@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from functools import cmp_to_key
+from itertools import combinations, product
 from math import ceil, floor, gcd, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fanoweb.lattice import bezout, mat_det, mat_vec, row_hermite
+from fanoweb.lattice import bezout
 from fanoweb.polytopes import (
     DegenerateHullError,
     _pick_counts,
@@ -22,12 +23,12 @@ from fanoweb.polytopes import (
     lattice_points,
     lattice_points_in_hull,
     mavlyutov_dual,
-    normal_form,
     polar_dual,
     primitive_points,
     primitive_points_in_hull,
 )
 from fanoweb.web import enumerate_class_polygons
+from normal_forms import normal_form
 from test_web import _GL_WORDS, _classes, _gl_map
 
 TRIANGLE = [(1, 0), (0, 1), (-1, -1)]          # plane polygon
@@ -597,41 +598,6 @@ def test_lattice_points_in_hull_commute_with_unimodular_maps(pts, word, flip):
     assert lattice_points_in_hull([g(x) for x in pts]) == tuple(sorted(map(g, lattice_points_in_hull(pts))))
 
 
-def _reference_normal_form(p):
-    """The hull of the least image over every ordered d-subset of vertices
-    with nonzero determinant, mapped by the row_hermite transform of the
-    subset matrix, images compared by their hull's vertex tuple."""
-    best = None
-    for cols in permutations(p.vertices, p.dim):
-        m = tuple(zip(*cols))
-        if mat_det(m) == 0:
-            continue
-        cand = hull([mat_vec(row_hermite(m)[0], v) for v in p.vertices])
-        if best is None or cand.vertices < best.vertices:
-            best = cand
-    return best
-
-
-_TRIANGLE_T50 = [(x + 50 * y, y) for x, y in TRIANGLE]
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(pts=st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20)), min_size=3, max_size=8))
-@example(pts=_TRIANGLE_T50)
-@example(pts=[(0, 0), (20, 1), (1, 20)])
-def test_normal_form_matches_reference_2d(pts):
-    p = _hull_or_reject(pts)
-    assert normal_form(p).vertices == _reference_normal_form(p).vertices
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(pts=st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=4, max_size=6))
-@example(pts=[V[1], V[2], V[3], V[5], V[7]])
-def test_normal_form_matches_reference_3d(pts):
-    p = _hull_or_reject(pts)
-    assert normal_form(p).vertices == _reference_normal_form(p).vertices
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(pts=st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)), min_size=3, max_size=6), word=_GL_WORDS)
 @example(pts=TRIANGLE, word=["T"] * 50)
@@ -639,10 +605,53 @@ def test_normal_form_matches_reference_3d(pts):
 @example(pts=QUAD2, word=["S", "T^-1", "U", "T"])
 def test_normal_form_of_gl_images_matches_reference(pts, word):
     p = _hull_or_reject(pts)
-    image = hull(_gl_map(word).apply_all(p.vertices))
-    nf = normal_form(image)
-    assert nf.vertices == _reference_normal_form(image).vertices
-    assert nf == normal_form(p)
+    assert normal_form(hull(_gl_map(word).apply_all(p.vertices))) == normal_form(p)
+
+
+def _orbit_key(vertices):
+    """A GL(2,Z)-orbit key of a reflexive polygon that uses neither fanoweb's
+    hull nor its Hermite form: the least image of the counter-clockwise
+    boundary ring under the map sending a consecutive boundary pair u, w to
+    e1, e2, over both orientations.  Consecutive boundary points of a
+    reflexive polygon have det +-1, so each map is unimodular and each image
+    is the boundary ring of an image polygon, read from e1: the key is
+    constant on orbits and tells them apart."""
+
+    def lower(v):
+        return v[1] < 0 or (v[1] == 0 and v[0] < 0)
+
+    vs = sorted(vertices, key=cmp_to_key(lambda a, b: lower(a) - lower(b) or a[1] * b[0] - a[0] * b[1]))
+    ring = []
+    for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1]):
+        g = gcd(x1 - x0, y1 - y0)
+        ring += [(x0 + k * (x1 - x0) // g, y0 + k * (y1 - y0) // g) for k in range(g)]
+    n = len(ring)
+    images = []
+    for step in (1, -1):
+        for i in range(n):
+            (a, b), (c, d) = ring[i], ring[(i + step) % n]
+            det = a * d - b * c
+            assert det in (1, -1)
+            walk = (ring[(i + k * step) % n] for k in range(n))
+            images.append(tuple((det * (d * x - c * y), det * (a * y - b * x)) for x, y in walk))
+    return min(images)
+
+
+def test_an_independent_orbit_key_splits_the_canonical_polygons_as_the_normal_form():
+    """The 828 canonical polygons of box 3 fall into the same 16 parts under
+    the independent key as under the tests' normal form, whose forms are the
+    class table."""
+    polys = enumerate_class_polygons(3, "canonical")
+    assert len(polys) == 828
+    by_key, by_form = {}, {}
+    for p in polys:
+        by_key.setdefault(_orbit_key(p.vertices), set()).add(p.vertices)
+        by_form.setdefault(normal_form(p), set()).add(p.vertices)
+    parts = set(map(frozenset, by_form.values()))
+    assert len(parts) == 16
+    assert set(map(frozenset, by_key.values())) == parts
+    forms = sorted((nf.vertices, nf.facets) for nf in by_form)
+    assert forms == [(c.vertices, c.facets) for c in _classes()]
 
 
 def test_normal_form_orbit_constancy():

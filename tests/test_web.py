@@ -41,7 +41,6 @@ from fanoweb.polytopes import (
     in_class,
     is_fano,
     lattice_points,
-    normal_form,
     primitive_points,
 )
 from fanoweb.web import (
@@ -70,8 +69,9 @@ from fanoweb.web import (
     to_standard_form,
     verify_certificate,
 )
+from normal_forms import normal_form
 from test_links import _GL_WORDS, _box2_mori_states, _gl_map
-from test_memo import MODULES, _clear_memos, _memos
+from test_memo import _clear_memos, _memos
 
 
 def reverse_sequence(seq):
@@ -866,21 +866,6 @@ def test_the_class_table_is_the_grown_list():
         assert (c.vertices, c.facets) == (h.vertices, h.facets)
         nf = normal_form(c)
         assert (nf.vertices, nf.facets) == (c.vertices, c.facets)
-
-
-def test_a_cold_enumeration_computes_no_normal_form(monkeypatch):
-    calls = []
-
-    def spy(p):
-        calls.append(p)
-        return normal_form(p)
-
-    for mod in MODULES:
-        if vars(mod).get("normal_form") is normal_form:
-            monkeypatch.setattr(mod, "normal_form", spy)
-    _clear_memos()
-    assert len(enumerate_fano(3, "canonical")) == 16
-    assert calls == []
 
 
 def test_a_cold_bfs_builds_the_link_table_without_a_candidate_search(monkeypatch):
