@@ -26,11 +26,10 @@ up to unimodular equivalence.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
 from operator import attrgetter
 
 from .genset import PrimGenSet, from_polytope, mori_fibers, polytope_reduction
-from .lattice import UnimodularMap, _Frozen, _set, bezout, mat_det, mat_inverse_unimodular, mat_vec
+from .lattice import UnimodularMap, _Frozen, _set, bezout, mat_det
 from .links import (
     STANDARD_SYMMETRIES,
     Constituent,
@@ -626,21 +625,36 @@ def enumerate_class_polygons(box, class_constraint):
 
     Orbit-first: each canonical class (_classes) that is in the class is
     placed in the box by every unimodular map that keeps it there
-    (_placements); the other classes are not placed.
+    (_unfolded); the other classes are not placed.  Such a map moves the
+    counter-clockwise vertices of the class onto those of the image,
+    clockwise when det(a, b) < 0: reversed then and rotated to the least
+    vertex, they are in hull's order, so no image is hulled.
     """
-    images = (v for _, vs in _class_placements(box, class_constraint) for v in vs)
+    images = set()
+    for _, coords, kept in _class_placements(box, class_constraint):
+        for (a0, a1), (b0, b1) in _unfolded(kept):
+            image = [(s * a0 + t * b0, s * a1 + t * b1) for s, t in coords]
+            if a0 * b1 < a1 * b0:
+                image.reverse()
+            i = image.index(min(image))
+            images.add(tuple(image[i:] + image[:i]))
     return tuple(map(_polygon, sorted(images)))
 
 
 def enumerate_fano(box, class_constraint, mfp_only=False):
     """The classes of the table (_CLASS_VERTICES) with concrete-representative
-    counts, each the number of placements of its class; the filters run
-    once per class."""
-    return tuple(
-        (nf, len(images))
-        for nf, images in _class_placements(box, class_constraint)
-        if images and (not mfp_only or mori_fibers(from_polytope(nf)))
-    )
+    counts; the filters run once per class.
+
+    By orbit and stabilizer, each image of a class in the box is hit by
+    exactly _symmetry_count(class) maps, so its count is the weight of its
+    kept maps (_placements) divided by that number; no image is built.
+    """
+    out = []
+    for nf, _, kept in _class_placements(box, class_constraint):
+        n = sum(w for _, _, w in kept) // _symmetry_count(nf)
+        if n and (not mfp_only or mori_fibers(from_polytope(nf))):
+            out.append((nf, n))
+    return tuple(out)
 
 
 def _class_placements(box, class_constraint):
@@ -696,38 +710,67 @@ def _basis_partners(a, box):
                 yield b
 
 
-def _placements(box, classes):
-    """((class, the vertex tuples of its distinct images in the box), ...)
-    for the given classes of the table and no other.
+def _symmetry_count(nf):
+    """The number of unimodular maps that keep a class.
 
-    Consecutive boundary points u, v of a reflexive polygon form a lattice
-    basis, so the maps [a b] [u v]^-1 over the pairs a, b of box primitives
-    with det(a, b) = +-1 are all unimodular maps that can keep it in the box.
-    Such a map moves the counter-clockwise vertices of the class onto those
-    of the image, clockwise when det(a, b) < 0: reversed then and rotated to
-    the least vertex, they are in hull's order, so no image is hulled.
+    Consecutive boundary points of a reflexive polygon form a lattice basis,
+    so its ring r obeys r[k-1] + r[k+1] = c[k] r[k] with c[k] = det(r[k-1],
+    r[k+1]), and the map sending r[0], r[1] onto r[i], r[i+-1] keeps the
+    polygon exactly when it carries c onto itself, shifted by i and, for
+    -1, reversed.
     """
-    pairs = [(a, b) for a in box_primitives(box, 2) for b in _basis_partners(a, box)]
+    ring = _ring(nf)
+    c = [mat_det((p, q)) for p, q in zip(ring[-1:] + ring[:-1], ring[1:] + ring[:1])]
+    flip = c[::-1]
+    return sum((c[i:] + c[:i] == c) + (flip[i:] + flip[:i] == c) for i in range(len(c)))
+
+
+# The square's eight symmetries as integer matrices, the four rotations
+# first.  A rotation fixes no nonzero point, so the rotations move a box
+# point once onto each point of its orbit when that orbit has four points.
+_SQUARE = (
+    ((1, 0), (0, 1)), ((0, -1), (1, 0)), ((-1, 0), (0, -1)), ((0, 1), (-1, 0)),
+    ((1, 0), (0, -1)), ((-1, 0), (0, 1)), ((0, 1), (1, 0)), ((0, -1), (-1, 0)),
+)
+
+
+def _unfolded(kept):
+    """The maps (a, b) of the kept maps (a, b, w) of _placements, each kept
+    map moved by the first w symmetries of the square."""
+    for (a0, a1), (b0, b1), w in kept:
+        for (p, q), (r, s) in _SQUARE[:w]:
+            yield (p * a0 + q * a1, r * a0 + s * a1), (p * b0 + q * b1, r * b0 + s * b1)
+
+
+def _placements(box, classes):
+    """((class, its vertices in basis coordinates, its kept maps (a, b, w)),
+    ...) for the given classes of the table and no other.
+
+    The first vertex u and the next boundary point v of a reflexive polygon
+    form a lattice basis with det(u, v) = 1, so a vertex x has coordinates
+    (det(x, v), det(u, x)), and the maps [a b] [u v]^-1 over the pairs a, b
+    of box primitives with det(a, b) = +-1 are all unimodular maps that can
+    keep it in the box.  The square's symmetries act freely on those maps,
+    so only pairs with 0 <= a1 <= a0 are walked, and a kept one carries the
+    weight w of a's orbit: 4 when a1 is 0 or a0, else 8.
+    """
+    pairs = [(a, b, 4 if a[1] in (0, a[0]) else 8)
+             for a in box_primitives(box, 2) if 0 <= a[1] <= a[0] for b in _basis_partners(a, box)]
     out = []
     for nf in classes:
-        (x0, y0), (x1, y1) = nf.vertices[:2]
-        k = gcd(x1 - x0, y1 - y0)
-        inv = mat_inverse_unimodular(((x0, x0 + (x1 - x0) // k), (y0, y0 + (y1 - y0) // k)))
-        coords = [mat_vec(inv, x) for x in nf.vertices]
-        images = set()
-        for (a0, a1), (b0, b1) in pairs:
-            image = []
-            for s, t in coords:
-                x, y = s * a0 + t * b0, s * a1 + t * b1
-                if not (-box <= x <= box and -box <= y <= box):
+        (u0, u1), (v0, v1) = _ring(nf)[:2]
+        coords = [(x * v1 - y * v0, u0 * y - u1 * x) for x, y in nf.vertices]
+        rest = coords[1:]  # u goes to a, in the box
+        kept = []
+        for a, b, w in pairs:
+            a0, a1 = a
+            b0, b1 = b
+            for s, t in rest:
+                if not (-box <= s * a0 + t * b0 <= box and -box <= s * a1 + t * b1 <= box):
                     break
-                image.append((x, y))
             else:
-                if a0 * b1 < a1 * b0:
-                    image.reverse()
-                i = image.index(min(image))
-                images.add(tuple(image[i:] + image[:i]))
-        out.append((nf, tuple(images)))
+                kept.append((a, b, w))
+        out.append((nf, coords, tuple(kept)))
     return tuple(out)
 
 

@@ -2,7 +2,8 @@ import copy
 import json
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, permutations
 from math import gcd
 
 import pytest
@@ -13,7 +14,7 @@ from fanoweb import genset, web
 from fanoweb.cli import main
 from fanoweb.genset import from_polytope, mori_fiber_structures, positively_spans
 from fanoweb.jsonio import certificate_from_json, certificate_to_json, dumps
-from fanoweb.lattice import UnimodularMap, bezout, mat_det, mat_mul
+from fanoweb.lattice import UnimodularMap, bezout, mat_det, mat_inverse_unimodular, mat_mul, mat_vec
 from fanoweb.links import (
     HORIZONTAL_FIBER,
     Constituent,
@@ -773,11 +774,80 @@ def test_a_query_places_only_its_classes(monkeypatch):
     enumerate_class_polygons(3, "reflexive")
     terminal = tuple(nf for nf in _classes() if in_class(nf, "terminal"))
     assert len(terminal) == 5 and len(_classes()) == 16
-    assert [tuple(nf for nf, _ in held) for held in placed] == [terminal, _classes(), _classes()]
+    assert [tuple(nf for nf, _, _ in held) for held in placed] == [terminal, _classes(), _classes()]
     assert placed[1] == placed[2]
+    # a kept map's image lies in the box and is a polygon of its class
     for held in placed[:2]:
-        assert all(images for _, images in held)
-        assert all(normal_form(hull(v)) == nf for nf, images in held for v in images)
+        for nf, coords, kept in held:
+            assert kept
+            for (a0, a1), (b0, b1), _ in kept:
+                image = [(s * a0 + t * b0, s * a1 + t * b1) for s, t in coords]
+                assert all(abs(x) <= 3 and abs(y) <= 3 for x, y in image)
+                assert normal_form(hull(image)) == nf
+
+
+def _brute_force_symmetry_count(nf):
+    """Maps sending the first two vertices onto an ordered pair of vertices,
+    solved over the rationals, that are integral and unimodular and permute
+    the vertices."""
+    vs = nf.vertices
+    (p0, p1), (q0, q1) = vs[:2]
+    d = Fraction(p0 * q1 - p1 * q0)
+    count = 0
+    for (x0, x1), (y0, y1) in permutations(vs, 2):
+        m = [[(x * q1 - y * p1) / d, (y * p0 - x * q0) / d] for x, y in ((x0, y0), (x1, y1))]
+        if any(e.denominator != 1 for row in m for e in row):
+            continue
+        m = [[int(e) for e in row] for row in m]
+        if abs(mat_det(m)) == 1 and {tuple(mat_vec(m, v)) for v in vs} == set(vs):
+            count += 1
+    return count
+
+
+def test_symmetry_count_of_each_class_matches_brute_force():
+    counts = [web._symmetry_count(nf) for nf in _classes()]
+    assert counts == [_brute_force_symmetry_count(nf) for nf in _classes()]
+    # the triangle of P^2 and the hexagon: the dihedral groups of order 6 and 12
+    assert web._symmetry_count(hull([(1, 0), (0, 1), (-1, -1)])) == 6
+    assert [n for nf, n in zip(_classes(), counts) if len(nf.vertices) == 6] == [12]
+
+
+def _unfolded_loop(box, nf):
+    """Every pair a, b of box primitives with det(a, b) = +-1 whose map
+    [a b] [u v]^-1 keeps the class in the box, u its first vertex and v the
+    next boundary point: the enumeration loop before it was folded by the
+    square's symmetries."""
+    (x0, y0), (x1, y1) = nf.vertices[:2]
+    k = gcd(x1 - x0, y1 - y0)
+    inv = mat_inverse_unimodular(((x0, x0 + (x1 - x0) // k), (y0, y0 + (y1 - y0) // k)))
+    coords = [mat_vec(inv, x) for x in nf.vertices]
+    prims = box_primitives(box, 2)
+    return [
+        (a, b)
+        for a in prims
+        for b in prims
+        if abs(mat_det((a, b))) == 1
+        and all(abs(s * a[0] + t * b[0]) <= box >= abs(s * a[1] + t * b[1]) for s, t in coords)
+    ]
+
+
+@pytest.mark.parametrize("box", range(9))
+def test_the_folded_maps_unfold_to_each_map_of_the_unfolded_loop_once(box):
+    for nf, _, kept in web._placements(box, _classes()):
+        assert sorted(web._unfolded(kept)) == sorted(_unfolded_loop(box, nf))
+
+
+@pytest.mark.parametrize("box", [4, 6])
+def test_counts_are_the_normal_forms_of_the_enumerated_polygons(box):
+    canon = enumerate_class_polygons(box, "canonical")
+    nfs = {p: normal_form(p) for p in canon}
+    fibered = {p for p in canon if mori_fiber_structures(from_polytope(p))}
+    for cls in ("canonical", "reflexive", "terminal"):
+        polys = enumerate_class_polygons(box, cls)
+        for mfp in (False, True):
+            counts = Counter(nfs[p] for p in polys if not mfp or p in fibered)
+            want = sorted((nf.vertices, n) for nf, n in counts.items())
+            assert [(nf.vertices, n) for nf, n in enumerate_fano(box, cls, mfp)] == want
 
 
 @pytest.mark.parametrize("box", [2.0, 2.5, True, -1])
