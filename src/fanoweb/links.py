@@ -550,7 +550,7 @@ def _table_link_of(link):
     the link's left column (_frame), when there is one and T is not the link
     itself; else None.  The link's key is moved by g^-1, with no column
     built, and compared with the links of the frame's row, which hold those
-    of the terminal table too.  A link out of a standard pair is left to
+    of the other tables too.  A link out of a standard pair is left to
     the direct check: its frame may be a symmetry of the pair, which moves
     the pair's table links onto each other."""
     cols = (link.left, link.middle, link.right)
@@ -682,28 +682,27 @@ def _try_link(kind, left, middle, right, mode, cls):
 
 
 def enumerate_links(start, class_constraint="none", box=4, mode="polytope"):
-    """All valid links with the given left endpoint.
+    """All valid links with the given left endpoint, a Constituent.
 
-    start may be a Constituent or a FiberStructure.  Added points (for the
-    growing II and III shapes) are drawn from the coordinate box.  The
-    output is deduplicated and sorted, so it is deterministic.  It is
-    computed once per (start, class, box, mode) and shared afterwards.
+    Added points (for the growing II and III shapes) are drawn from the
+    coordinate box.  The output is deduplicated and sorted, so it is
+    deterministic.  It is computed once per (start, class, box, mode) and
+    shared afterwards.
 
-    Planar starts in polytope mode under the canonical or terminal class
-    read a table: each such Mori pair is g(s) for one of four standard
-    pairs s, links are GL(2,Z)-equivariant, so its links are g applied to
-    the links out of s (_link_table, the named families), kept when their
-    added points lie in the box.  Every other input (3D, set mode, the
-    other classes) runs the candidate loop; that the named families are
-    all the links is shown for those two classes only.
+    Planar starts in polytope mode under the canonical, reflexive (in the
+    plane the same polygons) or terminal class read a table: each such Mori
+    pair is g(s) for one of four standard pairs s, links are
+    GL(2,Z)-equivariant, so its links are g applied to the links out of s
+    (_link_table, the named families), kept when their added points lie in
+    the box.  Every other input (3D, set mode, the other classes) runs the
+    candidate loop; that the named families are all the links is shown for
+    those three classes only.
     """
     if class_constraint not in CLASS_NAMES:
         raise ValueError(f"unknown class {class_constraint!r}")
     if mode not in ("set", "polytope"):
         raise ValueError(f"unknown link mode {mode!r}")
     check_box(box)
-    if not isinstance(start, Constituent):
-        start = Constituent(start.parent, start.fiber)
     return _enumerate_links(start, class_constraint, box, mode)
 
 
@@ -713,7 +712,8 @@ def _enumerate_links(start, class_constraint, box, mode):
     gets the table's links moved onto it, or none when it is a Mori pair
     but no image of a standard pair; every other start runs the candidate
     loop."""
-    table = start.pgs.dim == 2 and mode == "polytope" and class_constraint in ("canonical", "terminal")
+    planar = start.pgs.dim == 2 and mode == "polytope"
+    table = planar and class_constraint in ("canonical", "reflexive", "terminal")
     if table:
         links = _table_links(start, class_constraint, box)
         if links:  # start is g(a standard pair), so a Mori pair
@@ -732,9 +732,10 @@ def _link_table(class_constraint):
     unit slides of each ruled state (0, -m), the ruling swap of the square
     and the contraction of the first ruled polygon.  A link is kept when
     its columns stay in the class, the candidate loop's filter since every
-    named link validates; the tests show that the loop finds exactly these
-    links at boxes 2 and 6.  A table link is validated in its step record,
-    which its images share (step_record, _table_link_of)."""
+    named link validates; under the canonical, reflexive and terminal
+    classes the tests show that the loop finds exactly these links at boxes
+    2 and 6.  A table link is validated in its step record, which its images
+    share (step_record, _table_link_of)."""
     named = {
         "P2": [conjugate(g, blowdown_link(1)) for g in STANDARD_SYMMETRIES["P2"]],
         "F0": [ruling_swap(1)],
@@ -753,15 +754,14 @@ def _link_table(class_constraint):
 
 
 def _frame(points, fiber):
-    """(key, g) with g mapping the standard pair key onto (points, fiber)
-    whenever that pair is an image of one.  Otherwise it gives (None, None)
-    or a map that misses, so each caller checks the map: _table_links
-    and web._to_standard_form on the standard pair it moves, _table_link_of
-    through the moved key.
+    """(key, g) with g mapping the standard pair key exactly onto (points,
+    fiber), sorted tuples, when the pair is an image of one; else (None,
+    None).  The one test of that fact, in closed form.
 
-    g sends e1 to a fiber point f and e2 to the point t with det(f, t) = 1,
-    which is all for P2.  For F_m the fourth point is then g(k, -1), so
-    m = -k, or m = k once g also sends e1 to -f.
+    g sends e1 to a fiber point f and e2 to the point t with det(f, t) = 1.
+    P2 is all fiber, its third point g(-1, -1).  For F_m the fourth point c
+    is g(-m, -1) = -m f - t, so det(c, t) = -m, or m once g also sends e1
+    to -f.
     """
     if not fiber:
         return None, None
@@ -769,30 +769,32 @@ def _frame(points, fiber):
     t = next((p for p in points if f[0] * p[1] - f[1] * p[0] == 1), None)
     if t is None:
         return None, None
-    key = "P2"
-    if len(points) == 4:  # a planar Mori pair has 3 points, all fiber, or 4 and 2
-        c = next((p for p in points if p not in fiber and p != t), None)
-        if c is None:
-            return None, None
-        k = t[1] * c[0] - t[0] * c[1]
-        key = f"F{abs(k)}"
-        if k > 0:
-            f = (-f[0], -f[1])
+    c = next((p for p in points if p not in fiber and p != t), None)
+    if c is None:
+        key, fiber_image = "P2", (f, t, (-f[0] - t[0], -f[1] - t[1]))
+        image = fiber_image
+    else:
+        m = t[1] * c[0] - t[0] * c[1]
+        f = (-f[0], -f[1]) if m > 0 else f
+        m = abs(m)
+        key, fiber_image = f"F{m}", (f, (-f[0], -f[1]))
+        image = fiber_image + (t, (-m * f[0] - t[0], -m * f[1] - t[1]))
+    exact = tuple(sorted(fiber_image)) == fiber and tuple(sorted(image)) == points
+    if key not in STANDARD_SYMMETRIES or not exact:
+        return None, None
     return key, UnimodularMap(((f[0], t[0]), (f[1], t[1])))
 
 
 def _table_links(start, class_constraint, box):
     """The links of start's standard pair s moved onto start by its frame g,
-    kept when their added points lie in the box.  g(s) == start is checked
-    once; start is the left column of every link, and only the middle and
-    right columns of the kept links are built."""
+    kept when their added points lie in the box; () when start is no image
+    of a standard pair.  start is the left column of every link, and only
+    the middle and right columns of the kept links are built."""
     key, g = _frame(start.points, start.fiber)
     row = _link_table(class_constraint).get(key, ())
     if not row:
         return ()
     s = row[0].left
-    if _moved(g, s) != (start.points, start.fiber):
-        return ()
     points = {p for t in row for c in (t.middle, t.right) if c is not None for p in c.points}
     image = dict(zip(points, g.apply_all(points))).__getitem__
     kept = []

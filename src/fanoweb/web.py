@@ -33,6 +33,7 @@ from .lattice import UnimodularMap, _Frozen, _set, bezout, mat_det
 from .links import (
     STANDARD_SYMMETRIES,
     Constituent,
+    _enumerate_links,
     _frame,
     _link_table,
     _moved,
@@ -41,11 +42,9 @@ from .links import (
     box_primitives,
     check_box,
     conjugate,
-    enumerate_links,
     inverse,
     ruling_swap,
     sequence_from_steps,
-    standard_pairs,
     step_record,
 )
 from .polytopes import MEMO_SIZE, _polygon, _ring, hull, in_class, is_fano, primitive_points
@@ -158,12 +157,12 @@ _LADDER = {
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _replay(key, word):
-    """The links of a literal word from the standard pair key: one frame and
-    one moved table link per step, each starting where the last one ends.
-    The one memo of the generator moves and the ladder."""
+    """The links of a literal word from the standard pair key, the left
+    column of its table links: one frame and one moved table link per step,
+    each starting where the last one ends.  The one memo of the generator
+    moves and the ladder."""
     table = _link_table("canonical")
-    std, fiber = standard_pairs()[key]
-    state = Constituent(from_polytope(std), fiber)
+    state = table[key][0].left
     steps = []
     for i in word:
         k, g = _frame(state.points, state.fiber)
@@ -281,14 +280,16 @@ def to_standard_form(p, fiber, class_constraint="canonical"):
     and validity.  Raises NotInStandardOrbitError unless (p, fiber) is a
     unimodular image of a standard pair.
     """
-    return _to_standard_form(p, tuple(sorted(tuple(q) for q in fiber)), class_constraint)[:3]
+    key, u, steps, _ = _to_standard_form(p, tuple(sorted(tuple(q) for q in fiber)))
+    return key, u, sequence_from_steps(steps, class_constraint)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _to_standard_form(p, fiber, class_constraint):
-    """(key, u, seq, seq reversed): the reversed word is kept with the word,
-    so connect's q-side reuses its inverse links, which hit the link memos
-    by identity.
+def _to_standard_form(p, fiber):
+    """(key, u, steps, steps reversed), one entry per Mori pair whatever the
+    class: the word is a word of table links, which stay in every class that
+    connect accepts.  The reversed word is kept with the word, so connect's
+    q-side reuses its inverse links, which hit the link memos by identity.
 
     Each step of the word is the inverse of a generator move's link l moved
     by a prefix m of the generator word, from m(l.right) to m(l.left).
@@ -296,13 +297,9 @@ def _to_standard_form(p, fiber, class_constraint):
     conjugate(m, l) is then the reversed word's step, and its inverse the
     word's, since conjugate commutes with inverse."""
     key, g = _frame(primitive_points(p), fiber)
-    std, f_std = standard_pairs().get(key, (None, None))
-    if (
-        std is None
-        or set(g.apply_all(std.vertices)) != set(p.vertices)
-        or tuple(sorted(g.apply_all(f_std))) != fiber
-    ):
+    if key is None:
         raise NotInStandardOrbitError("pair is not an image of a standard Mori fiber pair")
+    f_std = _link_table("canonical")[key][0].left.fiber
     # the maps from std onto p are g.a over the symmetries a of std; the
     # orientation-preserving one with the shortest word wins, ties broken
     # by the word; equal words multiply to equal maps, so h never decides
@@ -324,18 +321,16 @@ def _to_standard_form(p, fiber, class_constraint):
     start = _moved(pairs[0][0], pairs[0][1].right) if pairs else None
     ends = [_moved(m, l.left) for m, l in pairs]
     kept = _cut_loops(start, range(len(pairs)), ends.__getitem__)
-    back = [conjugate(*pairs[j]) for j in reversed(kept)]
-    seq = sequence_from_steps([inverse(l) for l in reversed(back)], class_constraint)
-    return key, g.inverse(), seq, sequence_from_steps(back, class_constraint)
+    back = tuple(conjugate(*pairs[j]) for j in reversed(kept))
+    return key, g.inverse(), tuple(inverse(l) for l in reversed(back)), back
 
 
-def _concat(parts, class_constraint):
-    """Join link sequences, cutting each loop back to the first visit of its
-    state, the Constituent a joint compares: the joints
-    still chain verbatim, the endpoints stay and no link is new."""
-    steps = [s for part in parts for s in part.steps]
-    kept = _cut_loops(steps[0].left if steps else None, steps, _right)
-    return sequence_from_steps(kept, class_constraint)
+def _concat(parts):
+    """Join chained step lists, cutting each loop back to the first visit of
+    its state, the Constituent a joint compares: the joints still chain
+    verbatim, the endpoints stay and no link is new."""
+    steps = [s for part in parts for s in part]
+    return _cut_loops(steps[0].left if steps else None, steps, _right)
 
 
 _right = attrgetter("right")
@@ -409,17 +404,17 @@ def connect(p, q, class_constraint="canonical"):
 
     def join(rp, rq):
         # a reduction's fiber is a fiber structure's, already sorted
-        key_p, _, seq_p, _ = _to_standard_form(rp.polytope, rp.fiber, class_constraint)
-        key_q, _, _, back_q = _to_standard_form(rq.polytope, rq.fiber, class_constraint)
-        ladder = join_standard(key_p, key_q, class_constraint)
-        return _concat([seq_p, ladder, back_q], class_constraint)
+        key_p, _, word_p, _ = _to_standard_form(rp.polytope, rp.fiber)
+        key_q, _, _, back_q = _to_standard_form(rq.polytope, rq.fiber)
+        return _concat([word_p, join_standard(key_p, key_q, class_constraint).steps, back_q])
 
     return _certify(p, q, class_constraint, join)
 
 
 def _certify(p, q, class_constraint, join):
-    """The verified certificate from p to q through the link sequence that
-    join(rp, rq) gives between their reductions, or None when it gives None."""
+    """The verified certificate from p to q through the link steps that
+    join(rp, rq) gives between their reductions, or None when it gives None.
+    The certificate's one link sequence is built here, under its class."""
     _require_class(p, class_constraint)
     _require_class(q, class_constraint)
     if p == q:
@@ -428,9 +423,10 @@ def _certify(p, q, class_constraint, join):
         )
     rp = mmp_reduce(p, class_constraint)
     rq = mmp_reduce(q, class_constraint)
-    seq = join(rp, rq)
-    if seq is None:
+    steps = join(rp, rq)
+    if steps is None:
         return None
+    seq = sequence_from_steps(steps, class_constraint)
     cert = _assemble(p, q, rp, rq, seq, class_constraint)
     rep = verify_certificate(cert)
     if not rep.ok:
@@ -793,8 +789,7 @@ def bfs_connect(p, q, class_constraint="canonical", box=4):
         sources, targets = _mori_pairs(rp.polytope), _mori_pairs(rq.polytope)
         if not _in_reach(sources, targets, box):
             return None
-        steps = _bfs_pairs(sources, targets, class_constraint, box)
-        return None if steps is None else sequence_from_steps(steps, class_constraint)
+        return _bfs_pairs(sources, targets, class_constraint, box)
 
     return _certify(p, q, class_constraint, join)
 
@@ -819,6 +814,8 @@ def _pair_key(c):
 
 
 def _bfs_pairs(sources, targets, class_constraint, box):
+    """The links of a shortest walk from a source to a target, or None, on
+    the box that bfs_connect checked and the class that _certify did."""
     targets = set(targets)
     prev = {}
     frontier = []
@@ -831,7 +828,7 @@ def _bfs_pairs(sources, targets, class_constraint, box):
     while frontier:
         nxt = []
         for c in frontier:
-            for link in enumerate_links(c, class_constraint, box, "polytope"):
+            for link in _enumerate_links(c, class_constraint, box, "polytope"):
                 r = link.right
                 if r in prev:
                     continue

@@ -3,10 +3,12 @@ import json
 
 import pytest
 
-from fanoweb import cli
+from fanoweb import cli, jsonio
 from fanoweb.cli import main
+from fanoweb.genset import from_polytope, mori_fibers
 from fanoweb.jsonio import certificate_from_json
-from fanoweb.links import _link_table, _table_link_of
+from fanoweb.links import Constituent, _link_table, _table_link_of, enumerate_links
+from fanoweb.polytopes import hull
 from fanoweb.web import verify_certificate
 
 
@@ -143,6 +145,24 @@ def test_non_integer_coordinates_exit_1(tmp_path, capsys):
     quad = _write(tmp_path, "q.json", _quad2_json())
     assert main(["links", quad, "--fiber", "[[1.5, 0], [-1, 0]]"]) == 1
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "ValueError"
+
+
+def test_links_subcommand(tmp_path, capsys):
+    quad = _write(tmp_path, "q.json", _quad2_json())
+    assert main(["links", quad, "--class", "canonical", "--box", "3"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    a = from_polytope(hull([tuple(p) for p in _quad2_json()["points"]]))
+    start = Constituent(a, min(mori_fibers(a)))
+    want = [jsonio.link_to_json(link) for link in enumerate_links(start, "canonical", 3)]
+    assert len(want) == 2
+    assert out == json.loads(jsonio.dumps({"links": want}))
+    # the hexagon has no Mori fiber structure to start from
+    hexagon = _write(tmp_path, "hex.json", {"dim": 2, "points": [[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1]]})
+    assert main(["links", hexagon, "--class", "canonical", "--box", "3"]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "message": "polytope has no Mori fiber structure",
+        "type": "ValueError",
+    }
 
 
 def test_links_malformed_fiber_exit_1(tmp_path, capsys):

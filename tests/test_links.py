@@ -435,7 +435,9 @@ def _keys(links):
 
 @pytest.mark.parametrize("box", [2, 4])
 def test_table_links_equal_the_candidate_loop(box):
-    for c, cls in _box2_mori_states():
+    # in the plane the reflexive polygons are the canonical ones
+    states = _box2_mori_states()
+    for c, cls in states + tuple((c, "reflexive") for c, cls in states if cls == "canonical"):
         assert _keys(enumerate_links(c, cls, box)) == _keys(_candidate_links(c, cls, box, "polytope"))
 
 
@@ -455,20 +457,66 @@ def _reference_table_links(start, cls, box):
 
 
 # the standard pairs, then pairs that are no image of one: a triangle whose
-# frame misses, F3, whose frame has no row, and a 4-point set whose frame
-# has the F1 row and misses
-_TABLE_STARTS = tuple((p.vertices, fiber) for p, fiber in standard_pairs().values()) + (
+# third point is not g(-1, -1), F3, and a 4-point set whose fourth point is
+# not g(-1, -1)
+_TABLE_STARTS = tuple((from_polytope(p).points, fiber) for p, fiber in standard_pairs().values()) + (
     (((-1, 0), (0, -1), (2, 1)), ((-1, 0), (0, -1), (2, 1))),
     (ruled_polygon(3).vertices, HORIZONTAL_FIBER),
     (((1, 0), (-1, 0), (0, -1), (1, 2)), HORIZONTAL_FIBER),
 )
 
 
+def _moved_state(g, points, fiber):
+    return tuple(sorted(g.apply_all(points))), tuple(sorted(g.apply_all(fiber)))
+
+
+def _searched_frame_key(points, fiber):
+    """The standard pair that some unimodular map sends onto (points,
+    fiber), found by sending e1 and e2, points of every standard pair, to
+    every two points of the set; None when there is none."""
+    for key, state in zip(standard_pairs(), _TABLE_STARTS):
+        for a, b in product(points, repeat=2):
+            if abs(a[0] * b[1] - a[1] * b[0]) == 1:
+                g = UnimodularMap(((a[0], b[0]), (a[1], b[1])))
+                if _moved_state(g, *state) == (points, fiber):
+                    return key
+    return None
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(i=st.integers(0, len(_TABLE_STARTS) - 1), word=_GL_WORDS, data=st.data())
+def test_a_frame_maps_its_standard_pair_exactly_or_is_none(i, word, data):
+    # an image of a table start, as it is or with one edit: a point moved
+    # by one step, dropped or added, or the fiber redrawn from the points
+    points, fiber = map(list, _moved_state(_gl_map(word), *_TABLE_STARTS[i]))
+    edit = data.draw(st.sampled_from(["none", "move", "drop", "add", "fiber"]))
+    if edit == "move":
+        j = data.draw(st.integers(0, len(points) - 1))
+        dx, dy = data.draw(st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]))
+        old = points[j]
+        points[j] = (old[0] + dx, old[1] + dy)
+        fiber = [points[j] if p == old else p for p in fiber]
+    elif edit == "drop":
+        gone = points.pop(data.draw(st.integers(0, len(points) - 1)))
+        fiber = [p for p in fiber if p != gone]
+    elif edit == "add":
+        points.append(data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3))))
+    elif edit == "fiber":
+        fiber = data.draw(st.sets(st.sampled_from(points)))
+    points, fiber = tuple(sorted(set(points))), tuple(sorted(set(fiber)))
+    key, g = _frame(points, fiber)
+    assert key == _searched_frame_key(points, fiber)
+    if key is None:
+        assert g is None
+    else:
+        assert _moved_state(g, *_TABLE_STARTS[list(standard_pairs()).index(key)]) == (points, fiber)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(
     i=st.integers(0, len(_TABLE_STARTS) - 1),
     word=_GL_WORDS,
-    cls=st.sampled_from(["canonical", "terminal"]),
+    cls=st.sampled_from(["canonical", "reflexive", "terminal"]),
     box=st.integers(0, 6),
 )
 def test_table_links_move_no_link_and_equal_the_conjugate_route(i, word, cls, box):
@@ -486,7 +534,9 @@ def test_table_links_move_no_link_and_equal_the_conjugate_route(i, word, cls, bo
     assert all(link.left == start for link in got)
 
 
-@pytest.mark.parametrize("cls, counts", [("canonical", (3, 5, 5, 2)), ("terminal", (3, 5, 3, 0))])
+@pytest.mark.parametrize(
+    "cls, counts", [("canonical", (3, 5, 5, 2)), ("terminal", (3, 5, 3, 0)), ("reflexive", (3, 5, 5, 2))]
+)
 def test_links_out_of_the_standard_pairs_do_not_depend_on_the_box(cls, counts):
     got = []
     for poly, fiber in standard_pairs().values():
@@ -502,9 +552,10 @@ def test_the_link_table_is_filtered_by_class_alone():
     # a table link is validated by its step record when a certificate reads it
     _clear_memos()
     with mock.patch.object(links, "validate_link", wraps=validate_link) as spy:
-        for cls in ("canonical", "terminal"):
+        for cls in ("canonical", "reflexive", "terminal"):
             _link_table(cls)
     assert spy.call_count == 0
+    assert _link_table("reflexive") == _link_table("canonical")
 
 
 def test_every_table_link_validates():
@@ -545,7 +596,10 @@ def test_set_mode_runs_the_candidate_loop():
 def test_negative_box_is_refused_on_every_path():
     tri = from_polytope(plane_polygon())
     start = Constituent(tri, tri.points)
-    for cls, mode in (("canonical", "polytope"), ("terminal", "polytope"), ("none", "polytope"), ("canonical", "set")):
+    for cls, mode in (
+        ("canonical", "polytope"), ("reflexive", "polytope"), ("terminal", "polytope"),
+        ("none", "polytope"), ("canonical", "set"),
+    ):
         with pytest.raises(ValueError, match="box must be nonnegative"):
             enumerate_links(start, cls, -1, mode)
 
@@ -554,7 +608,7 @@ def test_starts_outside_the_table():
     # the third ruled polygon is neither canonical nor terminal: no links
     start = Constituent(from_polytope(ruled_polygon(3)), HORIZONTAL_FIBER)
     assert start.structure().mori
-    for cls in ("canonical", "terminal"):
+    for cls in ("canonical", "reflexive", "terminal"):
         assert enumerate_links(start, cls, 2) == ()
         assert _candidate_links(start, cls, 2, "polytope") == ()
     # the square with its whole set as fiber is no Mori fiber structure
@@ -563,7 +617,7 @@ def test_starts_outside_the_table():
         enumerate_links(Constituent(square, square.points), "canonical", 2)
 
 
-@pytest.mark.parametrize("cls", ["canonical", "terminal"])
+@pytest.mark.parametrize("cls", ["canonical", "reflexive", "terminal"])
 def test_table_path_checks_starts_it_cannot_move(cls):
     square = from_polytope(ruled_polygon(0))
     hexagon = PrimGenSet(2, [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)])
@@ -586,6 +640,33 @@ def test_table_path_checks_starts_it_cannot_move(cls):
     # at box 0 the table keeps only the ruling swap, which adds no point
     (link,) = enumerate_links(Constituent(square, HORIZONTAL_FIBER), cls, 0)
     assert link.kind == "IV_m" and link.right.fiber == ((0, -1), (0, 1))
+
+
+def test_a_threefold_start_gives_the_kinds_that_planar_starts_do_not():
+    # a segment fiber over the plane's P2 fan with one more ray: the candidate
+    # loop's I_d branch, and the I_d, III_d and IV_s panels
+    c = Constituent(
+        PrimGenSet(3, [(0, 0, 1), (0, 0, -1), (1, 0, 0), (0, 1, 0), (-1, -1, 0), (-1, 0, 0)]),
+        ((0, 0, -1), (0, 0, 1)),
+    )
+    counts = {}
+    for mode in ("set", "polytope"):
+        found = enumerate_links(c, "none", 1, mode)
+        counts[mode] = {kind: sum(l.kind == kind for l in found) for kind in ("I_d", "III_d", "II_ni", "IV_m")}
+        assert len(found) == sum(counts[mode].values())
+        assert all(validate_link(l).ok for l in found)
+    assert counts == {
+        "set": {"I_d": 1, "III_d": 12, "II_ni": 8, "IV_m": 2},
+        "polytope": {"I_d": 1, "III_d": 11, "II_ni": 8, "IV_m": 2},
+    }
+    (drop,) = [l for l in enumerate_links(c, "none", 1, "set") if l.kind == "I_d"]
+    assert link_panels(drop) == ([drop.left, drop.right], [("supset_dot", (-1, 0, 0))])
+    grow = inverse(drop)
+    assert grow.kind == "III_d" and validate_link(grow).ok
+    assert link_panels(grow) == ([drop.right, drop.left], [("subset_dot", (-1, 0, 0))])
+    trivial = ElementaryLink("IV_s", c, None, c, "polytope")
+    assert validate_link(trivial).ok
+    assert link_panels(trivial) == ([c, c], [("equal", None)])
 
 
 def test_box_primitives():

@@ -32,6 +32,7 @@ from fanoweb.links import (
     ruled_polygon,
     ruling_swap,
     sequence_from_steps,
+    standard_pairs,
     validate_sequence,
 )
 from fanoweb.polytopes import (
@@ -66,7 +67,6 @@ from fanoweb.web import (
     forward_sequence,
     join_standard,
     mmp_reduce,
-    standard_pairs,
     to_standard_form,
     verify_certificate,
 )
@@ -440,7 +440,7 @@ def test_to_standard_form_map_is_the_searched_one(i, g):
     assert (key, u.matrix) == (ref_key, ref_u.matrix)
 
 
-def _reference_standard_form(p, fiber, cls):
+def _reference_standard_form(p, fiber):
     """The reference for _to_standard_form's word and reversed word: the
     searched map (_searched_standard_form), each generator move's word
     reversed and moved whole by the prefix before it, the square's second
@@ -451,15 +451,15 @@ def _reference_standard_form(p, fiber, cls):
     std, f_std = standard_pairs()[key]
     parts = []
     if tuple(sorted(fiber)) != tuple(sorted(g.apply_all(f_std))):
-        parts.append(conjugate_sequence(g, sequence_from_steps([ruling_swap(-1)])))
+        parts.append([conjugate(g, ruling_swap(-1))])
     prefixes = [UnimodularMap.identity(2)]
     for t in word:
         prefixes.append(prefixes[-1].compose(TOKENS[t]))
     for i in range(len(word), 0, -1):
         back = reverse_sequence(forward_sequence(word[i - 1], key))
-        parts.append(conjugate_sequence(prefixes[i - 1], back))
-    seq = web._concat(parts, cls)
-    return seq, reverse_sequence(seq)
+        parts.append(conjugate_sequence(prefixes[i - 1], back).steps)
+    steps = tuple(web._concat(parts))
+    return steps, tuple(inverse(s) for s in reversed(steps))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -472,12 +472,29 @@ def _reference_standard_form(p, fiber, cls):
 @example(key="F0 second ruling", g=["S", "T", "T"] * 4, cls="canonical")
 @example(key="F2", g=["T^-1", "U", "S^-1"] * 4, cls="reflexive")
 def test_to_standard_form_matches_the_concat_reference(key, g, cls):
+    # the memo holds the class-free steps; the public form labels them
     pairs = dict(standard_pairs(), **{"F0 second ruling": (ruled_polygon(0), ((0, -1), (0, 1)))})
     std, fiber = pairs[key]
     m = _gl_map(g)
     p, moved = hull(m.apply_all(std.vertices)), tuple(sorted(m.apply_all(fiber)))
-    _, _, seq, back = web._to_standard_form(p, moved, cls)
-    assert (seq, back) == _reference_standard_form(p, moved, cls)
+    _, _, word, back = web._to_standard_form(p, moved)
+    assert (word, back) == _reference_standard_form(p, moved)
+    seq = to_standard_form(p, moved, cls)[2]
+    assert (seq.steps, seq.class_constraint) == (word, cls)
+
+
+def test_the_standard_form_memo_holds_one_entry_per_mori_pair():
+    # a terminal connect and then a canonical one of the same two Mori
+    # polygons share both words
+    p, q = ruled_polygon(1), hull(GEN_S.apply_all(plane_polygon().vertices))
+    _clear_memos()
+    connect(p, q, "terminal")
+    terminal = web._to_standard_form.cache_info()
+    connect(p, q, "canonical")
+    canonical = web._to_standard_form.cache_info()
+    assert (terminal.misses, terminal.currsize) == (2, 2)
+    assert (canonical.misses, canonical.currsize) == (2, 2)
+    assert canonical.hits == terminal.hits + 2
 
 
 def test_to_standard_form_mirrored_square_is_trivial():
@@ -956,8 +973,15 @@ def test_a_cold_bfs_builds_the_link_table_without_a_candidate_search(monkeypatch
         assert links._link_table(cls)["F0"]
     tri, square = plane_polygon(), ruled_polygon(0)
     assert bfs_connect(tri, hull(GEN_S.apply_all(tri.vertices)), "terminal", 2) is not None
-    assert bfs_connect(square, hull([(1, 0), (2, 1), (-1, 0), (-2, -1)]), "canonical", 2) is not None
-    assert len(searches) == 2
+    sq2 = hull([(1, 0), (2, 1), (-1, 0), (-2, -1)])
+    canonical = bfs_connect(square, sq2, "canonical", 2)
+    assert canonical is not None
+    # the reflexive table is the canonical one, and so is the certificate, but for its label
+    _clear_memos()
+    reflexive = bfs_connect(square, sq2, "reflexive", 2)
+    assert reflexive.sequence.steps == canonical.sequence.steps
+    assert (reflexive.chain, reflexive.relations) == (canonical.chain, canonical.relations)
+    assert len(searches) == 3
     assert calls == []
     # the word onto F1 of this image is T^-1 T^-1 S U U S S
     p = hull(UnimodularMap(((2, 1), (-1, 0))).apply_all(ruled_polygon(1).vertices))
@@ -1081,9 +1105,7 @@ def test_concat_cancels_link_and_inverse():
     from fanoweb.web import _concat
 
     link = elementary_transform(0, 1)
-    seq = _concat([sequence_from_steps([link]), sequence_from_steps([inverse(link)])], "canonical")
-    assert seq.steps == ()
-    assert seq.class_constraint == "canonical"
+    assert _concat([(link,), (inverse(link),)]) == []
 
 
 def test_concat_cuts_loop_and_keeps_surrounding_steps():
@@ -1111,9 +1133,9 @@ def test_concat_cuts_loop_and_keeps_surrounding_steps():
     assert loop[-1].right == before.right
     # after lands on the loop's first state, which the cut has forgotten
     assert after.right == loop[0].right
-    seq = _concat([sequence_from_steps(word[:2]), sequence_from_steps(word[2:])], "none")
-    assert seq.steps == (before, after)
-    assert validate_sequence(seq).ok
+    steps = _concat([word[:2], word[2:]])
+    assert steps == [before, after]
+    assert validate_sequence(sequence_from_steps(steps)).ok
 
 
 def _gl_image(p, word):
