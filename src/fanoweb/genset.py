@@ -109,9 +109,6 @@ class PrimGenSet:
     def __len__(self):
         return len(self.points)
 
-    def __contains__(self, p):
-        return tuple(p) in self.points
-
     def __repr__(self):
         return f"PrimGenSet(dim={self.dim}, points={list(self.points)})"
 

@@ -642,14 +642,11 @@ def sequence_panels(seq):
     relations = []
     for idx, step in enumerate(seq.steps):
         parts, rels = link_panels(step)
-        if panels:
-            if panels[-1] != parts[0]:
-                raise ValueError("sequence joints do not chain verbatim")
-            parts = parts[1:]
-        else:
+        if not panels:
             panels.append(parts[0])
-            parts = parts[1:]
-        for c, r in zip(parts, rels):
+        elif panels[-1] != parts[0]:
+            raise ValueError("sequence joints do not chain verbatim")
+        for c, r in zip(parts[1:], rels):
             panels.append(c)
             relations.append((r[0], r[1], idx))
     return panels, relations

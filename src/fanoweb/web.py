@@ -2,11 +2,13 @@
 
 Pipeline: reduce a polygon to a Mori fiber polygon by class-preserving
 vertex removals, move that polygon to one of the four standard forms
-through a word of link sequences (one per GL(2,Z) generator and standard
-form), join the standard forms along the ladder, and flatten
-everything into a certificate whose every relation, link, and class
+through a word of table links (one literal word per GL(2,Z) generator and
+standard form), join the standard forms along the ladder, and flatten
+everything into a certificate whose every relation, link, joint and class
 membership is re-checked from scratch (verify_certificate) before it is
-returned; that check is the one gate on what the builder produces.
+returned; that check is the one gate on what connect and bfs_connect
+produce.  The assembly checks only which reductions the sequence joins,
+which the certificate alone cannot show.
 
 The map onto a standard form is the link table's closed-form frame
 (links._frame) composed with a symmetry of the standard polygon: of those
@@ -55,7 +57,6 @@ GEN_U = UnimodularMap(((-1, 0), (0, 1)))
 
 TOKENS = {
     "S": GEN_S,
-    "S^-1": GEN_S.inverse(),
     "T": GEN_T,
     "T^-1": GEN_T.inverse(),
     "U": GEN_U,
@@ -90,7 +91,7 @@ class CertificateVerificationError(Exception):
 # ---------------------------------------------------------------------------
 
 def factor_unimodular(g):
-    """A word in S, T, U (and inverses) whose product is g.
+    """A word in S, T, T^-1 and U whose product is g.
 
     Euclidean reduction on the first column; words are not minimized.
     """
@@ -135,10 +136,10 @@ def factor_unimodular(g):
 # (k, g) of the current state (_replay).  The S, T and U words and the
 # ladder are the breadth-first oracle's shortest table words, searched from
 # the target, so the triangle's quarter turn is the paper's Cremona word;
-# the T^-1 words are those of T reversed and moved back by the token (no
-# word spells S^-1: factor_unimodular never emits it).  tests/test_web.py
-# derives every word again.  The ladder words without F2 are the terminal
-# table's words too, so each word stays in every class that connect accepts.
+# the T^-1 words are those of T reversed and moved back by the token.
+# tests/test_web.py derives every word again.  The ladder words without F2
+# are the terminal table's words too, and a terminal pair's frame is never
+# F2's, so each word stays in every class that connect accepts.
 _MOVES = {
     ("S", "P2"): (1, 3, 1, 4), ("T", "P2"): (1, 2, 3, 4), ("U", "P2"): (1, 3, 1, 4),
     ("S", "F0"): (4,), ("T", "F0"): (3, 2), ("U", "F0"): (),
@@ -170,15 +171,6 @@ def _replay(key, word):
         steps.append(link)
         state = link.right
     return tuple(steps)
-
-
-def forward_sequence(token, key):
-    """Link sequence from (std, fiber) to (token.std, token.fiber): the
-    literal table word of the move (_MOVES), replayed.  Its links are
-    validated when they enter a certificate; the tests pin every move's
-    links against their reference, and its kinds, endpoints and validity.
-    """
-    return sequence_from_steps(_replay(key, _MOVES[token, key]))
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +309,7 @@ def _to_standard_form(p, fiber):
     for t in word:
         prefixes.append(prefixes[-1].compose(TOKENS[t]))
     for i in range(len(word), 0, -1):
-        pairs += [(prefixes[i - 1], l) for l in reversed(forward_sequence(word[i - 1], key).steps)]
+        pairs += [(prefixes[i - 1], l) for l in reversed(_replay(key, _MOVES[word[i - 1], key]))]
     start = _moved(pairs[0][0], pairs[0][1].right) if pairs else None
     ends = [_moved(m, l.left) for m, l in pairs]
     kept = _cut_loops(start, range(len(pairs)), ends.__getitem__)
@@ -353,13 +345,6 @@ def _cut_loops(start, steps, end):
                 del seen[end(cut)]
             del kept[at:]
     return kept
-
-
-def join_standard(a, b, class_constraint="canonical"):
-    """The literal table word between two standard pairs (_LADDER)."""
-    if class_constraint == "terminal" and "F2" in (a, b):
-        raise ClassViolationError("the F2 polygon is not terminal")
-    return sequence_from_steps(_replay(a, _LADDER.get((a, b), ())), class_constraint)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +391,7 @@ def connect(p, q, class_constraint="canonical"):
         # a reduction's fiber is a fiber structure's, already sorted
         key_p, _, word_p, _ = _to_standard_form(rp.polytope, rp.fiber)
         key_q, _, _, back_q = _to_standard_form(rq.polytope, rq.fiber)
-        return _concat([word_p, join_standard(key_p, key_q, class_constraint).steps, back_q])
+        return _concat([word_p, _replay(key_p, _LADDER.get((key_p, key_q), ())), back_q])
 
     return _certify(p, q, class_constraint, join)
 
@@ -438,10 +423,11 @@ def _assemble(p, q, rp, rq, seq, class_constraint):
     """Chain p's reduction, the panels of seq and q's reduction reversed.
 
     With no link steps the two reductions end at the same polygon, and they
-    are joined at their first common member instead.  A sequence that does
-    not chain or does not join the two reductions raises
+    are joined at their first common member instead.  An empty sequence
+    between distinct reductions, or one that does not end at q's, raises
     CertificateVerificationError: the certificate alone cannot show which
-    polygons it was meant to join.
+    polygons it was meant to join.  Where the sequence starts and whether
+    its joints chain, the certificate shows: verify_certificate checks them.
     """
     chain = [p]
     relations = []
@@ -454,12 +440,7 @@ def _assemble(p, q, rp, rq, seq, class_constraint):
         relations.append(Relation("supset_dot", removed, ("reduction",)))
     if seq.steps:
         for idx, step in enumerate(seq.steps):
-            _, first, _, later = step_record(step, class_constraint)
-            if idx == 0 and first is not chain[-1] and first != chain[-1]:
-                raise _endpoint_fault(chain, "sequence does not start at the reduced polygon")
-            if idx and seq.steps[idx - 1].right is not step.left and seq.steps[idx - 1].right != step.left:
-                raise _endpoint_fault(chain, "sequence joints do not chain verbatim")
-            for rel, witness, panel, _, _ in later:
+            for rel, witness, panel, _, _ in step_record(step, class_constraint)[3]:
                 chain.append(panel)
                 relations.append(Relation(rel, witness, ("link", idx)))
         join = len(rq.chain)

@@ -45,20 +45,22 @@ from fanoweb.links import (
     validate_sequence,
 )
 from fanoweb.polytopes import CLASS_NAMES, classify, hull, in_class
-from fanoweb.web import TOKENS, enumerate_class_polygons
+from fanoweb.web import GEN_S, TOKENS, enumerate_class_polygons
 from test_memo import _clear_memos
 
 U_MAT = UnimodularMap(((-1, 0), (0, 1)))
 S_MAT = UnimodularMap(((0, -1), (1, 0)))
 
-# words in the GL(2,Z) generators of fanoweb.web and the maps they multiply to
-_GL_WORDS = st.lists(st.sampled_from(sorted(TOKENS)), max_size=4)
+# the GL(2,Z) generators of fanoweb.web and S^-1, which factor_unimodular
+# never emits, in sorted order; words in them and the maps they multiply to
+_GL_TOKENS = dict(sorted({**TOKENS, "S^-1": GEN_S.inverse()}.items()))
+_GL_WORDS = st.lists(st.sampled_from(sorted(_GL_TOKENS)), max_size=4)
 
 
 def _gl_map(word):
     g = UnimodularMap.identity(2)
     for t in word:
-        g = g.compose(TOKENS[t])
+        g = g.compose(_GL_TOKENS[t])
     return g
 
 

@@ -49,7 +49,6 @@ from fanoweb.web import (
     GEN_S,
     GEN_T,
     GEN_U,
-    TOKENS,
     CertificateVerificationError,
     ClassViolationError,
     ConnectCertificate,
@@ -64,14 +63,12 @@ from fanoweb.web import (
     enumerate_fano,
     factor_unimodular,
     fano_purity_report,
-    forward_sequence,
-    join_standard,
     mmp_reduce,
     to_standard_form,
     verify_certificate,
 )
 from normal_forms import normal_form
-from test_links import _GL_WORDS, _box2_mori_states, _gl_map
+from test_links import _GL_TOKENS, _GL_WORDS, _box2_mori_states, _gl_map
 from test_memo import _clear_memos, _memos
 
 
@@ -85,6 +82,16 @@ def conjugate_sequence(g, seq):
     return sequence_from_steps(tuple(conjugate(g, s) for s in seq.steps), seq.class_constraint)
 
 
+def _move(tok, key):
+    """The replayed literal word of a generator move, as a sequence."""
+    return sequence_from_steps(web._replay(key, web._MOVES[tok, key]))
+
+
+def _ladder(a, b):
+    """The replayed literal ladder word between two standard pairs."""
+    return web._replay(a, web._LADDER.get((a, b), ()))
+
+
 def test_factor_generators():
     assert factor_unimodular(GEN_S) == ("S",)
     assert factor_unimodular(GEN_T) == ("T",)
@@ -96,15 +103,15 @@ def test_factor_roundtrip_random():
     import random
 
     rng = random.Random(11)
-    toks = list(TOKENS)
+    toks = list(_GL_TOKENS)
     for _ in range(150):
         g = UnimodularMap.identity(2)
         for _ in range(rng.randrange(1, 9)):
-            g = g.compose(TOKENS[rng.choice(toks)])
+            g = g.compose(_GL_TOKENS[rng.choice(toks)])
         word = factor_unimodular(g)
         prod = UnimodularMap.identity(2)
         for t in word:
-            prod = prod.compose(TOKENS[t])
+            prod = prod.compose(_GL_TOKENS[t])
         assert prod.matrix == g.matrix
 
 
@@ -116,7 +123,7 @@ def _reference_factor(g):
 
     def apply(name):
         nonlocal m
-        m = mat_mul(TOKENS[name].inverse().matrix, m)
+        m = mat_mul(_GL_TOKENS[name].inverse().matrix, m)
         tokens.append(name)
 
     while m[1][0] != 0:
@@ -244,7 +251,7 @@ def test_ring_reduction_equals_the_general_loop(cls):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(i=st.integers(min_value=0), g=st.lists(st.sampled_from(sorted(TOKENS)), max_size=30),
+@given(i=st.integers(min_value=0), g=st.lists(st.sampled_from(sorted(_GL_TOKENS)), max_size=30),
        cls=st.sampled_from(ALL_CLASSES))
 @example(i=0, g=["T"] * 200, cls="canonical")
 @example(i=13, g=["S", "T", "T"] * 40, cls="terminal")
@@ -425,7 +432,7 @@ def _searched_standard_form(p):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(i=st.integers(min_value=0), g=st.lists(st.sampled_from(sorted(TOKENS)), max_size=12))
+@given(i=st.integers(min_value=0), g=st.lists(st.sampled_from(sorted(_GL_TOKENS)), max_size=12))
 @example(i=0, g=["T"] * 100)
 @example(i=40, g=["S", "T", "T"] * 20)
 @example(i=97, g=["T^-1", "U", "S^-1"] * 15)
@@ -454,9 +461,9 @@ def _reference_standard_form(p, fiber):
         parts.append([conjugate(g, ruling_swap(-1))])
     prefixes = [UnimodularMap.identity(2)]
     for t in word:
-        prefixes.append(prefixes[-1].compose(TOKENS[t]))
+        prefixes.append(prefixes[-1].compose(_GL_TOKENS[t]))
     for i in range(len(word), 0, -1):
-        back = reverse_sequence(forward_sequence(word[i - 1], key))
+        back = reverse_sequence(_move(word[i - 1], key))
         parts.append(conjugate_sequence(prefixes[i - 1], back).steps)
     steps = tuple(web._concat(parts))
     return steps, tuple(inverse(s) for s in reversed(steps))
@@ -530,9 +537,9 @@ def test_to_standard_form_ruling_normalization():
 def test_forward_sequences_all_tokens_all_keys():
     # factor_unimodular spells a map with S, T, T^-1 and U only
     for tok in ("S", "T", "T^-1", "U"):
-        g = TOKENS[tok]
+        g = _GL_TOKENS[tok]
         for key, (std, fiber) in standard_pairs().items():
-            seq = forward_sequence(tok, key)
+            seq = _move(tok, key)
             cls = "canonical" if key == "F2" else "terminal"
             rep = validate_sequence(sequence_from_steps(seq.steps, cls))
             assert rep.ok, (tok, key, rep.failures)
@@ -557,16 +564,16 @@ def test_generator_and_ladder_words_are_pinned():
     }
     for key, words in moves.items():
         for tok, kinds in words.items():
-            assert [x.kind for x in forward_sequence(tok, key).steps] == kinds, (tok, key)
+            assert [x.kind for x in _move(tok, key).steps] == kinds, (tok, key)
     ladder = {
         ("P2", "F0"): [b, s], ("P2", "F1"): [b], ("P2", "F2"): [b, s],
         ("F0", "F1"): [s], ("F0", "F2"): [s, s], ("F1", "F2"): [s],
     }
     for a in moves:
-        assert join_standard(a, a, "canonical").steps == ()
+        assert _ladder(a, a) == ()
     for (a, z), kinds in ladder.items():
-        assert [x.kind for x in join_standard(a, z, "canonical").steps] == kinds, (a, z)
-        assert [x.kind for x in join_standard(z, a, "canonical").steps] == [
+        assert [x.kind for x in _ladder(a, z)] == kinds, (a, z)
+        assert [x.kind for x in _ladder(z, a)] == [
             {b: c}.get(k, k) for k in reversed(kinds)
         ], (z, a)
 
@@ -595,28 +602,22 @@ def test_literal_words_are_the_searched_table_words():
     assert sorted(web._MOVES) == sorted((tok, key) for tok in ("S", "T", "T^-1", "U") for key in pairs)
     for tok, key in web._MOVES:
         if tok.endswith("^-1"):
-            base = forward_sequence(tok.removesuffix("^-1"), key)
-            want = conjugate_sequence(TOKENS[tok], reverse_sequence(base)).steps
+            base = _move(tok.removesuffix("^-1"), key)
+            want = conjugate_sequence(_GL_TOKENS[tok], reverse_sequence(base)).steps
         else:
             std, fiber = pairs[key]
-            g = TOKENS[tok]
+            g = _GL_TOKENS[tok]
             want = _table_word((std, fiber), (hull(g.apply_all(std.vertices)), g.apply_all(fiber)))
-        assert forward_sequence(tok, key).steps == want, (tok, key)
+        assert _move(tok, key).steps == want, (tok, key)
     assert sorted(web._LADDER) == sorted((a, b) for a in pairs for b in pairs if a != b)
     for a in pairs:
         for b in pairs:
-            got = join_standard(a, b, "canonical").steps
-            assert got == _table_word(pairs[a], pairs[b]), (a, b)
-            if "F2" not in (a, b):
-                assert join_standard(a, b, "terminal").steps == got, (a, b)
+            assert _ladder(a, b) == _table_word(pairs[a], pairs[b]), (a, b)
 
 
 def test_join_standard_words():
-    seq = join_standard("F0", "F2", "canonical")
-    assert [s.kind for s in seq.steps] == ["II_ni", "II_ni"]
-    assert join_standard("F1", "F1", "terminal").steps == ()
-    with pytest.raises(ClassViolationError):
-        join_standard("F0", "F2", "terminal")
+    assert [s.kind for s in _ladder("F0", "F2")] == ["II_ni", "II_ni"]
+    assert _ladder("F1", "F1") == ()
 
 
 def test_connect_same_polytope_trivial():
@@ -962,10 +963,10 @@ def test_a_cold_bfs_builds_the_link_table_without_a_candidate_search(monkeypatch
     and builds the canonical table only."""
     from fanoweb import links
 
-    calls, searches, tables, tokens = [], [], set(), set()
-    real, forward, search, table = links._candidate_links, web.forward_sequence, web._bfs_pairs, web._link_table
+    calls, searches, tables, words = [], [], set(), set()
+    real, replay, search, table = links._candidate_links, web._replay, web._bfs_pairs, web._link_table
     monkeypatch.setattr(links, "_candidate_links", lambda *args: calls.append(args) or real(*args))
-    monkeypatch.setattr(web, "forward_sequence", lambda tok, key: tokens.add(tok) or forward(tok, key))
+    monkeypatch.setattr(web, "_replay", lambda key, word: words.add((key, word)) or replay(key, word))
     monkeypatch.setattr(web, "_bfs_pairs", lambda *args: searches.append(args) or search(*args))
     monkeypatch.setattr(web, "_link_table", lambda cls: tables.add(cls) or table(cls))
     _clear_memos()
@@ -990,10 +991,70 @@ def test_a_cold_bfs_builds_the_link_table_without_a_candidate_search(monkeypatch
         _clear_memos()
         connect(p, tri, cls)
         assert links._link_table.cache_info().misses == 1
-    assert {"S", "T^-1", "U"} <= tokens
+    assert {("F1", web._MOVES[tok, "F1"]) for tok in ("S", "T^-1", "U")} <= words
     assert tables == {"canonical"}
     assert searches == []
     assert calls == []
+
+
+def _link_moves(cls, box):
+    """The triangle's Mori pair, and every state that the links inside the
+    box reach from it with the states one link away from that state."""
+    (start,) = web._mori_pairs(plane_polygon())
+    moves, todo = {}, [start]
+    while todo:
+        c = todo.pop()
+        if c not in moves:
+            moves[c] = [link.right for link in _enumerate_links(c, cls, box, "polytope")]
+            todo += moves[c]
+    return start, moves
+
+
+def _distances(moves, start):
+    """The breadth-first distance of every state that moves reach from start."""
+    dist, frontier = {start: 0}, [start]
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for r in moves[c]:
+                if r not in dist:
+                    dist[r] = dist[c] + 1
+                    nxt.append(r)
+        frontier = nxt
+    return dist
+
+
+@pytest.mark.parametrize("cls, counts", [
+    ("terminal", (26, 74, 170, 266)), ("canonical", (30, 94, 222, 350)),
+])
+def test_the_links_of_a_box_join_all_its_mori_pairs(cls, counts):
+    """The paper's theorem, measured on boxes 1-4: the links inside the box
+    reach from the triangle exactly the Mori pairs of the class polygons of
+    the box, each polygon's reduction among them; the triangle's greatest
+    distance is pinned too."""
+    for box, count, eccentricity in zip((1, 2, 3, 4), counts, (5, 8, 11, 13)):
+        start, moves = _link_moves(cls, box)
+        dist = _distances(moves, start)
+        polys = enumerate_class_polygons(box, cls)
+        assert set(dist) == {c for p in polys for c in web._mori_pairs(p)}
+        assert len(dist) == count
+        for r in (mmp_reduce(p, cls) for p in polys):
+            assert Constituent(from_polytope(r.polytope), r.fiber) in dist
+        assert max(dist.values()) == eccentricity
+
+
+@pytest.mark.parametrize("cls, pairs", [("terminal", 5476), ("canonical", 8836)])
+def test_box_2_walks_are_as_short_as_box_4_walks(cls, pairs):
+    """Box-convexity, measured at box 2: between every two Mori pairs of box
+    2, the links inside box 2 are as short a walk as those inside box 4."""
+    _, inner = _link_moves(cls, 2)
+    _, outer = _link_moves(cls, 4)
+    seen = 0
+    for s in inner:
+        near, far = _distances(inner, s), _distances(outer, s)
+        assert {t: far[t] for t in near} == near
+        seen += len(near)
+    assert seen == pairs
 
 
 def test_bfs_connect_square_to_quad():
@@ -1220,7 +1281,7 @@ def test_images_with_corresponding_frames_share_one_check(monkeypatch):
     cls=st.sampled_from(["canonical", "terminal"]),
     i=st.integers(min_value=0),
     j=st.integers(min_value=0),
-    g=st.lists(st.sampled_from(sorted(TOKENS)), min_size=1, max_size=6),
+    g=st.lists(st.sampled_from(sorted(_GL_TOKENS)), min_size=1, max_size=6),
 )
 def test_certificates_are_gl_equivariant(cls, i, j, g):
     polys = enumerate_class_polygons(2, cls)
@@ -1326,7 +1387,7 @@ def test_equal_links_and_columns_are_one_object():
     assert a is b and a.left is b.left and a.middle is b.middle and a.right is b.right
     assert inverse(inverse(a)) is a and inverse(a) is inverse(b)
     # the columns of consecutive steps are one object, so a joint is an identity
-    seq = conjugate_sequence(GEN_T, forward_sequence("S", "F1"))
+    seq = conjugate_sequence(GEN_T, _move("S", "F1"))
     assert all(s.right is t.left for s, t in zip(seq.steps, seq.steps[1:]))
 
 
@@ -1561,6 +1622,13 @@ def broken_cremona_joint(monkeypatch):
     yield from _patch_cremona_move(monkeypatch, lambda steps: steps[:1] + steps[2:])
 
 
+@pytest.fixture
+def cremona_word_from_a_wrong_start(monkeypatch):
+    """The Cremona word without its first step, so it starts away from the
+    triangle and still ends at the quarter turn."""
+    yield from _patch_cremona_move(monkeypatch, lambda steps: steps[1:])
+
+
 def _connect_triangle_to_quarter_turn(tmp_path, capsys):
     """connect's exception and the `fanoweb connect` exit code and JSON for
     the triangle and its quarter turn, joined by the Cremona word alone."""
@@ -1587,10 +1655,18 @@ def test_verify_certificate_is_the_one_gate(faulty_cremona_move, tmp_path, capsy
 
 def test_broken_joint_is_a_verification_error(broken_cremona_joint, tmp_path, capsys):
     err, code, out = _connect_triangle_to_quarter_turn(tmp_path, capsys)
-    assert any("do not chain" in msg for _, msg in err.failures)
+    assert any("joint mismatch" in msg for _, msg in err.failures)
     assert code == 3
     assert out["error"]["type"] == "verification"
-    assert any("do not chain" in msg for _, msg in out["error"]["failures"])
+    assert any("joint mismatch" in msg for _, msg in out["error"]["failures"])
+
+
+def test_a_wrong_start_is_a_verification_error(cremona_word_from_a_wrong_start, tmp_path, capsys):
+    err, code, out = _connect_triangle_to_quarter_turn(tmp_path, capsys)
+    assert (0, "panel does not match the chain") in err.failures
+    assert code == 3
+    assert out["error"]["type"] == "verification"
+    assert [0, "panel does not match the chain"] in out["error"]["failures"]
 
 
 def test_assemble_refuses_a_sequence_that_misses_the_reductions():
@@ -1598,11 +1674,14 @@ def test_assemble_refuses_a_sequence_that_misses_the_reductions():
     rp, rq = mmp_reduce(tri, "terminal"), mmp_reduce(square, "terminal")
     for seq, message in (
         (sequence_from_steps([]), "empty sequence between distinct reductions"),
-        (forward_sequence("T", "F0"), "does not start at the reduced polygon"),
-        (forward_sequence("T", "P2"), "does not end at the target reduction"),
+        (_move("T", "P2"), "does not end at the target reduction"),
     ):
         with pytest.raises(CertificateVerificationError, match=message):
             web._assemble(tri, square, rp, rq, seq, "terminal")
+    # a sequence from F1 onto the square starts away from the triangle: the
+    # certificate shows it, so verify_certificate refuses it
+    cert = web._assemble(tri, square, rp, rq, sequence_from_steps(_ladder("F1", "F0")), "terminal")
+    assert (0, "panel does not match the chain") in verify_certificate(cert).failures
 
 
 def test_the_general_reduction_loop_equals_its_reference():
