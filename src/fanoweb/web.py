@@ -28,6 +28,7 @@ up to unimodular equivalence.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 from operator import attrgetter
 
 from .genset import PrimGenSet, from_polytope, mori_fibers, polytope_reduction
@@ -600,15 +601,15 @@ def fano_purity_report(seq):
 def enumerate_class_polygons(box, class_constraint):
     """Every polygon of the class with vertices in the box, bit-exact.
 
-    Orbit-first: each canonical class (_classes) that is in the class is
-    placed in the box by every unimodular map that keeps it there
+    Orbit-first: each row of the class table (_CLASS_TABLE) that is in the
+    class is placed in the box by every unimodular map that keeps it there
     (_unfolded); the other classes are not placed.  Such a map moves the
     counter-clockwise vertices of the class onto those of the image,
     clockwise when det(a, b) < 0: reversed then and rotated to the least
     vertex, they are in hull's order, so no image is hulled.
     """
     images = set()
-    for _, coords, kept in _class_placements(box, class_constraint):
+    for _, coords, kept in _class_placements(box, class_constraint)[1]:
         for (a0, a1), (b0, b1) in _unfolded(kept):
             image = [(s * a0 + t * b0, s * a1 + t * b1) for s, t in coords]
             if a0 * b1 < a1 * b0:
@@ -619,58 +620,59 @@ def enumerate_class_polygons(box, class_constraint):
 
 
 def enumerate_fano(box, class_constraint, mfp_only=False):
-    """The classes of the table (_CLASS_VERTICES) with concrete-representative
-    counts; the filters run once per class.
+    """The classes of the table (_CLASS_TABLE) with their counts in the box.
 
-    By orbit and stabilizer, each image of a class in the box is hit by
-    exactly _symmetry_count(class) maps, so its count is the weight of its
-    kept maps (_placements) divided by that number; no image is built.
+    By orbit and stabilizer, each image of a class in the box is hit by as
+    many maps as the class has symmetries (the table's count column), so
+    its count is the weight of its kept maps (_placements) divided by that
+    number; no image is built.  mfp_only keeps the rows of the Mori column.
     """
+    rows, placed = _class_placements(box, class_constraint)
     out = []
-    for nf, _, kept in _class_placements(box, class_constraint):
-        n = sum(w for _, _, w in kept) // _symmetry_count(nf)
-        if n and (not mfp_only or mori_fibers(from_polytope(nf))):
+    for (_, symmetries, _, mori), (nf, _, kept) in zip(rows, placed):
+        n = sum(w for _, _, w in kept) // symmetries
+        if n and (mori or not mfp_only):
             out.append((nf, n))
     return tuple(out)
 
 
 def _class_placements(box, class_constraint):
+    """(the table's rows in the class, their _placements): every row, or
+    under terminal the rows of the terminal column; no class predicate runs."""
     check_box(box)
     if class_constraint not in ("canonical", "reflexive", "terminal"):
         raise ValueError("enumeration supports canonical, reflexive, terminal")
-    return _placements(box, tuple(nf for nf in _classes() if in_class(nf, class_constraint)))
+    rows = tuple(row for row in _CLASS_TABLE if row[2] or class_constraint != "terminal")
+    return rows, _placements(box, tuple(_polygon(row[0]) for row in rows))
 
 
-# The 16 reflexive polygons up to GL(2,Z), each as its normal form's
-# vertices in hull's order, sorted (Poonen and Rodriguez-Villegas, Lattice
-# polygons and the number 12, 2000).  In the plane the canonical polygons are
-# exactly the reflexive ones.  No module here computes a normal form: the
-# tests hold one (tests/normal_forms.py), pin the table with it against the
-# growth search from the minimal classes, and check it with an independent
-# orbit key.
-_CLASS_VERTICES = (
-    ((-3, -4), (1, 0), (1, 2)),
-    ((-3, -2), (1, 0), (0, 1)),
-    ((-3, -2), (1, 0), (1, 1), (0, 1)),
-    ((-3, -2), (1, 0), (2, 1), (0, 1)),
-    ((-2, -3), (1, 0), (1, 3)),
-    ((-2, -1), (-1, -1), (1, 0), (0, 1)),
-    ((-2, -1), (-1, -1), (1, 0), (1, 1), (0, 1)),
-    ((-2, -1), (-1, -1), (1, 0), (2, 1), (0, 1)),
-    ((-2, -1), (0, -1), (1, 0), (0, 1)),
-    ((-2, -1), (1, 0), (0, 1)),
-    ((-1, -2), (1, 0), (1, 2), (-1, 0)),
-    ((-1, -1), (0, -1), (1, 0), (0, 1)),
-    ((-1, -1), (0, -1), (1, 0), (0, 1), (-1, 0)),
-    ((-1, -1), (0, -1), (1, 0), (1, 1), (0, 1), (-1, 0)),
-    ((-1, -1), (1, 0), (0, 1)),
-    ((-1, 0), (0, -1), (1, 0), (0, 1)),
+# The 16 reflexive polygons up to GL(2,Z) (Poonen and Rodriguez-Villegas,
+# Lattice polygons and the number 12, 2000), sorted: the normal form's
+# vertices in hull's order, its number of unimodular symmetries, whether it
+# is terminal and whether it has a Mori fiber structure.  In the plane the
+# canonical polygons are exactly the reflexive ones.  No module here
+# computes a normal form or a column: the tests pin the vertices with one
+# (tests/normal_forms.py) against the growth search from the minimal
+# classes and an independent orbit key, and each column against a brute
+# force count or the class and fiber predicates.
+_CLASS_TABLE = (
+    (((-3, -4), (1, 0), (1, 2)), 2, False, False),
+    (((-3, -2), (1, 0), (0, 1)), 1, False, False),
+    (((-3, -2), (1, 0), (1, 1), (0, 1)), 1, False, False),
+    (((-3, -2), (1, 0), (2, 1), (0, 1)), 2, False, False),
+    (((-2, -3), (1, 0), (1, 3)), 6, False, False),
+    (((-2, -1), (-1, -1), (1, 0), (0, 1)), 1, False, False),
+    (((-2, -1), (-1, -1), (1, 0), (1, 1), (0, 1)), 2, False, False),
+    (((-2, -1), (-1, -1), (1, 0), (2, 1), (0, 1)), 2, False, False),
+    (((-2, -1), (0, -1), (1, 0), (0, 1)), 1, False, False),
+    (((-2, -1), (1, 0), (0, 1)), 2, False, True),
+    (((-1, -2), (1, 0), (1, 2), (-1, 0)), 8, False, False),
+    (((-1, -1), (0, -1), (1, 0), (0, 1)), 2, True, True),
+    (((-1, -1), (0, -1), (1, 0), (0, 1), (-1, 0)), 2, True, False),
+    (((-1, -1), (0, -1), (1, 0), (1, 1), (0, 1), (-1, 0)), 12, True, False),
+    (((-1, -1), (1, 0), (0, 1)), 6, True, True),
+    (((-1, 0), (0, -1), (1, 0), (0, 1)), 8, True, True),
 )
-
-
-def _classes():
-    """Normal forms of all canonical polygons, sorted by vertices."""
-    return tuple(map(_polygon, _CLASS_VERTICES))
 
 
 def _basis_partners(a, box):
@@ -685,21 +687,6 @@ def _basis_partners(a, box):
             b = (b0[0] + t * a[0], b0[1] + t * a[1])
             if abs(b[1 - i]) <= box:
                 yield b
-
-
-def _symmetry_count(nf):
-    """The number of unimodular maps that keep a class.
-
-    Consecutive boundary points of a reflexive polygon form a lattice basis,
-    so its ring r obeys r[k-1] + r[k+1] = c[k] r[k] with c[k] = det(r[k-1],
-    r[k+1]), and the map sending r[0], r[1] onto r[i], r[i+-1] keeps the
-    polygon exactly when it carries c onto itself, shifted by i and, for
-    -1, reversed.
-    """
-    ring = _ring(nf)
-    c = [mat_det((p, q)) for p, q in zip(ring[-1:] + ring[:-1], ring[1:] + ring[:1])]
-    flip = c[::-1]
-    return sum((c[i:] + c[:i] == c) + (flip[i:] + flip[:i] == c) for i in range(len(c)))
 
 
 # The square's eight symmetries as integer matrices, the four rotations
@@ -723,32 +710,40 @@ def _placements(box, classes):
     """((class, its vertices in basis coordinates, its kept maps (a, b, w)),
     ...) for the given classes of the table and no other.
 
-    The first vertex u and the next boundary point v of a reflexive polygon
-    form a lattice basis with det(u, v) = 1, so a vertex x has coordinates
+    The first vertex u and the next boundary point v = u + (n - u) / g of a
+    reflexive polygon, n its next vertex and g the gcd of n - u, form a
+    lattice basis with det(u, v) = 1, so a vertex x has coordinates
     (det(x, v), det(u, x)), and the maps [a b] [u v]^-1 over the pairs a, b
     of box primitives with det(a, b) = +-1 are all unimodular maps that can
     keep it in the box.  The square's symmetries act freely on those maps,
     so only pairs with 0 <= a1 <= a0 are walked, and a kept one carries the
-    weight w of a's orbit: 4 when a1 is 0 or a0, else 8.
+    weight w of a's orbit: 4 when a1 is 0 or a0, else 8.  Each pair tests
+    each coordinate other than u's (1, 0) once, the classes sharing them (the
+    16 have 12), and a class keeps it when none of its own left the box.
     """
+    bits = {}
+    placed = []
+    for nf in classes:
+        (u0, u1), (n0, n1) = nf.vertices[:2]
+        g = gcd(n0 - u0, n1 - u1)
+        v0, v1 = u0 + (n0 - u0) // g, u1 + (n1 - u1) // g
+        coords = [(x * v1 - y * v0, u0 * y - u1 * x) for x, y in nf.vertices]
+        mask = 0
+        for st in coords[1:]:
+            mask |= bits.setdefault(st, 1 << len(bits))
+        placed.append((nf, coords, mask, []))
     pairs = [(a, b, 4 if a[1] in (0, a[0]) else 8)
              for a in box_primitives(box, 2) if 0 <= a[1] <= a[0] for b in _basis_partners(a, box)]
-    out = []
-    for nf in classes:
-        (u0, u1), (v0, v1) = _ring(nf)[:2]
-        coords = [(x * v1 - y * v0, u0 * y - u1 * x) for x, y in nf.vertices]
-        rest = coords[1:]  # u goes to a, in the box
-        kept = []
-        for a, b, w in pairs:
-            a0, a1 = a
-            b0, b1 = b
-            for s, t in rest:
-                if not (-box <= s * a0 + t * b0 <= box and -box <= s * a1 + t * b1 <= box):
-                    break
-            else:
+    for a, b, w in pairs:
+        (a0, a1), (b0, b1) = a, b
+        outside = 0
+        for (s, t), bit in bits.items():
+            if not (-box <= s * a0 + t * b0 <= box and -box <= s * a1 + t * b1 <= box):
+                outside |= bit
+        for _, _, mask, kept in placed:
+            if not mask & outside:
                 kept.append((a, b, w))
-        out.append((nf, coords, tuple(kept)))
-    return tuple(out)
+    return tuple((nf, coords, tuple(kept)) for nf, coords, _, kept in placed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The tests' normal form of a lattice polytope.
 
 No fanoweb module computes one: the package names the reflexive classes
-from a literal table (web._CLASS_VERTICES), and the tests pin that table,
+from a literal table (web._CLASS_TABLE), and the tests pin that table,
 the enumeration counts and the acceptance criteria with this function.
 """
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from fanoweb import genset, web
 from fanoweb.cli import main
-from fanoweb.genset import from_polytope, mori_fiber_structures, positively_spans
+from fanoweb.genset import from_polytope, mori_fiber_structures, mori_fibers, positively_spans
 from fanoweb.jsonio import certificate_from_json, certificate_to_json, dumps
 from fanoweb.lattice import UnimodularMap, bezout, mat_det, mat_inverse_unimodular, mat_mul, mat_vec
 from fanoweb.links import (
@@ -56,7 +56,6 @@ from fanoweb.web import (
     NotInStandardOrbitError,
     Relation,
     _bfs_pairs,
-    _classes,
     bfs_connect,
     connect,
     enumerate_class_polygons,
@@ -70,6 +69,12 @@ from fanoweb.web import (
 from normal_forms import normal_form
 from test_links import _GL_TOKENS, _GL_WORDS, _box2_mori_states, _gl_map
 from test_memo import _clear_memos, _memos
+
+
+def _classes():
+    """Normal forms of all canonical polygons, sorted by vertices: the
+    polygons of the class table's rows."""
+    return tuple(_polygon(row[0]) for row in web._CLASS_TABLE)
 
 
 def reverse_sequence(seq):
@@ -823,11 +828,19 @@ def _brute_force_symmetry_count(nf):
 
 
 def test_symmetry_count_of_each_class_matches_brute_force():
-    counts = [web._symmetry_count(nf) for nf in _classes()]
-    assert counts == [_brute_force_symmetry_count(nf) for nf in _classes()]
+    counts = {vs: n for vs, n, _, _ in web._CLASS_TABLE}
+    assert list(counts.values()) == [_brute_force_symmetry_count(nf) for nf in _classes()]
     # the triangle of P^2 and the hexagon: the dihedral groups of order 6 and 12
-    assert web._symmetry_count(hull([(1, 0), (0, 1), (-1, -1)])) == 6
-    assert [n for nf, n in zip(_classes(), counts) if len(nf.vertices) == 6] == [12]
+    assert counts[hull([(1, 0), (0, 1), (-1, -1)]).vertices] == 6
+    assert [n for vs, n in counts.items() if len(vs) == 6] == [12]
+
+
+def test_the_class_columns_are_the_class_and_fiber_predicates():
+    rows = web._CLASS_TABLE
+    assert [terminal for _, _, terminal, _ in rows] == [in_class(nf, "terminal") for nf in _classes()]
+    assert [mori for _, _, _, mori in rows] == [bool(mori_fibers(from_polytope(nf))) for nf in _classes()]
+    mori = [row for row in rows if row[3]]
+    assert (len(rows), sum(row[2] for row in rows), len(mori), sum(row[2] for row in mori)) == (16, 5, 4, 3)
 
 
 def _unfolded_loop(box, nf):
@@ -851,8 +864,15 @@ def _unfolded_loop(box, nf):
 
 @pytest.mark.parametrize("box", range(9))
 def test_the_folded_maps_unfold_to_each_map_of_the_unfolded_loop_once(box):
-    for nf, _, kept in web._placements(box, _classes()):
-        assert sorted(web._unfolded(kept)) == sorted(_unfolded_loop(box, nf))
+    # every class subset a query places: all 16, the 5 terminal ones, each
+    # class alone, so each mask is read over the coordinates of its own query
+    want = {nf: sorted(_unfolded_loop(box, nf)) for nf in _classes()}
+    terminal = tuple(nf for nf in want if in_class(nf, "terminal"))
+    for classes in [_classes(), terminal] + [(nf,) for nf in want]:
+        placed = web._placements(box, classes)
+        assert tuple(nf for nf, _, _ in placed) == classes
+        for nf, _, kept in placed:
+            assert sorted(web._unfolded(kept)) == want[nf]
 
 
 @pytest.mark.parametrize("box", [4, 6])
@@ -910,7 +930,7 @@ def _minimal_classes():
 
 @lru_cache(maxsize=None)
 def _grown_classes():
-    """Reference for web._classes: normal forms of all canonical polygons,
+    """Reference for the class table: normal forms of all canonical polygons,
     grown from the minimal ones.
 
     A canonical Q that is not minimal loses a vertex w to a canonical R, and
