@@ -320,9 +320,10 @@ class ReductionResult(_Frozen):
 def polytope_reduction(p, v):
     """Remove a vertex and re-hull the remaining primitive points.
 
-    Valid exactly when the remaining points still form a PGS and the removed
-    vertex escapes their hull, so the new polytope's primitive points are
-    precisely the remaining set.
+    Valid exactly when the remaining points still form a PGS, whose hull's
+    primitive points are then precisely the remaining set: p is the hull of
+    its primitive points, so its vertex v, an extreme point, never lies in
+    the hull of the others, in any dimension.
     """
     v = tuple(v)
     if v not in p.vertices:
@@ -330,7 +331,4 @@ def polytope_reduction(p, v):
     rest = tuple(q for q in primitive_points(p) if q != v)
     if not positively_spans(rest, p.dim):
         return ReductionResult(False, None, v, "remaining points do not span the space")
-    smaller = hull(rest)
-    if smaller.contains(v):
-        return ReductionResult(False, None, v, "removed vertex stays inside the hull")
-    return ReductionResult(True, smaller, v, "ok")
+    return ReductionResult(True, hull(rest), v, "ok")

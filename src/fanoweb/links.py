@@ -203,7 +203,6 @@ def _intrinsic_reduction(big_fiber, small_fiber):
     return positively_spans(intr, len(big_basis))
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def validate_link(link):
     """Validate a link diagram condition by condition."""
     checks = []
@@ -356,7 +355,8 @@ def standard_pairs():
 
 # The unimodular maps sending each standard polygon onto itself, of orders
 # 6, 8, 2 and 2.  Those of F1 and F2 keep the ruling; four of the square's
-# eight exchange its two rulings.
+# eight exchange its two rulings.  The square's four rotations come first:
+# web._unfolded relies on that order.
 STANDARD_SYMMETRIES = {
     "P2": tuple(map(UnimodularMap, (
         ((1, 0), (0, 1)), ((0, -1), (1, -1)), ((-1, 1), (-1, 0)),
@@ -568,7 +568,9 @@ def _table_link_of(link):
 @lru_cache(maxsize=MEMO_SIZE)
 def _relation_holds(a, b, rel, witness):
     """a and b are equal, or the bigger one's primitive points are the
-    smaller one's and the witness, which the smaller one does not hold."""
+    smaller one's and the witness.  Both are then Fano (primitive_points
+    raises otherwise), so the smaller one is the hull of the rest, and it
+    does not hold the witness, a primitive point not among its own."""
     if rel == "equal":
         return a == b
     if rel == "supset_dot":
@@ -584,12 +586,7 @@ def _relation_holds(a, b, rel, witness):
         pa = primitive_points(big)
         if w not in pa:
             return False
-        rest = tuple(x for x in pa if x != w)
-        if set(primitive_points(small)) != set(rest):
-            return False
-        if small != hull(rest):
-            return False
-        return not small.contains(w)
+        return set(primitive_points(small)) == set(pa) - {w}
     except ValueError:
         # tampered chains may leave the Fano world entirely
         return False

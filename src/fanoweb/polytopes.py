@@ -149,8 +149,8 @@ def _hull(pts):
 
 
 def _hull2d(pts):
-    if len(pts) < 3:
-        raise DegenerateHullError(affine_dimension(pts))
+    """The polygon of sorted distinct points.  One or two, like any collinear
+    set, leave a chain of fewer than three vertices, refused there."""
 
     def half(points):
         chain = []

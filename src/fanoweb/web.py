@@ -42,7 +42,6 @@ from .links import (
     _moved,
     _relation_holds,
     _set_purity,
-    box_primitives,
     check_box,
     conjugate,
     inverse,
@@ -692,10 +691,7 @@ def _basis_partners(a, box):
 # The square's eight symmetries as integer matrices, the four rotations
 # first.  A rotation fixes no nonzero point, so the rotations move a box
 # point once onto each point of its orbit when that orbit has four points.
-_SQUARE = (
-    ((1, 0), (0, 1)), ((0, -1), (1, 0)), ((-1, 0), (0, -1)), ((0, 1), (-1, 0)),
-    ((1, 0), (0, -1)), ((-1, 0), (0, 1)), ((0, 1), (1, 0)), ((0, -1), (-1, 0)),
-)
+_SQUARE = tuple(g.matrix for g in STANDARD_SYMMETRIES["F0"])
 
 
 def _unfolded(kept):
@@ -732,8 +728,8 @@ def _placements(box, classes):
         for st in coords[1:]:
             mask |= bits.setdefault(st, 1 << len(bits))
         placed.append((nf, coords, mask, []))
-    pairs = [(a, b, 4 if a[1] in (0, a[0]) else 8)
-             for a in box_primitives(box, 2) if 0 <= a[1] <= a[0] for b in _basis_partners(a, box)]
+    pairs = [((a0, a1), b, 4 if a1 in (0, a0) else 8) for a0 in range(box + 1) for a1 in range(a0 + 1)
+             if gcd(a0, a1) == 1 for b in _basis_partners((a0, a1), box)]
     for a, b, w in pairs:
         (a0, a1), (b0, b1) = a, b
         outside = 0

@@ -21,7 +21,8 @@ from fanoweb.genset import (
 )
 from fanoweb.jsonio import fiber_structure_to_json
 from fanoweb.lattice import UnimodularMap, in_span, is_primitive, mat_mul, saturate_span
-from fanoweb.polytopes import hull
+from fanoweb.polytopes import hull, primitive_points
+from fanoweb.web import enumerate_class_polygons
 
 V = {
     1: (1, 0, 0),
@@ -115,6 +116,27 @@ def test_polytope_reduction_hexagon():
     res = polytope_reduction(hexagon, (1, 1))
     assert res.valid
     assert set(res.polytope.vertices) == {(1, 0), (0, 1), (-1, 0), (0, -1), (-1, -1)}
+
+
+def test_a_removed_vertex_never_lies_in_the_hull_of_the_rest():
+    # polytope_reduction has one invalid reason: p is the hull of its
+    # primitive points, so its vertex is no convex combination of the rest
+    simplex = hull([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)])
+    octahedron = hull([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)])
+    spanning = 0
+    for p in enumerate_class_polygons(3, "canonical") + (simplex, octahedron):
+        for v in p.vertices:
+            rest = [q for q in primitive_points(p) if q != v]
+            res = polytope_reduction(p, v)
+            if not positively_spans(rest, p.dim):
+                assert (res.valid, res.reason) == (False, "remaining points do not span the space")
+                continue
+            smaller = hull(rest)
+            assert not smaller.contains(v)
+            assert set(primitive_points(smaller)) == set(rest)
+            assert (res.valid, res.polytope, res.reason) == (True, smaller, "ok")
+            spanning += 1
+    assert spanning > 1000
 
 
 def test_polytope_reduction_requires_vertex():

@@ -44,8 +44,8 @@ from fanoweb.links import (
     validate_link,
     validate_sequence,
 )
-from fanoweb.polytopes import CLASS_NAMES, classify, hull, in_class
-from fanoweb.web import GEN_S, TOKENS, enumerate_class_polygons
+from fanoweb.polytopes import CLASS_NAMES, DegenerateHullError, classify, hull, in_class, primitive_points
+from fanoweb.web import GEN_S, TOKENS, enumerate_class_polygons, mmp_reduce
 from test_memo import _clear_memos
 
 U_MAT = UnimodularMap(((-1, 0), (0, 1)))
@@ -797,3 +797,86 @@ def test_images_of_a_table_link_share_its_check(monkeypatch):
             seen.add((table_link, cls))
     assert moved == []
     assert len(checked) == len(seen) < 2 * len(images)
+
+
+def _reference_relation_holds(a, b, rel, witness):
+    """The inclusion check with the hull and containment tests that
+    _relation_holds leaves out as settled: the reference it is pinned to."""
+    if rel == "equal":
+        return a == b
+    if rel not in ("supset_dot", "subset_dot") or witness is None:
+        return False
+    big, small = (a, b) if rel == "supset_dot" else (b, a)
+    w = tuple(witness)
+    try:
+        pa = primitive_points(big)
+        if w not in pa:
+            return False
+        rest = tuple(x for x in pa if x != w)
+        if set(primitive_points(small)) != set(rest):
+            return False
+        if small != hull(rest):
+            return False
+        return not small.contains(w)
+    except ValueError:
+        return False
+
+
+def _reduction_relations():
+    """(big, small, "supset_dot", removed vertex) of every step of the
+    mmp_reduce chains of the box-2 canonical and terminal polygons."""
+    out = []
+    for cls in ("canonical", "terminal"):
+        for p in enumerate_class_polygons(2, cls):
+            for v, q in mmp_reduce(p, cls).chain:
+                out.append((p, q, "supset_dot", v))
+                p = q
+    return out
+
+
+def _panel_relations(link):
+    panels, rels = link_panels(link)
+    hulls = [hull(c.points) for c in panels]
+    return [(a, b, rel, w) for a, b, (rel, w) in zip(hulls, hulls[1:], rels)]
+
+
+_CANONICAL_TABLE_LINKS = tuple(dict.fromkeys(t for row in _link_table("canonical").values() for t in row))
+_CHAIN_RELATIONS = tuple(_reduction_relations())
+_RELATIONS = _CHAIN_RELATIONS + tuple(r for link in _CANONICAL_TABLE_LINKS for r in _panel_relations(link))
+
+
+def test_relation_holds_agrees_with_the_hull_check_on_chains_and_table_links():
+    words = [[]] + [[t] for t in _GL_TOKENS] + [[t, u] for t in _GL_TOKENS for u in _GL_TOKENS]
+    table = [
+        r for link in _CANONICAL_TABLE_LINKS for w in words for r in _panel_relations(conjugate(_gl_map(w), link))
+    ]
+    assert len(_CHAIN_RELATIONS) > 100 and len(table) > 500
+    for r in _CHAIN_RELATIONS + tuple(table):
+        assert (_relation_holds(*r), _reference_relation_holds(*r)) == (True, True), r
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(i=st.integers(min_value=0), word=_GL_WORDS, data=st.data())
+def test_relation_holds_agrees_with_the_hull_check_on_edited_relations(i, word, data):
+    # an image of a chain or table relation, as it is or with its polytopes
+    # swapped, its witness moved (to non-primitive and interior points too),
+    # or one polytope replaced by a random polygon, most of them not Fano
+    g = _gl_map(word)
+    a, b, rel, w = _RELATIONS[i % len(_RELATIONS)]
+    a, b = hull(g.apply_all(a.vertices)), hull(g.apply_all(b.vertices))
+    w = None if w is None else g.apply(w)
+    edit = data.draw(st.sampled_from(["none", "swap", "flip", "witness", "polygon"]))
+    if edit == "swap":
+        a, b = b, a
+    elif edit == "flip":
+        rel = {"supset_dot": "subset_dot", "subset_dot": "supset_dot"}.get(rel, rel)
+    elif edit == "witness":
+        w = data.draw(st.none() | st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+    elif edit == "polygon":
+        pts = data.draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=3, max_size=6))
+        try:
+            other = hull(pts)
+        except DegenerateHullError:
+            return
+        a, b = (other, b) if data.draw(st.booleans()) else (a, other)
+    assert _relation_holds(a, b, rel, w) == _reference_relation_holds(a, b, rel, w)

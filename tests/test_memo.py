@@ -59,7 +59,6 @@ def test_the_memos_are_these():
         "fanoweb.links._relation_holds",
         "fanoweb.links._shared",
         "fanoweb.links.step_record",
-        "fanoweb.links.validate_link",
         "fanoweb.polytopes._hull",
         "fanoweb.polytopes._point_lists",
         "fanoweb.polytopes.in_class",
