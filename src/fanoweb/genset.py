@@ -255,13 +255,10 @@ def fiber_structures(parent):
             fiber = tuple(p for p in pts if in_span(p, basis))
             if len(fiber) > 2:
                 fibers.append(fiber)
-    out = []
-    for fiber in fibers:
-        try:
-            out.append(fiber_structure_for(parent, fiber))
-        except InvalidFiberStructure:
-            continue
-    out.append(fiber_structure_for(parent, pts))
+    fibers.append(pts)
+    # the candidate fibers are sorted tuples, the memo's key form; the
+    # whole set is always valid, the others are kept when valid
+    out = [fs for fiber in fibers if not isinstance(fs := _fiber_structure(parent, fiber), str)]
     out.sort(key=lambda fs: (fs.fiber_dim, fs.fiber))
     return tuple(out)
 
@@ -269,13 +266,11 @@ def fiber_structures(parent):
 def mori_fiber_structures(parent):
     """The Mori fiber structures of parent, in the order of fiber_structures.
 
-    A planar Mori structure is the trivial one on a triangle (d + 1 = 3
-    points) or has the fiber {f, -f} over the base {1, -1}, and being
-    irreducible it then has 2 + 2 = 4 points; so a planar set of more than
-    4 points has none, and none is built.
+    A planar set builds only the structures of its Mori fibers, the rule
+    stated by mori_fibers.
     """
-    if parent.dim == 2 and len(parent) > 4:
-        return ()
+    if parent.dim == 2:
+        return tuple(fiber_structure_for(parent, f) for f in mori_fibers(parent))
     return tuple(fs for fs in fiber_structures(parent) if fs.mori)
 
 

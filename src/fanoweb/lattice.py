@@ -102,9 +102,6 @@ def cross3(u, v):
 
 
 def mat_vec(m, v):
-    if len(m) == 2 == len(v):  # the planar case, in closed form
-        (a, b), (c, d) = m
-        return (a * v[0] + b * v[1], c * v[0] + d * v[1])
     return tuple(dot(row, v) for row in m)
 
 
@@ -142,8 +139,6 @@ def mat_inverse_unimodular(m):
     det = mat_det(m)
     if det not in (1, -1):
         raise ValueError("matrix is not unimodular")
-    if d == 1:
-        return ((det,),)
     if d == 2:
         a, b = m[0]
         c, e = m[1]

@@ -20,6 +20,7 @@ from itertools import product
 from .genset import (
     InvalidFiberStructure,
     PrimGenSet,
+    _fiber_structure,
     fiber_structure_for,
     fiber_structures,
     from_polytope,
@@ -27,6 +28,7 @@ from .genset import (
     intrinsic_points,
     mori_fiber_structures,
     positively_spans,
+    reductions,
 )
 from .lattice import (
     UnimodularMap,
@@ -152,10 +154,12 @@ class LinkReport(_Frozen):
 
 
 def _fs_or_none(c):
-    try:
-        return c.structure(), None
-    except ValueError as e:
-        return None, str(e)
+    """(structure, None) for a valid column, else (None, reason), read from
+    the memo: a column's fiber is a sorted tuple, its key form, and the
+    build raises nothing but InvalidFiberStructure, which the memo keeps as
+    its reason."""
+    got = _fiber_structure(c.pgs, c.fiber)
+    return (None, got) if isinstance(got, str) else (got, None)
 
 
 def _is_reduction(big, small):
@@ -816,16 +820,12 @@ def _candidate_links(start, class_constraint, box, mode):
 
     fiber_set = set(fiber)
     basis = saturate_span(fiber)
+    reduced = dict(reductions(A))
 
     # I_d: drop a point away from the fiber
-    for v in A.points:
-        if v in fiber_set:
-            continue
-        rest = tuple(p for p in A.points if p != v)
-        if not positively_spans(rest, d):
-            continue
-        right = Constituent(PrimGenSet.of_sorted(d, rest), fiber)
-        keep(_try_link("I_d", start, None, right, mode, cls))
+    for v, rest in reduced.items():
+        if v not in fiber_set:
+            keep(_try_link("I_d", start, None, Constituent(rest, fiber), mode, cls))
 
     # II and III: grow by one box point w.  Away from the fiber span the
     # grown pair is III_d's right column and II_ni's middle column, from
@@ -872,12 +872,10 @@ def _candidate_links(start, class_constraint, box, mode):
             continue
         mid = Constituent(A, tower.fiber)
         for u in tower.fiber:
-            rest = tuple(p for p in A.points if p != u)
-            if not positively_spans(rest, d):
-                continue
-            rest_fiber = tuple(p for p in tower.fiber if p != u)
-            right = Constituent(PrimGenSet.of_sorted(d, rest), rest_fiber)
-            keep(_try_link("I_m", start, mid, right, mode, cls))
+            if u in reduced:
+                rest_fiber = tuple(p for p in tower.fiber if p != u)
+                right = Constituent(reduced[u], rest_fiber)
+                keep(_try_link("I_m", start, mid, right, mode, cls))
 
     # IV_m: another ruling through a common enclosing fiber structure
     for other in structures:

@@ -184,9 +184,10 @@ def _polygon(vertices):
 
 
 def _hull3d(pts):
-    adim = affine_dimension(pts)
-    if adim < 3:
-        raise DegenerateHullError(adim)
+    """The polytope of sorted distinct points in space, its degeneracy
+    refused once, by the vertex scan: a vertex lies on three facet planes of
+    independent normals, while a coplanar set yields only its plane's two
+    sides and a collinear or smaller set no plane, so neither has one."""
     n = len(pts)
     planes = {}
     for i, j, k in combinations(range(n), 3):
@@ -212,6 +213,8 @@ def _hull3d(pts):
         normals = [nv for nv, c in planes if dot(nv, p) == c]
         if len(normals) >= 3 and matrix_rank(normals) == 3:
             vertices.append(p)
+    if not vertices:
+        raise DegenerateHullError(affine_dimension(pts))
     return Polytope(3, tuple(sorted(vertices)), facets)
 
 

@@ -11,7 +11,7 @@ byte-identical SVG.
 from __future__ import annotations
 
 from .lattice import matrix_rank
-from .links import LinkSequence, sequence_panels
+from .links import LinkSequence, _fs_or_none, sequence_panels
 from .polytopes import hull, lattice_points
 from .web import ConnectCertificate
 
@@ -51,10 +51,8 @@ def _panel_data(obj):
 
 
 def _is_mori(c):
-    try:
-        return c.structure().mori
-    except ValueError:
-        return False
+    fs, _ = _fs_or_none(c)
+    return fs is not None and fs.mori
 
 
 def render_svg(obj, cell_size=24):

@@ -21,6 +21,7 @@ from fanoweb.genset import (
 )
 from fanoweb.jsonio import fiber_structure_to_json
 from fanoweb.lattice import UnimodularMap, in_span, is_primitive, mat_mul, saturate_span
+from fanoweb.links import box_primitives
 from fanoweb.polytopes import hull, primitive_points
 from fanoweb.web import enumerate_class_polygons
 
@@ -299,6 +300,22 @@ def test_only_fiber_structures_that_can_exist_are_built(monkeypatch):
     assert len(_builds(monkeypatch, fiber_structures, hexagon)) == 4
     # (0, 1) and (-2, -1) have no negative in the set: no fiber on their lines
     assert _builds(monkeypatch, fiber_structures, QUAD2) == [((-1, 0), (1, 0)), QUAD2.points]
+
+
+def test_planar_mori_fiber_structures_are_those_of_mori_fibers():
+    # in the plane the Mori fibers are the whole 3-point set or the antipodal
+    # pairs of a 4-point set, never both: the filtered fiber structures are
+    # the structures of mori_fibers, in its order
+    sets = {from_polytope(p) for p in enumerate_class_polygons(3, "canonical")}
+    sets |= {
+        PrimGenSet.of_sorted(2, tuple(sorted(a.points + (w,))))
+        for a in sets
+        for w in box_primitives(2, 2)
+        if w not in a.points
+    }
+    assert len(sets) > 5000
+    for a in sorted(sets, key=lambda a: a.points):
+        assert mori_fiber_structures(a) == tuple(fs for fs in fiber_structures(a) if fs.mori)
 
 
 def test_counting_invariant_and_base_is_pgs():

@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanoweb import links
-from fanoweb.genset import InvalidFiberStructure, PrimGenSet, from_polytope, mori_fiber_structures
+from fanoweb.genset import (
+    InvalidFiberStructure,
+    PrimGenSet,
+    fiber_structure_for,
+    from_polytope,
+    mori_fiber_structures,
+    mori_fibers,
+)
 from fanoweb.lattice import UnimodularMap, is_primitive, mat_det, mat_mul
 from fanoweb.links import (
     HORIZONTAL_FIBER,
@@ -20,6 +27,7 @@ from fanoweb.links import (
     _candidate_links,
     _enumerate_links,
     _frame,
+    _fs_or_none,
     _link_table,
     _relation_holds,
     _shared,
@@ -669,6 +677,48 @@ def test_a_threefold_start_gives_the_kinds_that_planar_starts_do_not():
     trivial = ElementaryLink("IV_s", c, None, c, "polytope")
     assert validate_link(trivial).ok
     assert link_panels(trivial) == ([c, c], [("equal", None)])
+
+
+def _raising_route(c):
+    try:
+        return fiber_structure_for(c.pgs, c.fiber), None
+    except InvalidFiberStructure as e:
+        return None, str(e)
+
+
+def test_a_column_reads_the_fiber_memo_as_the_raising_route_does(monkeypatch):
+    # the build raises nothing but InvalidFiberStructure, whose reason the
+    # memo keeps: on every column of every candidate link at box 1 out of
+    # the 3D simplex and out of both Mori pairs of a six-point set, and on
+    # planted fibers of each invalid kind
+    simplex = PrimGenSet(3, _SIMPLICES[3])
+    six = PrimGenSet(3, [(0, 0, 1), (0, 0, -1), (1, 0, 0), (0, 1, 0), (-1, -1, 0), (-1, 0, 0)])
+    starts = [Constituent(simplex, simplex.points)] + [Constituent(six, f) for f in mori_fibers(six)]
+    columns = set()
+    try_link = links._try_link
+
+    def spy(kind, left, middle, right, mode, cls):
+        columns.update(c for c in (left, middle, right) if c is not None)
+        return try_link(kind, left, middle, right, mode, cls)
+
+    monkeypatch.setattr(links, "_try_link", spy)
+    for start in starts:
+        _candidate_links(start, "none", 1, "set")
+    quad2 = PrimGenSet(2, [(1, 0), (0, 1), (-1, 0), (-2, -1)])
+    solid = PrimGenSet(3, [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (-1, 0, 0), (0, 0, 1), (-2, 0, -1)])
+    planted = {
+        Constituent(quad2, ()): "fiber is empty",
+        Constituent(quad2, [(1, 1)]): "fiber is not a subset of the parent",
+        Constituent(quad2, [(1, 0)]): "fiber must be the full intersection with its span",
+        Constituent(solid, [(1, 0, 0), (0, 1, 0)]): "fiber must be the full intersection with its span",
+        Constituent(quad2, [(0, 1)]): "fiber does not generate its span as a cone",
+        Constituent(quad2, [(1, 0), (0, 1)]): "fiber spanning the whole space must be the whole set",
+    }
+    for c, reason in planted.items():
+        assert _fs_or_none(c) == _raising_route(c) == (None, reason)
+    for c in columns:
+        assert _fs_or_none(c) == _raising_route(c)
+    assert {_fs_or_none(c)[1] for c in columns} == {None, "fiber does not generate its span as a cone"}
 
 
 def test_box_primitives():

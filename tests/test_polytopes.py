@@ -68,9 +68,26 @@ def test_hull_canonical_order_ccw_from_lexmin():
 
 
 def test_hull_degenerate_input():
-    with pytest.raises(DegenerateHullError) as e:
-        hull([(0, 0), (1, 1), (2, 2)])
-    assert e.value.affine_dim == 1
+    # in space, a solid's vertex lies on three facet planes of independent
+    # normals: a point, a segment, a collinear triple and a coplanar set
+    # have none
+    cases = (
+        ([(0, 0), (1, 1), (2, 2)], 1),
+        ([(1, 2, 3)], 0),
+        ([(1, 0, 0), (-1, 0, 0)], 1),
+        ([(0, 0, 0), (1, 1, 1), (2, 2, 2)], 1),
+        ([(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 0)], 2),
+    )
+    for pts, adim in cases:
+        with pytest.raises(DegenerateHullError) as e:
+            hull(pts)
+        assert e.value.affine_dim == adim
+    # a polygon in space is counted in its plane
+    flat = [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 0)]
+    assert lattice_points_in_hull(flat) == ((-1, -1, 0), (0, 0, 0), (0, 1, 0), (1, 0, 0))
+    tilted = [(2, 0, -1), (0, 2, -1), (-1, -1, 3), (0, 0, 1)]  # on x + y + z = 1
+    expected = ((-1, -1, 3), (0, 0, 1), (0, 1, 0), (0, 2, -1), (1, 0, 0), (1, 1, -1), (2, 0, -1))
+    assert lattice_points_in_hull(tilted) == expected == _reference_lattice_points(tilted)
 
 
 def test_hull_refuses_mixed_lengths():
