@@ -17,7 +17,8 @@ from .lattice import (
     _Frozen,
     _set,
     coordinates_in_basis,
-    in_span,
+    cross3,
+    dot,
     is_primitive,
     pibar,
     quotient_projection,
@@ -164,6 +165,14 @@ def _fiber_structure(parent, fiber):
 
 
 def _build_fiber_structure(parent, fiber):
+    """The fiber structure of a sorted fiber tuple, or InvalidFiberStructure.
+
+    The span's members are the points that the quotient projection sends to
+    zero: its kernel over Q is the span.  The base needs no check: pi maps
+    the parent, a positively spanning set, onto a positively spanning set,
+    pibar keeps each ray's primitive point, the set drops repeats, and it is
+    not empty since the fiber spans less than the whole space.
+    """
     if not fiber:
         raise InvalidFiberStructure("fiber is empty")
     if any(p not in parent.points for p in fiber):
@@ -186,18 +195,15 @@ def _build_fiber_structure(parent, fiber):
             irreducible=True,
             mori=len(parent) == d + 1,
         )
-    members = tuple(p for p in parent.points if in_span(p, basis))
+    pi = quotient_projection(basis, d)
+    members = tuple(p for p in parent.points if not any(pi.apply(p)))
     if members != fiber:
         raise InvalidFiberStructure("fiber must be the full intersection with its span")
     intr = intrinsic_points(fiber, basis)
     if not positively_spans(intr, k):
         raise InvalidFiberStructure("fiber does not generate its span as a cone")
-    pi = quotient_projection(basis, d)
-    base_pts = sorted({pibar(pi, p) for p in parent.points if p not in fiber})
-    ok, reason = is_pgs(base_pts, d - k)
-    if not ok:
-        raise AssertionError(f"base of a fiber structure must be a PGS ({reason})")
-    base = PrimGenSet.of_sorted(d - k, tuple(base_pts))
+    base_pts = tuple(sorted({pibar(pi, p) for p in parent.points if p not in fiber}))
+    base = PrimGenSet.of_sorted(d - k, base_pts)
     irreducible = len(parent) == len(fiber) + len(base)
     mori = irreducible and len(fiber) == k + 1
     return FiberStructure(
@@ -237,8 +243,9 @@ def fiber_structures(parent):
     The only primitive points on a line through the origin are p and -p,
     so a line fiber is an antipodal pair {p, -p} of the parent.  In 3D a
     plane fiber has at least three points, and the planes are those of
-    independent pairs of points.  The whole space is added last, once (in
-    1D a line is the whole space).
+    independent pairs of points a, b: the kernel of the cross product
+    a x b, one plane per member tuple.  The whole space is added last, once
+    (in 1D a line is the whole space).
     """
     d = parent.dim
     pts = parent.points
@@ -249,12 +256,9 @@ def fiber_structures(parent):
     if d == 3:
         planes = {}
         for a, b in combinations(pts, 2):
-            if a != tuple(-x for x in b):
-                planes.setdefault(saturate_span([a, b]), True)
-        for basis in planes:
-            fiber = tuple(p for p in pts if in_span(p, basis))
-            if len(fiber) > 2:
-                fibers.append(fiber)
+            if any(n := cross3(a, b)):
+                planes.setdefault(tuple(p for p in pts if dot(n, p) == 0), True)
+        fibers += [fiber for fiber in planes if len(fiber) > 2]
     fibers.append(pts)
     # the candidate fibers are sorted tuples, the memo's key form; the
     # whole set is always valid, the others are kept when valid

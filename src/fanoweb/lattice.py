@@ -306,7 +306,9 @@ def quotient_projection(fiber_basis, dim):
     """Build the quotient projection for a saturated fiber sublattice.
 
     fiber_basis must be a basis (independent rows) of a saturated sublattice
-    of Z^dim; otherwise ValueError is raised.
+    of Z^dim; otherwise ValueError is raised.  The rows kill the basis by
+    construction: (-f1, f0) in the plane, else the Hermite form of rows k..
+    of the transform, orthogonal to the basis as rows k.. of h are zero.
     """
     basis = tuple(tuple(b) for b in fiber_basis)
     k = len(basis)
@@ -323,20 +325,15 @@ def quotient_projection(fiber_basis, dim):
         if gcd(f0, f1) != 1:
             raise ValueError("fiber basis does not span a saturated sublattice")
         row = (-f1, f0) if (-f1, f0) > (0, 0) else (f1, -f0)
-        pi = QuotientProjection(dim, basis, (row,))
-    else:
-        u, h, rank = _hermite_of_columns(basis, dim)
-        if rank != k:
-            raise ValueError("fiber basis is not linearly independent")
-        if h[:k] != mat_identity(k):
-            raise ValueError("fiber basis does not span a saturated sublattice")
-        if k == dim:
-            return QuotientProjection(dim, basis, ())
-        pi = QuotientProjection(dim, basis, row_hermite(u[k:])[1])
-    for b in basis:
-        if any(x != 0 for x in pi.apply(b)):
-            raise AssertionError("projection does not kill the fiber basis")
-    return pi
+        return QuotientProjection(dim, basis, (row,))
+    u, h, rank = _hermite_of_columns(basis, dim)
+    if rank != k:
+        raise ValueError("fiber basis is not linearly independent")
+    if h[:k] != mat_identity(k):
+        raise ValueError("fiber basis does not span a saturated sublattice")
+    if k == dim:
+        return QuotientProjection(dim, basis, ())
+    return QuotientProjection(dim, basis, row_hermite(u[k:])[1])
 
 
 def pibar(pi, v):

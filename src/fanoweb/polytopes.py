@@ -185,9 +185,12 @@ def _polygon(vertices):
 
 def _hull3d(pts):
     """The polytope of sorted distinct points in space, its degeneracy
-    refused once, by the vertex scan: a vertex lies on three facet planes of
-    independent normals, while a coplanar set yields only its plane's two
-    sides and a collinear or smaller set no plane, so neither has one."""
+    refused once, by the vertex scan.  Each kept plane holds three
+    non-collinear points and supports the set, so it is a facet plane, and
+    a point of a 3-polytope is a vertex exactly when it lies on three or
+    more facets: inside an edge it lies on two, inside a facet on one.  A
+    coplanar set yields only its plane's two sides and a collinear or
+    smaller set no plane, so neither has a vertex."""
     n = len(pts)
     planes = {}
     for i, j, k in combinations(range(n), 3):
@@ -208,14 +211,10 @@ def _hull3d(pts):
     facets = tuple(
         sorted((tuple(-x for x in nv), c) for (nv, c) in planes)
     )
-    vertices = []
-    for p in pts:
-        normals = [nv for nv, c in planes if dot(nv, p) == c]
-        if len(normals) >= 3 and matrix_rank(normals) == 3:
-            vertices.append(p)
+    vertices = tuple(p for p in pts if sum(dot(nv, p) == c for nv, c in planes) >= 3)
     if not vertices:
         raise DegenerateHullError(affine_dimension(pts))
-    return Polytope(3, tuple(sorted(vertices)), facets)
+    return Polytope(3, vertices, facets)
 
 
 def lattice_points(p):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from .lattice import matrix_rank
 from .links import LinkSequence, _fs_or_none, sequence_panels
 from .polytopes import hull, lattice_points
-from .web import ConnectCertificate
+from .web import ConnectCertificate, _is_link
 
 _REL_GLYPH = {"subset_dot": "⊂·", "supset_dot": "⊃·", "equal": "="}
 
@@ -28,9 +28,7 @@ def _panel_data(obj):
         moris = {}
         if seq.steps:
             panels, _ = sequence_panels(seq)
-            start = next(
-                (i for i, r in enumerate(obj.relations) if r.origin[0] == "link"), None
-            )
+            start = next((i for i, r in enumerate(obj.relations) if _is_link(r)), None)
             if start is not None:
                 for j, c in enumerate(panels):
                     fibers[start + j] = c.fiber
@@ -65,7 +63,7 @@ def render_svg(obj, cell_size=24):
     panels = _panel_data(obj)
     if not panels:
         raise ValueError("nothing to render")
-    if any(p.dim != 2 for p, _, _, _ in panels):
+    if any(p.dim != 2 or any(len(q) != 2 for q in fiber or ()) for p, fiber, _, _ in panels):
         raise ValueError("rendering supports two-dimensional chains only")
     cell = cell_size
     reach = 1

@@ -377,6 +377,32 @@ def test_render_cell_size_not_positive_exit_1(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("<?xml")
 
 
+def test_render_of_a_column_that_is_not_planar_exit_1(tmp_path, capsys):
+    # the README certificate with a one-dimensional first column: a typed
+    # error from render and from verify, and nothing on stderr
+    a = _write(tmp_path, "a.json", {"dim": 2, "points": [[1, 0], [0, 1], [-1, -1]]})
+    b = _write(tmp_path, "b.json", {"dim": 2, "points": [[0, 1], [-1, 0], [1, -1]]})
+    cert_path = str(tmp_path / "cert.json")
+    assert main(["connect", a, b, "--class", "terminal", "--out", cert_path]) == 0
+    cert = json.loads(open(cert_path).read())
+    cert["sequence"]["steps"][0]["left"] = {"dim": 1, "points": [[1], [-1]], "fiber": [[1], [-1]]}
+    line = _write(tmp_path, "line.json", cert)
+    # an empty origin, which a certificate built in code may carry, is refused on reading
+    cert["sequence"]["steps"][0]["left"] = json.loads(open(cert_path).read())["sequence"]["steps"][0]["left"]
+    cert["relations"][0]["origin"] = []
+    empty = _write(tmp_path, "empty.json", cert)
+    capsys.readouterr()
+    for command, path, message in (
+        ("render", line, "rendering supports two-dimensional chains only"),
+        ("verify", line, "ambient dimension 1 is not supported"),
+        ("render", empty, 'expected the origin ["reduction"] or ["link", step], got []'),
+    ):
+        assert main([command, path]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["error"] == {"message": message, "type": "ValueError"}
+        assert captured.err == ""
+
+
 _LEAN_SCRIPT = """
 import json, sys
 before = set(sys.modules)

@@ -276,6 +276,9 @@ def test_planar_fiber_structures_match_the_every_point_loop(a):
 @given(a=_pgs_strategy(3, 2))
 def test_3d_fiber_structures_match_the_every_point_loop(a):
     _check_against_reference(a)
+    # the build checks no base: the projection of a positively spanning set
+    for fs in fiber_structures(a):
+        assert is_pgs(fs.base.points, fs.base.dim) == (True, "ok")
 
 
 def _builds(monkeypatch, fn, a):

@@ -303,6 +303,7 @@ def test_quotient_projection_matches_its_definition(case):
             quotient_projection(basis, d)
         return
     pi = quotient_projection(basis, d)
+    assert not any(x for b in basis for x in pi.apply(b))
     for p in _box(d):
         assert (not any(pi.apply(p))) == in_span(p, basis)
     if k < d:  # onto Z^(d-k): the maximal minors have gcd 1

@@ -1,7 +1,7 @@
 import random
 import re
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from unittest import mock
 
 import pytest
@@ -13,9 +13,12 @@ from fanoweb.genset import (
     InvalidFiberStructure,
     PrimGenSet,
     fiber_structure_for,
+    fiber_structures,
     from_polytope,
+    is_pgs,
     mori_fiber_structures,
     mori_fibers,
+    positively_spans,
 )
 from fanoweb.lattice import UnimodularMap, is_primitive, mat_det, mat_mul
 from fanoweb.links import (
@@ -30,6 +33,7 @@ from fanoweb.links import (
     _fs_or_none,
     _link_table,
     _relation_holds,
+    _set_purity,
     _shared,
     _step_failures,
     _table_link_of,
@@ -52,7 +56,15 @@ from fanoweb.links import (
     validate_link,
     validate_sequence,
 )
-from fanoweb.polytopes import CLASS_NAMES, DegenerateHullError, classify, hull, in_class, primitive_points
+from fanoweb.polytopes import (
+    CLASS_NAMES,
+    DegenerateHullError,
+    classify,
+    hull,
+    in_class,
+    primitive_points,
+    primitive_points_in_hull,
+)
 from fanoweb.web import GEN_S, TOKENS, enumerate_class_polygons, mmp_reduce
 from test_memo import _clear_memos
 
@@ -719,6 +731,77 @@ def test_a_column_reads_the_fiber_memo_as_the_raising_route_does(monkeypatch):
     for c in columns:
         assert _fs_or_none(c) == _raising_route(c)
     assert {_fs_or_none(c)[1] for c in columns} == {None, "fiber does not generate its span as a cone"}
+
+
+def test_the_fibers_of_a_pure_set_are_pure():
+    # polytope mode checks each column's set, not its fiber: a fiber is the
+    # full intersection of the set with its span, so each primitive point of
+    # the fiber's hull, in the set's hull and in that span, is a fiber point.
+    # The threefolds are the pure sets that four box-1 primitives generate
+    prims = box_primitives(1, 3)
+    threefolds = {primitive_points_in_hull(four) for four in combinations(prims, 4) if positively_spans(four, 3)}
+    planar = {from_polytope(p).points for p in enumerate_class_polygons(3, "canonical")}
+    assert (len(threefolds), len(planar)) == (684, 828)
+    for points in sorted(threefolds) + sorted(planar):
+        assert _set_purity(points)
+        for fs in fiber_structures(PrimGenSet(len(points[0]), points)):
+            assert _set_purity(fs.fiber)
+
+
+def _verdict_with_fiber_purity(link):
+    """validate_link's verdict with a fiber purity check per column added
+    back in polytope mode, the check list as it was before they went."""
+    checks = list(validate_link(link).checks)
+    if link.mode == "polytope":
+        cols = zip(("left", "middle", "right"), (link.left, link.middle, link.right))
+        checks += [(f"{label} fiber purity", _set_purity(c.fiber), "") for label, c in cols if c is not None]
+    return all(ok for _, ok, _ in checks)
+
+
+def _edited_links(pool, count, rng):
+    """count links, each a link of the pool with one column edited: a box-2
+    primitive added to its set, or to its set and fiber, or a fiber point
+    dropped, or a point dropped from both; in a random mode.  Edits that
+    leave no generating set are skipped."""
+    out = []
+    while len(out) < count:
+        link = rng.choice(pool)
+        cols = [link.left, link.middle, link.right]
+        j = rng.choice([i for i, c in enumerate(cols) if c is not None])
+        c = cols[j]
+        points, fiber = set(c.points), set(c.fiber)
+        w = rng.choice(box_primitives(2, c.pgs.dim))
+        edit = rng.randrange(4)
+        if edit < 2:
+            points.add(w)
+            if edit == 1:
+                fiber.add(w)
+        else:
+            v = rng.choice(c.fiber if edit == 2 else c.points)
+            fiber.discard(v)
+            if edit == 3:
+                points.discard(v)
+        if not is_pgs(sorted(points), c.pgs.dim)[0]:
+            continue
+        cols[j] = Constituent(PrimGenSet(c.pgs.dim, points), fiber)
+        out.append(ElementaryLink(link.kind, *cols, rng.choice(("set", "polytope"))))
+    return out
+
+
+def test_fiber_purity_decides_no_verdict_on_edited_links():
+    # the edited links of the table and of the 3D candidate loop at box 1,
+    # some of them with a fiber that is not pure
+    simplex = PrimGenSet(3, _SIMPLICES[3])
+    six = PrimGenSet(3, [(0, 0, 1), (0, 0, -1), (1, 0, 0), (0, 1, 0), (-1, -1, 0), (-1, 0, 0)])
+    starts = [Constituent(simplex, simplex.points)] + [Constituent(six, f) for f in mori_fibers(six)]
+    pool = list(_TABLE_LINKS) + [link for start in starts for link in _candidate_links(start, "none", 1, "polytope")]
+    edited = _edited_links(pool, 400, random.Random(0))
+    impure = 0
+    for link in edited:
+        assert validate_link(link).ok == _verdict_with_fiber_purity(link)
+        cols = (link.left, link.middle, link.right)
+        impure += link.mode == "polytope" and not all(_set_purity(c.fiber) for c in cols if c is not None)
+    assert impure > 10
 
 
 def test_box_primitives():

@@ -563,6 +563,44 @@ def _reference_lattice_points(pts):
     return tuple(x for x in box if _reference_in_hull(x, pts))
 
 
+def _check_3d_vertices(pts, separate=False):
+    """hull's vertices are the points outside the hull of the others, by the
+    Carathéodory reference; with separate, a vertex is shown outside by a
+    functional in [-2, 2]^3 that it alone maximizes, as the reference costs
+    seconds on a vertex among two dozen points."""
+    vertices = hull(pts).vertices
+    for x in pts:
+        others = [q for q in pts if q != x]
+        if x in vertices and separate:
+            assert any(
+                all(sum(a * (b - c) for a, b, c in zip(f, x, q)) > 0 for q in others)
+                for f in product(range(-2, 3), repeat=3)
+            )
+        else:
+            assert (x in vertices) == (not _reference_in_hull(x, others))
+
+
+def test_3d_hull_vertices_on_the_cube_and_the_doubled_octahedron():
+    # a vertex lies on three or more facet planes, a point inside an edge on
+    # two, inside a facet on one and inside the solid on none: the cube's
+    # corners, edge midpoints, face centres and centre; the doubled
+    # octahedron's vertices, edge midpoints and inner points
+    cube = list(product(range(-1, 2), repeat=3))
+    octahedron = [x for x in cube + [(2, 0, 0), (-2, 0, 0), (0, 2, 0), (0, -2, 0), (0, 0, 2), (0, 0, -2)]
+                  if sum(map(abs, x)) <= 2]
+    assert len(octahedron) == 25
+    for pts, count in ((cube, 8), (octahedron, 6)):
+        assert len(hull(pts).vertices) == count
+        _check_3d_vertices(pts, separate=True)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(pts=st.lists(st.tuples(*[st.integers(-2, 2)] * 3), min_size=4, max_size=8, unique=True))
+def test_3d_hull_vertices_are_the_points_outside_the_hull_of_the_others(pts):
+    assume(affine_dimension(pts) == 3)
+    _check_3d_vertices(pts)
+
+
 @st.composite
 def _affine_sets(draw):
     """A base point, the base plus each of k generators, and a few integer

@@ -2,10 +2,18 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from fanoweb.links import sequence_from_steps, elementary_transform, plane_polygon
+from fanoweb.genset import PrimGenSet
+from fanoweb.links import (
+    Constituent,
+    ElementaryLink,
+    LinkSequence,
+    elementary_transform,
+    plane_polygon,
+    sequence_from_steps,
+)
 from fanoweb.polytopes import hull
 from fanoweb.render import render_svg
-from fanoweb.web import GEN_S, connect
+from fanoweb.web import GEN_S, ConnectCertificate, Relation, connect, verify_certificate
 
 
 def _cremona_certificate():
@@ -71,3 +79,35 @@ def test_cell_size_must_be_a_positive_int(cell_size):
     with pytest.raises(ValueError, match="cell size"):
         render_svg(seq, cell_size)
     assert render_svg(seq, 1).startswith("<?xml")
+
+
+def _with_first_left(cert, left):
+    """cert with the left column of its first link replaced."""
+    first, *rest = cert.sequence.steps
+    step = ElementaryLink(first.kind, left, first.middle, first.right, first.mode)
+    seq = LinkSequence((step, *rest), cert.sequence.class_constraint)
+    return ConnectCertificate(cert.chain, cert.relations, seq, cert.class_constraint)
+
+
+def test_render_refuses_a_fiber_that_is_not_planar():
+    # a one-dimensional column in a planar chain: its fiber has no place on
+    # the page, and the verifier refuses the certificate too
+    line = Constituent(PrimGenSet(1, [(1,), (-1,)]), [(1,), (-1,)])
+    cert = _with_first_left(_cremona_certificate(), line)
+    with pytest.raises(ValueError, match="two-dimensional chains only"):
+        render_svg(cert)
+    with pytest.raises(ValueError):
+        verify_certificate(cert)
+
+
+def test_render_finds_link_relations_by_the_verifiers_rule():
+    # an empty origin claims no link: the verifier reports it, and the
+    # panels start at the first relation that does claim one
+    cert = _cremona_certificate()
+    first, *rest = cert.relations
+    bad = ConnectCertificate(
+        cert.chain, (Relation(first.rel, first.witness, ()), *rest), cert.sequence, cert.class_constraint
+    )
+    assert not verify_certificate(bad).ok
+    assert [f for _, f, _, _ in _panels(bad)][1:] == [f for _, f, _, _ in _panels(cert)][:-1]
+    assert render_svg(bad).startswith("<?xml")
