@@ -16,7 +16,7 @@ from functools import partial
 
 from . import jsonio
 from .genset import fiber_structure_for, fiber_structures, from_polytope, mori_fibers, polytope_reduction
-from .links import Constituent, enumerate_links
+from .links import TABLE_CLASSES, Constituent, enumerate_links
 from .obstruction import run_suite
 from .polytopes import CLASS_NAMES, classify, lattice_points, interior_lattice_points, mavlyutov_dual, polar_dual, primitive_points
 from .render import render_svg
@@ -215,10 +215,6 @@ def _add_io(sub, *, polytope=True):
     sub.add_argument("--out", help="write output to this file instead of stdout")
 
 
-# the classes a certificate or an enumeration can be constrained to
-_CLASSES = ["terminal", "canonical", "reflexive"]
-
-
 class _UsageError(Exception):
     """Raised past argparse, whose parsers would prefix its message again."""
 
@@ -230,27 +226,27 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_links(s):
     _add_io(s)
-    s.add_argument("--class", dest="cls", default="none", choices=["none"] + _CLASSES)
+    s.add_argument("--class", dest="cls", default="none", choices=("none",) + TABLE_CLASSES)
     s.add_argument("--box", type=int, default=4)
     s.add_argument("--fiber", help="fiber points as JSON, e.g. [[1,0],[-1,0]]")
 
 
 def _add_mmp(s):
     _add_io(s)
-    s.add_argument("--class", dest="cls", default="canonical", choices=_CLASSES)
+    s.add_argument("--class", dest="cls", default="canonical", choices=TABLE_CLASSES)
 
 
 def _add_connect(s):
     s.add_argument("first")
     s.add_argument("second")
-    s.add_argument("--class", dest="cls", default="canonical", choices=_CLASSES)
+    s.add_argument("--class", dest="cls", default="canonical", choices=TABLE_CLASSES)
     _add_io(s, polytope=False)
 
 
 def _add_bfs(s):
     s.add_argument("first")
     s.add_argument("second")
-    s.add_argument("--class", dest="cls", default="canonical", choices=_CLASSES)
+    s.add_argument("--class", dest="cls", default="canonical", choices=TABLE_CLASSES)
     s.add_argument("--box", type=int, default=4)
     _add_io(s, polytope=False)
 
@@ -261,7 +257,7 @@ def _add_verify(s):
 
 
 def _add_enumerate(s):
-    s.add_argument("--class", dest="cls", default="reflexive", choices=_CLASSES)
+    s.add_argument("--class", dest="cls", default="reflexive", choices=TABLE_CLASSES)
     s.add_argument("--box", type=int, default=3)
     s.add_argument("--mfp", action="store_true", help="keep Mori fiber polygons only")
     _add_io(s, polytope=False)

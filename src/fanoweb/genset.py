@@ -15,7 +15,6 @@ from itertools import combinations
 from .lattice import (
     QuotientProjection,
     _Frozen,
-    _set,
     coordinates_in_basis,
     cross3,
     dot,
@@ -123,15 +122,6 @@ def from_polytope(p):
 
 class FiberStructure(_Frozen):
     __slots__ = ("parent", "fiber", "span_basis", "projection", "base", "irreducible", "mori")
-
-    def __init__(self, parent, fiber, span_basis, projection, base, irreducible, mori):
-        _set(self, "parent", parent)
-        _set(self, "fiber", fiber)
-        _set(self, "span_basis", span_basis)
-        _set(self, "projection", projection)
-        _set(self, "base", base)
-        _set(self, "irreducible", irreducible)
-        _set(self, "mori", mori)
 
     @property
     def fiber_dim(self):
@@ -308,12 +298,6 @@ def reductions(parent):
 
 class ReductionResult(_Frozen):
     __slots__ = ("valid", "polytope", "removed", "reason")
-
-    def __init__(self, valid, polytope, removed, reason):
-        _set(self, "valid", valid)
-        _set(self, "polytope", polytope)
-        _set(self, "removed", removed)
-        _set(self, "reason", reason)
 
 
 def polytope_reduction(p, v):

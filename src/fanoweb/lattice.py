@@ -21,12 +21,28 @@ _set = object.__setattr__
 
 class _Frozen:
     """Base of the immutable value classes.  A subclass names its fields in
-    __slots__ in constructor order (a leading underscore marks a derived
-    slot) and sets them in __init__ through _set.  Fields compare and hash
-    as one tuple, equal only within one type; assigning to or deleting a
-    field afterwards raises AttributeError."""
+    __slots__ in constructor order; a leading underscore marks a derived
+    slot.  A subclass that defines no __init__ gets one compiled from its
+    slots, `__init__(self, <public slots in order>)` storing each argument
+    through _set, with no defaults and no checks; a record that normalises,
+    checks or derives a field writes its own __init__ and sets every slot
+    through _set.  Fields compare and hash as one tuple, equal only within
+    one type; assigning to or deleting a field afterwards raises
+    AttributeError."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "__init__" in cls.__dict__:
+            return
+        names = [n for n in cls.__slots__ if n[0] != "_"]
+        body = "".join(f"\n    _set(self, {n!r}, {n})" for n in names)
+        namespace = {}
+        exec(f"def __init__(self, {', '.join(names)}):{body}", {"_set": _set}, namespace)
+        init = namespace["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
 
     def _fields(self):
         return tuple(getattr(self, n) for n in self.__slots__ if n[0] != "_")
@@ -292,11 +308,6 @@ class QuotientProjection(_Frozen):
     """
 
     __slots__ = ("source_dim", "fiber_basis", "matrix")
-
-    def __init__(self, source_dim, fiber_basis, matrix):
-        _set(self, "source_dim", source_dim)
-        _set(self, "fiber_basis", fiber_basis)
-        _set(self, "matrix", matrix)
 
     def apply(self, v):
         return tuple(dot(row, v) for row in self.matrix)

@@ -47,6 +47,9 @@ from .polytopes import (
 )
 
 KINDS = ("I_d", "I_m", "II_irr", "II_ni", "III_d", "III_m", "IV_m", "IV_s")
+# the classes whose planar links the link table gives and whose polygons the
+# class table lists: the classes a certificate or an enumeration can keep to
+TABLE_CLASSES = ("terminal", "canonical", "reflexive")
 
 _MIRROR = {"I_d": "III_d", "III_d": "I_d", "I_m": "III_m", "III_m": "I_m",
            "II_irr": "II_irr", "II_ni": "II_ni", "IV_m": "IV_m", "IV_s": "IV_s"}
@@ -142,10 +145,6 @@ def inverse(link):
 
 class LinkReport(_Frozen):
     __slots__ = ("ok", "checks")
-
-    def __init__(self, ok, checks):
-        _set(self, "ok", ok)
-        _set(self, "checks", checks)
 
     def failed(self):
         return tuple(c for c in self.checks if not c[1])
@@ -453,10 +452,6 @@ def sequence_from_steps(steps, class_constraint="none"):
 class SequenceReport(_Frozen):
     __slots__ = ("ok", "failures")
 
-    def __init__(self, ok, failures):
-        _set(self, "ok", ok)
-        _set(self, "failures", failures)
-
 
 def _step_class_failures(link, class_constraint):
     """The columns of the link whose sets leave the class."""
@@ -703,7 +698,7 @@ def _enumerate_links(start, class_constraint, box, mode):
     but no image of a standard pair; every other start runs the candidate
     loop."""
     planar = start.pgs.dim == 2 and mode == "polytope"
-    table = planar and class_constraint in ("canonical", "reflexive", "terminal")
+    table = planar and class_constraint in TABLE_CLASSES
     if table:
         links = _table_links(start, class_constraint, box)
         if links:  # start is g(a standard pair), so a Mori pair

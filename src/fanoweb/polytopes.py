@@ -34,7 +34,6 @@ from math import gcd, lcm
 
 from .lattice import (
     _Frozen,
-    _set,
     coordinates_in_basis,
     cross3,
     dot,
@@ -394,11 +393,6 @@ class MavlyutovDual(_Frozen):
 
     __slots__ = ("dim", "points", "polytope")
 
-    def __init__(self, dim, points, polytope):
-        _set(self, "dim", dim)
-        _set(self, "points", points)
-        _set(self, "polytope", polytope)
-
 
 def mavlyutov_dual(p):
     """The integer points u with <v, u> >= -1 at every vertex v of p, in the
@@ -416,14 +410,6 @@ def mavlyutov_dual(p):
 
 class ClassFlags(_Frozen):
     __slots__ = ("fano", "canonical", "terminal", "reflexive", "pseudoreflexive", "almost_pseudoreflexive")
-
-    def __init__(self, fano, canonical, terminal, reflexive, pseudoreflexive, almost_pseudoreflexive):
-        _set(self, "fano", fano)
-        _set(self, "canonical", canonical)
-        _set(self, "terminal", terminal)
-        _set(self, "reflexive", reflexive)
-        _set(self, "pseudoreflexive", pseudoreflexive)
-        _set(self, "almost_pseudoreflexive", almost_pseudoreflexive)
 
     def get(self, name):
         return getattr(self, name)

@@ -32,9 +32,10 @@ from math import gcd
 from operator import attrgetter
 
 from .genset import PrimGenSet, from_polytope, mori_fibers, polytope_reduction
-from .lattice import UnimodularMap, _Frozen, _set, bezout, mat_det
+from .lattice import UnimodularMap, _Frozen, bezout, mat_det
 from .links import (
     STANDARD_SYMMETRIES,
+    TABLE_CLASSES,
     Constituent,
     _enumerate_links,
     _frame,
@@ -179,12 +180,7 @@ def _replay(key, word):
 
 
 class MmpReduction(_Frozen):
-    __slots__ = ("polytope", "fiber", "chain")
-
-    def __init__(self, polytope, fiber, chain):
-        _set(self, "polytope", polytope)
-        _set(self, "fiber", fiber)
-        _set(self, "chain", chain)  # ((removed vertex, polytope after removal), ...)
+    __slots__ = ("polytope", "fiber", "chain")  # chain: ((removed vertex, polytope after removal), ...)
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -353,30 +349,15 @@ def _cut_loops(start, steps, end):
 
 
 class Relation(_Frozen):
-    __slots__ = ("rel", "witness", "origin")
-
-    def __init__(self, rel, witness, origin):
-        _set(self, "rel", rel)  # "supset_dot", "subset_dot", "equal"
-        _set(self, "witness", witness)
-        _set(self, "origin", origin)  # ("reduction",) or ("link", step index)
+    __slots__ = ("rel", "witness", "origin")  # rel: "supset_dot", "subset_dot", "equal"; origin: ("reduction",) or ("link", step index)
 
 
 class ConnectCertificate(_Frozen):
     __slots__ = ("chain", "relations", "sequence", "class_constraint")
 
-    def __init__(self, chain, relations, sequence, class_constraint):
-        _set(self, "chain", chain)
-        _set(self, "relations", relations)
-        _set(self, "sequence", sequence)
-        _set(self, "class_constraint", class_constraint)
-
 
 class VerifyReport(_Frozen):
     __slots__ = ("ok", "failures")
-
-    def __init__(self, ok, failures):
-        _set(self, "ok", ok)
-        _set(self, "failures", failures)
 
 
 def _require_class(p, class_constraint):
@@ -639,7 +620,7 @@ def _class_placements(box, class_constraint):
     """(the table's rows in the class, their _placements): every row, or
     under terminal the rows of the terminal column; no class predicate runs."""
     check_box(box)
-    if class_constraint not in ("canonical", "reflexive", "terminal"):
+    if class_constraint not in TABLE_CLASSES:
         raise ValueError("enumeration supports canonical, reflexive, terminal")
     rows = tuple(row for row in _CLASS_TABLE if row[2] or class_constraint != "terminal")
     return rows, _placements(box, tuple(_polygon(row[0]) for row in rows))

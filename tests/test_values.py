@@ -4,13 +4,16 @@ equality and hash by value, inequality across types, read-only fields and a
 repr that names the type."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
+import fanoweb
 from fanoweb.genset import FiberStructure, PrimGenSet, ReductionResult, fiber_structure_for
 from fanoweb.jsonio import link_from_json, link_to_json
-from fanoweb.lattice import QuotientProjection, UnimodularMap
+from fanoweb.lattice import QuotientProjection, UnimodularMap, _Frozen
 from fanoweb.links import (
     Constituent,
     ElementaryLink,
@@ -119,6 +122,30 @@ def test_value_semantics(cls):
     with pytest.raises(AttributeError):
         a.unknown = 1
     assert repr(a).startswith(f"{cls.__name__}({names[0]}=")
+
+
+def test_every_record_type_is_a_case():
+    """A record type added to any fanoweb module is held to the value
+    semantics above."""
+    modules = [importlib.import_module(f"fanoweb.{m.name}") for m in pkgutil.iter_modules(fanoweb.__path__)]
+    records = {
+        obj
+        for mod in modules
+        for obj in vars(mod).values()
+        if isinstance(obj, type) and issubclass(obj, _Frozen) and obj is not _Frozen and obj.__module__ == mod.__name__
+    }
+    assert records == set(CASES)
+
+
+@pytest.mark.parametrize("cls", TYPES, ids=lambda cls: cls.__name__)
+def test_constructor_refuses_a_missing_or_unknown_field(cls):
+    names, values, _ = CASES[cls]
+    fields = dict(zip(names, values))
+    del fields[names[0]]
+    with pytest.raises(TypeError, match=rf"^{cls.__name__}\.__init__\(\) missing 1 required positional argument: '{names[0]}'"):
+        cls(**fields)
+    with pytest.raises(TypeError, match="unknown"):
+        cls(*values, unknown=1)
 
 
 def test_reports_with_the_same_fields_differ_by_type():
