@@ -113,9 +113,6 @@ class PrimGenSet:
         return f"PrimGenSet(dim={self.dim}, points={list(self.points)})"
 
 
-EMPTY_PGS = PrimGenSet(0, ())
-
-
 def from_polytope(p):
     return PrimGenSet.of_sorted(p.dim, primitive_points(p))
 
@@ -158,10 +155,11 @@ def _build_fiber_structure(parent, fiber):
     """The fiber structure of a sorted fiber tuple, or InvalidFiberStructure.
 
     The span's members are the points that the quotient projection sends to
-    zero: its kernel over Q is the span.  The base needs no check: pi maps
-    the parent, a positively spanning set, onto a positively spanning set,
-    pibar keeps each ray's primitive point, the set drops repeats, and it is
-    not empty since the fiber spans less than the whole space.
+    zero: its kernel over Q is the span.  A fiber spanning the whole space
+    is the parent, a PGS, so it needs no cone test; its projection has no
+    rows and its base is empty.  The base needs no check: pi maps the
+    parent, a positively spanning set, onto a positively spanning set, pibar
+    keeps each ray's primitive point, and the set drops repeats.
     """
     if not fiber:
         raise InvalidFiberStructure("fiber is empty")
@@ -170,27 +168,16 @@ def _build_fiber_structure(parent, fiber):
     d = parent.dim
     basis = saturate_span(fiber)
     k = len(basis)
-    if k == d:
-        if fiber != parent.points:
-            raise InvalidFiberStructure(
-                "fiber spanning the whole space must be the whole set"
-            )
+    if k < d:
+        pi = quotient_projection(basis, d)
+    elif fiber != parent.points:
+        raise InvalidFiberStructure("fiber spanning the whole space must be the whole set")
+    else:
         pi = QuotientProjection(d, basis, ())
-        return FiberStructure(
-            parent=parent,
-            fiber=fiber,
-            span_basis=basis,
-            projection=pi,
-            base=EMPTY_PGS,
-            irreducible=True,
-            mori=len(parent) == d + 1,
-        )
-    pi = quotient_projection(basis, d)
     members = tuple(p for p in parent.points if not any(pi.apply(p)))
     if members != fiber:
         raise InvalidFiberStructure("fiber must be the full intersection with its span")
-    intr = intrinsic_points(fiber, basis)
-    if not positively_spans(intr, k):
+    if k < d and not positively_spans(intrinsic_points(fiber, basis), k):
         raise InvalidFiberStructure("fiber does not generate its span as a cone")
     base_pts = tuple(sorted({pibar(pi, p) for p in parent.points if p not in fiber}))
     base = PrimGenSet.of_sorted(d - k, base_pts)
@@ -209,13 +196,10 @@ def _build_fiber_structure(parent, fiber):
 
 def intrinsic_points(points, basis):
     """Coordinates of lattice points of a subspace in its saturated basis."""
-    out = []
-    for p in points:
-        c = coordinates_in_basis(p, basis)
-        if c is None:
-            raise InvalidFiberStructure("point is not in the saturated span lattice")
-        out.append(c)
-    return tuple(out)
+    out = coordinates_in_basis(points, basis)
+    if out is None:
+        raise InvalidFiberStructure("point is not in the saturated span lattice")
+    return out
 
 
 def intrinsic_pgs(points):

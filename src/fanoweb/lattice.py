@@ -376,27 +376,36 @@ def in_span(v, basis):
     return matrix_rank(basis) == matrix_rank(list(basis) + [v])
 
 
-def coordinates_in_basis(v, basis):
-    """Integer coordinates c of v with respect to lattice basis rows, so that
-    sum_i c_i * basis[i] == v.
+def coordinates_in_basis(points, basis):
+    """Integer coordinates c of each point v with respect to lattice basis
+    rows, so that sum_i c_i * basis[i] == v; None when some point is not an
+    integer combination of the basis.
 
-    Back-substitution on the row Hermite form h == u * basis: solve
-    y * h == v over the pivot columns with floor division, check every
-    column (a remainder shows there), then c = y * u.  Returns None when v
-    is not an integer combination of the basis.
+    Back-substitution on the row Hermite form h == u * basis, computed once
+    for all the points: solve y * h == v over the pivot columns with floor
+    division, check every column (a remainder shows there), then c = y * u.
     """
-    if basis == mat_identity(len(v)):  # the coordinates are the point itself
-        return tuple(v)
+    if basis == mat_identity(len(basis[0])):  # the coordinates are the points themselves
+        return tuple(map(tuple, points))
     if len(basis) == 1:  # one exact division on the first nonzero entry
-        c = next((y // x for x, y in zip(basis[0], v) if x), 0)
-        return (c,) if all(c * x == y for x, y in zip(basis[0], v)) else None
-    u, h = row_hermite(basis)
-    y = []
-    for row in h:
-        col = next((j for j, x in enumerate(row) if x), None)
-        if col is None:  # the zero rows of a dependent basis come last
-            break
-        y.append((v[col] - sum(a * r[col] for a, r in zip(y, h))) // row[col])
-    if any(dot(y, column) != b for column, b in zip(zip(*h), v)):
-        return None
-    return tuple(dot(y, column) for column in zip(*u))
+        (b,) = basis
+
+        def solve(v):
+            c = next((y // x for x, y in zip(b, v) if x), 0)
+            return (c,) if all(c * x == y for x, y in zip(b, v)) else None
+    else:
+        u, h = row_hermite(basis)
+
+        def solve(v):
+            y = []
+            for row in h:
+                col = next((j for j, x in enumerate(row) if x), None)
+                if col is None:  # the zero rows of a dependent basis come last
+                    break
+                y.append((v[col] - sum(a * r[col] for a, r in zip(y, h))) // row[col])
+            if any(dot(y, column) != b for column, b in zip(zip(*h), v)):
+                return None
+            return tuple(dot(y, column) for column in zip(*u))
+
+    coords = tuple(map(solve, points))
+    return None if None in coords else coords

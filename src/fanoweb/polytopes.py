@@ -58,9 +58,9 @@ MEMO_SIZE = 4096
 class DegenerateHullError(ValueError):
     """Input points do not span the ambient dimension."""
 
-    def __init__(self, affine_dim, message=None):
+    def __init__(self, affine_dim):
         self.affine_dim = affine_dim
-        super().__init__(message or f"degenerate hull: affine dimension {affine_dim}")
+        super().__init__(f"degenerate hull: affine dimension {affine_dim}")
 
 
 class Polytope:
@@ -326,7 +326,7 @@ def _lattice_points_in_plane(pts):
     base = pts[0]
     diffs = [vec_sub(p, base) for p in pts[1:]]
     basis = saturate_span(diffs)
-    coords = [(0, 0)] + [coordinates_in_basis(v, basis) for v in diffs]
+    coords = ((0, 0),) + coordinates_in_basis(diffs, basis)
     axes = list(zip(*basis))
     inner = lattice_points(hull(coords))
     return tuple(sorted(tuple(b + dot(c, axis) for b, axis in zip(base, axes)) for c in inner))
@@ -419,22 +419,22 @@ CLASS_NAMES = ("none",) + ClassFlags.__slots__
 
 
 def classify(p):
-    """The six classification predicates.
+    """The six classification predicates: the first four from in_class,
+    the two Mavlyutov flags computed here.
 
     With the origin not strictly interior every flag is false (the polytope
     is in particular not Fano).
     """
-    if not p.origin_interior():
-        return ClassFlags(False, False, False, False, False, False)
-    fano = all(is_primitive(v) for v in p.vertices)
-    canonical, terminal = _canonical_terminal(p)
-    reflexive = all(lv == 1 for _, lv in p.facets)
-    md = mavlyutov_dual(p)
-    apr = md.polytope is not None and md.polytope.origin_interior()
-    pr = False
-    if apr:
-        md2 = mavlyutov_dual(md.polytope)
-        pr = md2.polytope is not None and md2.polytope == p
+    fano, canonical, terminal, reflexive = (
+        in_class(p, name) for name in ("fano", "canonical", "terminal", "reflexive")
+    )
+    apr = pr = False
+    if p.origin_interior():
+        md = mavlyutov_dual(p)
+        apr = md.polytope is not None and md.polytope.origin_interior()
+        if apr:
+            md2 = mavlyutov_dual(md.polytope)
+            pr = md2.polytope is not None and md2.polytope == p
     return ClassFlags(fano, canonical, terminal, reflexive, pr, apr)
 
 

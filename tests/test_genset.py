@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from fanoweb import genset
 from fanoweb.genset import (
-    EMPTY_PGS,
     InvalidFiberStructure,
     PrimGenSet,
     fiber_structure_for,
@@ -20,7 +19,7 @@ from fanoweb.genset import (
     reductions,
 )
 from fanoweb.jsonio import fiber_structure_to_json
-from fanoweb.lattice import UnimodularMap, in_span, is_primitive, mat_mul, saturate_span
+from fanoweb.lattice import UnimodularMap, in_span, is_primitive, mat_identity, mat_mul, saturate_span
 from fanoweb.links import box_primitives
 from fanoweb.polytopes import hull, primitive_points
 from fanoweb.web import enumerate_class_polygons
@@ -166,7 +165,7 @@ def test_fiber_structures_triangle_trivial_only():
     mori = mori_fiber_structures(TRIANGLE)
     assert len(mori) == 1
     assert mori[0].trivial
-    assert mori[0].base == EMPTY_PGS
+    assert mori[0].base == PrimGenSet(0, ())
     assert mori[0].mori  # |A| = 3 = dim + 1
 
 
@@ -219,6 +218,35 @@ def test_the_line_has_one_fiber_structure():
     for structs in (fiber_structures(line), mori_fiber_structures(line)):
         assert len(structs) == 1
         assert structs[0].trivial and structs[0].mori
+
+
+def _random_3d_pgss(count, seed):
+    """count seeded 3D primitive generating sets, each of 4 to 8 primitive
+    points of the box [-2, 2]^3."""
+    rng = random.Random(seed)
+    prims = box_primitives(2, 3)
+    out = []
+    while len(out) < count:
+        pts = rng.sample(prims, rng.randint(4, 8))
+        if positively_spans(pts, 3):
+            out.append(PrimGenSet(3, pts))
+    return out
+
+
+def test_the_whole_set_fiber_is_built_as_any_fiber():
+    # the fiber spanning the whole space: the identity basis, a projection
+    # with no rows, the empty base, irreducible, Mori exactly for d + 1
+    # points; on the box-3 canonical sets and random sets in space
+    sets = [from_polytope(p) for p in enumerate_class_polygons(3, "canonical")] + _random_3d_pgss(200, 0)
+    # and the bases of their structures: the 1D base {-1, 1} and the 2D bases in space
+    bases = {fs.base for a in sets for fs in fiber_structures(a) if fs.base.dim > 0}
+    assert len(sets) == 1028 and {b.dim for b in bases} == {1, 2} and len(bases) > 20
+    for a in sets + sorted(bases, key=lambda b: b.points):
+        d = a.dim
+        fs = fiber_structure_for(a, a.points)
+        assert fs.span_basis == mat_identity(d) and fs.projection.matrix == ()
+        assert fs.base == PrimGenSet(0, ())
+        assert fs.irreducible and fs.mori == (len(a) == d + 1)
 
 
 def _fiber_structures_reference(parent):

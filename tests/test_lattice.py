@@ -170,15 +170,15 @@ def test_in_span_and_coordinates():
     basis = ((1, 0, 0), (0, 1, 0))
     assert in_span((3, -4, 0), basis)
     assert not in_span((0, 0, 1), basis)
-    assert coordinates_in_basis((3, -4, 0), basis) == (3, -4)
-    assert coordinates_in_basis((0, 0, 1), basis) is None
+    assert coordinates_in_basis([(3, -4, 0)], basis) == ((3, -4),)
+    assert coordinates_in_basis([(0, 0, 1)], basis) is None
     skew = ((1, 1),)
-    assert coordinates_in_basis((3, 3), skew) == (3,)
-    assert coordinates_in_basis((1, 2), skew) is None
+    assert coordinates_in_basis([(3, 3)], skew) == ((3,),)
+    assert coordinates_in_basis([(1, 2)], skew) is None
     # bases that are not in Hermite form, and one of an unsaturated lattice
-    assert coordinates_in_basis((3, 2), ((2, 1), (1, 1))) == (1, 1)
-    assert coordinates_in_basis((1, 4, 3), ((1, 1, 0), (0, 1, 1))) == (1, 3)
-    assert coordinates_in_basis((1, 0), ((2, 0), (0, 1))) is None
+    assert coordinates_in_basis([(3, 2)], ((2, 1), (1, 1))) == ((1, 1),)
+    assert coordinates_in_basis([(1, 4, 3)], ((1, 1, 0), (0, 1, 1))) == ((1, 3),)
+    assert coordinates_in_basis([(1, 0)], ((2, 0), (0, 1))) is None
 
 
 def test_coordinates_in_the_identity_basis_are_the_point(monkeypatch):
@@ -186,7 +186,23 @@ def test_coordinates_in_the_identity_basis_are_the_point(monkeypatch):
 
     monkeypatch.setattr(lattice, "row_hermite", lambda basis: pytest.fail("Hermite form computed"))
     for v in ((3, -4), (0, 0), (1, 2, -7)):
-        assert coordinates_in_basis(v, mat_identity(len(v))) == v
+        assert coordinates_in_basis([v], mat_identity(len(v))) == (v,)
+
+
+def test_the_coordinates_of_several_points_take_one_hermite_form(monkeypatch):
+    # None when any point is off the lattice; one Hermite form per call
+    from fanoweb import lattice
+
+    forms = []
+    real = lattice.row_hermite
+    monkeypatch.setattr(lattice, "row_hermite", lambda basis: forms.append(basis) or real(basis))
+    basis = ((1, 1, 0), (0, 1, 1))
+    assert coordinates_in_basis([(1, 4, 3), (1, 1, 0), (0, 0, 0)], basis) == ((1, 3), (1, 0), (0, 0))
+    assert coordinates_in_basis([(1, 4, 3), (0, 0, 1)], basis) is None
+    assert coordinates_in_basis([], basis) == ()
+    assert forms == [basis] * 3
+    assert coordinates_in_basis([(3, 3), (-2, -2)], ((1, 1),)) == ((3,), (-2,))
+    assert coordinates_in_basis([(3, 3), (1, 2)], ((1, 1),)) is None
 
 
 def test_projection_from_saturated_span_output():
@@ -287,9 +303,10 @@ def test_saturate_span_is_the_hermite_basis_of_the_saturation(case):
     assert len(basis) == _reference_rank(vecs)
     assert row_hermite(basis)[1] == basis
     for p in _box(d):
-        c = coordinates_in_basis(p, basis)
+        c = coordinates_in_basis([p], basis)
         assert (c is not None) == in_span(p, vecs)
         if c is not None:
+            (c,) = c
             assert tuple(sum(ci * b[j] for ci, b in zip(c, basis)) for j in range(d)) == p
 
 
@@ -427,7 +444,8 @@ def _row_and_vector(draw):
 @example(case=((0, 0, 0), (1, 0, 0)))
 def test_one_row_coordinates_match_the_hermite_route(case):
     row, v = case
-    assert coordinates_in_basis(v, (row,)) == _hermite_coordinates(v, (row,))
+    c = _hermite_coordinates(v, (row,))
+    assert coordinates_in_basis([v], (row,)) == (None if c is None else (c,))
 
 
 def test_a_vector_of_the_wrong_length_is_refused():

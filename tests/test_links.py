@@ -15,12 +15,13 @@ from fanoweb.genset import (
     fiber_structure_for,
     fiber_structures,
     from_polytope,
+    intrinsic_points,
     is_pgs,
     mori_fiber_structures,
     mori_fibers,
     positively_spans,
 )
-from fanoweb.lattice import UnimodularMap, is_primitive, mat_det, mat_mul
+from fanoweb.lattice import UnimodularMap, is_primitive, mat_det, mat_mul, saturate_span
 from fanoweb.links import (
     HORIZONTAL_FIBER,
     KINDS,
@@ -31,6 +32,7 @@ from fanoweb.links import (
     _enumerate_links,
     _frame,
     _fs_or_none,
+    _intrinsic_reduction,
     _link_table,
     _relation_holds,
     _set_purity,
@@ -66,6 +68,7 @@ from fanoweb.polytopes import (
     primitive_points_in_hull,
 )
 from fanoweb.web import GEN_S, TOKENS, enumerate_class_polygons, mmp_reduce
+from test_genset import _random_3d_pgss
 from test_memo import _clear_memos
 
 U_MAT = UnimodularMap(((-1, 0), (0, 1)))
@@ -802,6 +805,102 @@ def test_fiber_purity_decides_no_verdict_on_edited_links():
         cols = (link.left, link.middle, link.right)
         impure += link.mode == "polytope" and not all(_set_purity(c.fiber) for c in cols if c is not None)
     assert impure > 10
+
+
+def _four_part_reduction(big_fiber, small_fiber):
+    """The fiber reduction as four hand checks: a strict subset, one point
+    fewer, the same saturated span, and small positively spanning it."""
+    if not set(small_fiber) < set(big_fiber):
+        return False
+    if len(big_fiber) != len(small_fiber) + 1:
+        return False
+    try:
+        big_basis = saturate_span(big_fiber)
+        small_basis = saturate_span(small_fiber)
+    except ValueError:
+        return False
+    if big_basis != small_basis:
+        return False
+    return positively_spans(intrinsic_points(small_fiber, big_basis), len(big_basis))
+
+
+def _spans_its_span(points):
+    try:
+        basis = saturate_span(points)
+    except ValueError:
+        return False
+    return positively_spans(intrinsic_points(points, basis), len(basis))
+
+
+def test_a_fiber_reduction_is_a_reduction_of_the_intrinsic_sets():
+    # the rule adds one condition to the four hand checks, that big is a PGS
+    # of its span: where big is not, the two may differ, but the link's
+    # middle column already fails.  On the middle-to-side fiber pairs of the
+    # table links, of the 3D candidate links at box 1 in both modes and of
+    # edited links, and on random subsets of generating sets
+    simplex = PrimGenSet(3, _SIMPLICES[3])
+    six = PrimGenSet(3, [(0, 0, 1), (0, 0, -1), (1, 0, 0), (0, 1, 0), (-1, -1, 0), (-1, 0, 0)])
+    starts = [Constituent(simplex, simplex.points)] + [Constituent(six, f) for f in mori_fibers(six)]
+    pool = list(_TABLE_LINKS)
+    pool += [link for start in starts for mode in ("set", "polytope") for link in _candidate_links(start, "none", 1, mode)]
+    counts = {True: 0, False: 0, "not spanning": 0}
+    for link in pool + _edited_links(pool, 600, random.Random(1)):
+        if link.middle is None:
+            continue
+        big = link.middle.fiber
+        spans = _spans_its_span(big)
+        for small in (link.left.fiber, link.right.fiber):
+            got = _intrinsic_reduction(big, small)
+            if spans:
+                assert got == _four_part_reduction(big, small)
+                counts[got] += 1
+            else:
+                failed = [name for name, _, _ in validate_link(link).failed()]
+                assert any(name.endswith("middle fiber structure") for name in failed)
+                counts["not spanning"] += 1
+    rng = random.Random(2)
+    sets = [from_polytope(p).points for p in enumerate_class_polygons(3, "canonical")]
+    sets += [a.points for a in _random_3d_pgss(200, 1)]
+    for a in sets:
+        big = tuple(sorted(rng.sample(a, rng.randint(1, len(a)))))
+        small = rng.sample(big, len(big) - 1) if rng.random() < 0.7 else rng.sample(a, len(big) - 1)
+        got = _intrinsic_reduction(big, small)
+        if _spans_its_span(big):
+            assert got == _four_part_reduction(big, small)
+            counts[got] += 1
+        else:
+            assert not got
+    assert min(counts.values()) > 50, counts
+
+
+def test_an_invalid_middle_fails_one_check():
+    # a middle fiber that is not the full intersection with its span fails
+    # "middle fiber structure" once, in an II_ni link, an I_m link and the
+    # I_m link's III_m inverse
+    def column(points, fiber):
+        return Constituent(PrimGenSet(2, points), fiber)
+
+    horizontal = [(-1, 0), (1, 0)]
+    slide = ElementaryLink(
+        "II_ni",
+        column([(-1, -1), (-1, 0), (0, 1), (1, 0)], horizontal),
+        column([(-1, -1), (-1, 0), (0, -1), (0, 1), (1, 0)], [(1, 0)]),
+        column([(-1, 0), (0, -1), (0, 1), (1, 0)], horizontal),
+        "polytope",
+    )
+    tower = ElementaryLink(
+        "I_m",
+        column([(-1, 0), (0, 1), (1, -1), (1, 0)], horizontal),
+        column([(-1, 0), (0, 1), (1, -1), (1, 0)], [(1, 0)]),
+        column([(-1, 0), (0, 1), (1, -1)], [(-1, 0), (0, 1), (1, -1)]),
+        "polytope",
+    )
+    reason = "fiber must be the full intersection with its span"
+    assert validate_link(slide).failed() == (("middle fiber structure", False, reason), ("fibers equal", False, ""))
+    im = ("middle fiber structure", "tower Mori", "fiber reduction")
+    assert validate_link(tower).failed() == tuple((name, False, reason if i == 0 else "") for i, name in enumerate(im))
+    mirror = tuple((f"mirror of I_m: {name}", False, reason if i == 0 else "") for i, name in enumerate(im))
+    assert validate_link(inverse(tower)).failed() == mirror
 
 
 def test_box_primitives():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from fanoweb.lattice import bezout
 from fanoweb.polytopes import (
+    CLASS_NAMES,
     DegenerateHullError,
     _pick_counts,
     _point_lists,
@@ -29,6 +30,7 @@ from fanoweb.polytopes import (
 )
 from fanoweb.web import enumerate_class_polygons
 from normal_forms import normal_form
+from test_genset import _random_3d_pgss
 from test_web import _GL_WORDS, _classes, _gl_map
 
 TRIANGLE = [(1, 0), (0, 1), (-1, -1)]          # plane polygon
@@ -392,6 +394,23 @@ def test_classify_origin_not_interior():
     assert f == classify(hull([(0, 0), (2, 0), (0, 2)])).__class__(
         False, False, False, False, False, False
     )
+
+
+def test_classify_reads_each_class_as_in_class_does():
+    # the 828 canonical polygons of box 3, a Fano triangle that is not
+    # canonical, two triangles that are not Fano and the hulls of random
+    # sets in space: each flag takes both values
+    polys = list(enumerate_class_polygons(3, "canonical")) + [hull([(1, 0), (0, 1), (-3, -1)])]
+    polys += [hull([(2, 0), (0, 1), (-1, -1)]), hull([(0, 0), (1, 0), (0, 1)])]
+    polys += [hull(a.points) for a in _random_3d_pgss(200, 0)]
+    assert len(polys) == 1031
+    seen = set()
+    for p in polys:
+        flags = classify(p)
+        for name in CLASS_NAMES[1:]:
+            assert flags.get(name) == in_class(p, name)
+            seen.add((name, flags.get(name)))
+    assert len(seen) == 12
 
 
 def test_classify_implication_chain_3d_fixtures():
